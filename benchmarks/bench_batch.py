@@ -347,7 +347,7 @@ def test_result_cache_resubmission(sweep_jobs, capsys):
     )
 
     # Service layer: byte-identical resubmissions come back done at
-    # submit time, served from the journal/result store.
+    # submit time, served from the engine's result store.
     with CompileService(
         engine=BatchCompiler(result_cache=ResultCache()), workers=1
     ) as service:

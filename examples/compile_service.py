@@ -5,7 +5,8 @@ that ``python -m repro.service`` runs standalone), submits a small batch
 of circuits over the wire, polls them to completion, downloads and
 verifies the artifacts — then stops the server mid-story and restarts
 it over the same journal and cache to show that completed work is
-re-served from disk and nothing is re-synthesized.
+re-served from the result cache the service keeps in the journal
+directory and nothing is re-synthesized.
 
 Run:  python examples/compile_service.py
 """

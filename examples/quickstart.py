@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 from repro.compiler import CLS_AGGREGATION, ISA, compile_circuit
 from repro.control.unit import OptimalControlUnit
 from repro.experiments.figure4 import triangle_circuit
-from repro.mapping.topology import LineTopology
+from repro.device.topology import LineTopology
 
 
 def main() -> None:

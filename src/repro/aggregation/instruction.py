@@ -16,6 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.control.unit import gates_of
 from repro.errors import AggregationError
 from repro.gates.gate import Gate
 from repro.linalg.embed import embed_operator
@@ -52,7 +53,7 @@ class AggregatedInstruction:
     @classmethod
     def from_nodes(cls, first, second, name: str | None = None) -> AggregatedInstruction:
         """Merge two nodes (gates or instructions), ``first`` running first."""
-        return cls(_gates_of(first) + _gates_of(second), name=name)
+        return cls(gates_of(first) + gates_of(second), name=name)
 
     @property
     def width(self) -> int:
@@ -152,10 +153,3 @@ class AggregatedInstruction:
             members += f",+{len(self.gates) - 4}"
         return f"{self.name}[{members}]@{self.qubits}"
 
-
-def _gates_of(node) -> list[Gate]:
-    if isinstance(node, AggregatedInstruction):
-        return list(node.gates)
-    if isinstance(node, Gate):
-        return [node]
-    raise AggregationError(f"cannot merge {node!r}")

@@ -48,6 +48,7 @@ parity on the canonical wire form).
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
@@ -81,6 +82,7 @@ from repro.compiler.result_cache import (
     ResultCache,
     engine_component,
     result_key,
+    target_payload,
 )
 from repro.control.unit import OptimalControlUnit, support_of
 from repro.device.device import Device
@@ -336,10 +338,11 @@ class BatchCompiler:
         #: both within one batch and across batches/engines sharing the
         #: store.  A string mounts a :class:`DiskResultCache` directory.
         self.result_cache = result_cache
-        # Memoized engine-component strings keyed by id of the target
-        # device object (the target itself is kept alive alongside so a
-        # recycled id can never alias a dead object's component).
-        self._result_components: dict[int, tuple[object, str]] = {}
+        # Memoized engine-component strings keyed by the target's
+        # canonical JSON: jobs deserialized from envelopes carry fresh
+        # but equal Device objects, so an identity key would grow with
+        # every submission.
+        self._result_components: dict[str, str] = {}
         #: Counters summed over every batch this engine has compiled
         #: (the per-batch view is ``BatchReport.cache_info``), plus the
         #: planner's total ``prewarm_synthesized``.  Drivers running
@@ -425,7 +428,7 @@ class BatchCompiler:
             topology=topology,
             device=device,
         )
-        key = self._result_key(job)
+        key = self._cache_key(job)
         if key is not None:
             cached = self.result_cache.get(key)
             if cached is not None:
@@ -440,29 +443,31 @@ class BatchCompiler:
     def _result_engine(self, job: BatchJob) -> str:
         """The engine-component string for one job's compilation target.
 
-        Memoized per target object: the component folds the OCU cache
+        Memoized per target value: the component folds the OCU cache
         fingerprint in, and probing it costs one throwaway unit.
         """
         target = self._job_target(job)
-        cached = self._result_components.get(id(target))
-        if cached is not None:
-            return cached[1]
-        probe = self.make_ocu(cache=PulseCache(), device=target)
-        component = engine_component(
-            target, self.compiler_config, self.backend, probe.fingerprint
-        )
-        self._result_components[id(target)] = (target, component)
+        memo_key = json.dumps(target_payload(target), sort_keys=True)
+        component = self._result_components.get(memo_key)
+        if component is None:
+            probe = self.make_ocu(cache=PulseCache(), device=target)
+            component = engine_component(
+                target, self.compiler_config, self.backend, probe.fingerprint
+            )
+            self._result_components[memo_key] = component
         return component
 
-    def _result_key(self, job: BatchJob) -> str | None:
-        """This job's result-cache key, or None when it cannot cache.
+    def result_key(self, job: BatchJob) -> str | None:
+        """The job's identity under this engine: its result-cache key.
 
-        None either because no cache is attached or because the job's
-        envelope cannot serialize (explicit ``passes=`` lists,
-        unregistered strategies) — those jobs always compile.
+        The label-stripped job envelope plus this engine's settings
+        (default device, compiler config, backend, OCU fingerprint), so
+        a differently configured engine never shares an identity.  The
+        compile service keys its jobs, breaker and coalescing on it.
+        None when the job's envelope cannot serialize (explicit
+        ``passes=`` lists, unregistered strategies) — such jobs never
+        cache.
         """
-        if self.result_cache is None:
-            return None
         from repro.ir.serialize import batch_job_to_dict
 
         try:
@@ -470,6 +475,12 @@ class BatchCompiler:
         except SerializationError:
             return None
         return result_key(envelope, self._result_engine(job))
+
+    def _cache_key(self, job: BatchJob) -> str | None:
+        """:meth:`result_key`, or None when no result cache is attached."""
+        if self.result_cache is None:
+            return None
+        return self.result_key(job)
 
     def compile_batch(self, jobs: Iterable) -> BatchReport:
         """Compile every job, fanning across workers; results in order.
@@ -510,7 +521,7 @@ class BatchCompiler:
             pending = []
             primary_by_key: dict[str, int] = {}
             for index, job in enumerate(jobs):
-                key = self._result_key(job)
+                key = self.result_key(job)
                 if key is None:
                     result_stats["uncacheable"] += 1
                     pending.append((index, job))
@@ -711,7 +722,7 @@ class BatchCompiler:
             pass ran, no model was evaluated).
         """
         job = _as_job(job)
-        cache_key = self._result_key(job)
+        cache_key = self._cache_key(job)
         if cache_key is not None:
             lookup_started = time.perf_counter()
             cached = self.result_cache.get(cache_key)

@@ -3,10 +3,13 @@
 PR 7/8 made optimal-control work shareable; this module does the same
 one level up, at whole-:class:`~repro.compiler.result.CompilationResult`
 granularity.  A :class:`ResultCache` maps the canonical *job signature*
-— the label-stripped ``repro-ir-v1`` batch-job envelope, the same sha256
-the compile service's circuit breaker quarantines on — to the serialized
+— the label-stripped ``repro-ir-v1`` batch-job envelope plus the engine
+settings (:meth:`BatchCompiler.result_key
+<repro.compiler.batch.BatchCompiler.result_key>`) — to the serialized
 result envelope, so byte-identical resubmissions skip the whole pass
-pipeline.
+pipeline.  It is also the compile service's one store of finished jobs:
+the service keys its jobs, its circuit breaker and its coalescing on the
+same digest and serves results straight from here.
 
 Keying rules
 ------------
@@ -55,7 +58,20 @@ __all__ = [
     "ResultCache",
     "engine_component",
     "result_key",
+    "target_payload",
 ]
+
+
+def target_payload(device) -> dict:
+    """Wire form of a compilation target: a full
+    :class:`~repro.device.device.Device` or a bare
+    :class:`~repro.config.DeviceConfig`."""
+    from repro.device.device import Device
+    from repro.ir.serialize import device_config_to_dict, device_to_dict
+
+    if isinstance(device, Device):
+        return device_to_dict(device)
+    return device_config_to_dict(device)
 
 
 def engine_component(
@@ -79,20 +95,11 @@ def engine_component(
             config_fingerprint` (covers GRAPE knobs, seed, and
             heterogeneous-coupling targets).
     """
-    from repro.device.device import Device
-    from repro.ir.serialize import (
-        compiler_config_to_dict,
-        device_config_to_dict,
-        device_to_dict,
-    )
+    from repro.ir.serialize import compiler_config_to_dict
 
-    if isinstance(device, Device):
-        device_payload = device_to_dict(device)
-    else:
-        device_payload = device_config_to_dict(device)
     return json.dumps(
         {
-            "device": device_payload,
+            "device": target_payload(device),
             "compiler": compiler_config_to_dict(compiler_config),
             "backend": backend,
             "fingerprint": fingerprint,
@@ -105,11 +112,10 @@ def engine_component(
 def result_key(envelope: dict, engine: str = "") -> str:
     """Content digest of one job envelope under one engine configuration.
 
-    The envelope part is byte-identical to the service's
-    :func:`~repro.service.server.job_signature` (label stripped,
-    canonical JSON); ``engine`` is an :func:`engine_component` string
-    folded in behind a separator so envelope bytes can never collide
-    with engine bytes.
+    The envelope part is its canonical JSON with the display label
+    stripped; ``engine`` is an :func:`engine_component` string folded in
+    behind a separator so envelope bytes can never collide with engine
+    bytes.
     """
     payload = {k: v for k, v in envelope.items() if k != "label"}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -164,9 +170,9 @@ class ResultCache:
         ).encode("utf-8")
 
     @staticmethod
-    def _decode(payload: bytes, key: str, source: str):
+    def _decode(payload: bytes, key: str, source: str) -> dict:
+        """The entry's stored result dict, once its format and key check."""
         from repro.errors import SerializationError
-        from repro.ir.serialize import result_from_dict
 
         try:
             envelope = json.loads(payload.decode("utf-8"))
@@ -185,7 +191,7 @@ class ResultCache:
                 f"{source}: entry claims key {envelope.get('key')!r}, "
                 f"looked up as {key!r}"
             )
-        return result_from_dict(envelope["result"])
+        return envelope["result"]
 
     # -- store API -----------------------------------------------------
 
@@ -198,29 +204,38 @@ class ResultCache:
         (:meth:`CompilationResult.verify_equivalence`) before returning
         it — a corrupt or forged entry raises instead of serving.
         """
-        started = time.perf_counter()
-        with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
-        if payload is None:
-            payload = self._read_backend(key)
-            if payload is not None:
-                self._insert(key, payload, count_store=False)
-        if payload is None:
-            with self._lock:
-                self.misses += 1
-                self.lookup_seconds += time.perf_counter() - started
+        from repro.ir.serialize import result_from_dict
+
+        stored = self.get_dict(key)
+        if stored is None:
             return None
-        result = self._decode(payload, key, source=type(self).__name__)
+        result = result_from_dict(stored)
         if verify:
             result.verify_equivalence(raise_on_failure=True)
             with self._lock:
                 self.verified_loads += 1
-        with self._lock:
-            self.hits += 1
-            self.lookup_seconds += time.perf_counter() - started
         return result
+
+    def get_dict(self, key: str) -> dict | None:
+        """The stored result dict for ``key``, or None.
+
+        That is the ``result_to_dict(result, include_source=True)``
+        payload a wire response carries, parsed but never rebuilt into a
+        :class:`CompilationResult` (which costs many times the parse).
+        Every lookup, :meth:`get`'s included, is counted here.
+        """
+        started = time.perf_counter()
+        payload = self._payload(key)
+        stored = None
+        if payload is not None:
+            stored = self._decode(payload, key, source=type(self).__name__)
+        with self._lock:
+            if stored is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            self.lookup_seconds += time.perf_counter() - started
+        return stored
 
     def put(self, key: str, result) -> None:
         """Serialize and store one result under ``key``."""
@@ -229,8 +244,9 @@ class ResultCache:
         self._write_backend(key, payload)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        """Whether :meth:`get` would hit; a backend entry is loaded on
+        the way, uncounted."""
+        return self._payload(key) is not None
 
     def __len__(self) -> int:
         with self._lock:
@@ -259,6 +275,19 @@ class ResultCache:
             }
 
     # -- internals -----------------------------------------------------
+
+    def _payload(self, key: str) -> bytes | None:
+        """Resident bytes for ``key`` (refreshing recency), else the
+        backend's, which become resident."""
+        with self._lock:
+            payload = self._entries.get(key)
+            if payload is not None:
+                self._entries.move_to_end(key)
+                return payload
+        payload = self._read_backend(key)
+        if payload is not None:
+            self._insert(key, payload, count_store=False)
+        return payload
 
     def _insert(self, key: str, payload: bytes, count_store: bool) -> None:
         with self._lock:
@@ -354,13 +383,17 @@ class DiskResultCache(ResultCache):
         return read
 
     def _read_file(self, key: str) -> bytes | None:
+        from repro.ir.serialize import result_from_dict
+
         try:
             with open(self._entry_path(key), "rb") as handle:
                 payload = handle.read()
         except OSError:
             return None
         try:
-            self._decode(payload, key, source=self._entry_path(key))
+            result_from_dict(
+                self._decode(payload, key, source=self._entry_path(key))
+            )
         except Exception:
             return None  # torn/foreign file: treat as a miss
         return payload

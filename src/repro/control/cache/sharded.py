@@ -193,14 +193,16 @@ class ShardedDiskPulseCache(PulseCache):
     # -- lookups with disk read-through ----------------------------------
 
     def get_latency(self, key: LatencyKey) -> float | None:
+        loads = self.shard_loads
         value = super().get_latency(key)
-        if value is None and self._refresh_shard(self.shard_of(key)):
+        if value is None and self._refresh_shard(self.shard_of(key), loads):
             value = super().get_latency(key)
         return value
 
     def get_pulse(self, key: PulseKey):
+        loads = self.shard_loads
         result = super().get_pulse(key)
-        if result is None and self._refresh_shard(self.shard_of(key)):
+        if result is None and self._refresh_shard(self.shard_of(key), loads):
             result = super().get_pulse(key)
         return result
 
@@ -231,12 +233,15 @@ class ShardedDiskPulseCache(PulseCache):
             return None
         return (info.st_mtime_ns, info.st_size)
 
-    def _refresh_shard(self, index: int) -> bool:
+    def _refresh_shard(self, index: int, loads_seen: int) -> bool:
         """Reload one shard if its file changed since we last read it.
 
         Returns True when a reload happened (the caller's miss is worth
-        retrying).  The stat is taken *before* the read, so a replace
-        racing the read at worst causes one redundant reload later.
+        retrying) — including one a peer thread finished after the
+        caller read ``loads_seen`` off :attr:`shard_loads`, just before
+        its in-memory miss.  The stat is taken *before* the read, so a
+        replace racing the read at worst causes one redundant reload
+        later.
 
         A reader racing a writer's two atomic replaces can catch the
         *old* manifest with the *new* arrays (or vice versa); the
@@ -257,7 +262,7 @@ class ShardedDiskPulseCache(PulseCache):
         state = self._stat_shard(index)
         with self._lock:
             if state == self._shard_states.get(index, ()):  # () = never looked
-                return False
+                return self.shard_loads != loads_seen
             if state is None:
                 self._shard_states[index] = None
                 return False
@@ -290,7 +295,7 @@ class ShardedDiskPulseCache(PulseCache):
         for index in range(self.shards):
             with self._lock:
                 self._shard_states.pop(index, None)
-            self._refresh_shard(index)
+            self._refresh_shard(index, self.shard_loads)
         self.loaded_entries = self.latency_count + self.pulse_count - before
         return self.loaded_entries
 

@@ -372,11 +372,6 @@ def support_of(node) -> tuple[int, ...]:
     return tuple(sorted(set(node.qubits)))
 
 
-# Backwards-compatible aliases (pre-PR-4 internal names).
-_gates_of = gates_of
-_support_of = support_of
-
-
 def _signature_of(node) -> tuple:
     """Structural identity: gate signatures + relative qubit geometry."""
     gates = gates_of(node)

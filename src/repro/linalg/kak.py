@@ -222,7 +222,15 @@ def weyl_coordinates(matrix: np.ndarray) -> np.ndarray:
     u4 = u / np.linalg.det(u) ** 0.25
     m = MAGIC_DAG @ u4 @ MAGIC
     gram = m.T @ m
-    eigenvalues = np.linalg.eigvals(gram)
+    try:
+        eigenvalues = np.linalg.eigvals(gram)
+    except np.linalg.LinAlgError:
+        # LAPACK can fail to converge on a Gram matrix that is diagonal
+        # up to ~1e-17 noise (a SWAP with diagonal phases gives -i*I);
+        # zeroing the noise only on this path keeps every converging
+        # input bit-identical.
+        gram = np.where(np.abs(gram) < 1e-12, 0.0, gram)
+        eigenvalues = np.linalg.eigvals(gram)
     thetas = np.angle(eigenvalues) / 2.0
     # The eigenphase vector must sum to zero (mod pi branch adjustments) to
     # lie in the span of SIGNS; repair the branch cuts.

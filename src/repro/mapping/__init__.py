@@ -1,33 +1,16 @@
 """Qubit mapping: placement and SWAP routing over device topologies.
 
-Topology types live in :mod:`repro.device`; they are re-exported here
-for compatibility with pre-device-subsystem code.
+Topology types live in :mod:`repro.device`.
 """
 
-from repro.device.topology import (
-    FullyConnectedTopology,
-    GridTopology,
-    HeavyHexTopology,
-    LineTopology,
-    RingTopology,
-    Topology,
-    grid_for,
-)
 from repro.mapping.partition import balanced_min_cut_bisection
 from repro.mapping.placement import Placement, initial_placement
 from repro.mapping.router import RoutingResult, route
 
 __all__ = [
-    "FullyConnectedTopology",
-    "GridTopology",
-    "HeavyHexTopology",
-    "LineTopology",
     "Placement",
-    "RingTopology",
     "RoutingResult",
-    "Topology",
     "balanced_min_cut_bisection",
-    "grid_for",
     "initial_placement",
     "route",
 ]

@@ -3,11 +3,10 @@
 from repro.scheduling.cls import cls_schedule
 from repro.scheduling.list_scheduler import list_schedule
 from repro.scheduling.matching import resolve_conflicts
-from repro.scheduling.schedule import Schedule, TimedOperation
+from repro.scheduling.schedule import Schedule
 
 __all__ = [
     "Schedule",
-    "TimedOperation",
     "cls_schedule",
     "list_schedule",
     "resolve_conflicts",

@@ -1,10 +1,10 @@
 """Schedule data structures: timed operations with validation.
 
-The schedule atom is the typed :class:`~repro.ir.timed.TimedInstruction`
-(``TimedOperation`` remains as a compatibility alias): every placed node
-carries a stable integer ``node_id`` assigned in insertion order, which
-is what the wire format (:mod:`repro.ir.serialize`) references instead
-of process-local ``id()`` values.
+The schedule atom is the typed :class:`~repro.ir.timed.TimedInstruction`:
+every placed node carries a stable integer ``node_id`` assigned in
+insertion order, which is what the wire format
+(:mod:`repro.ir.serialize`) references instead of process-local ``id()``
+values.
 
 Per-qubit queries (:meth:`Schedule.qubit_timeline`, overlap validation,
 :meth:`Schedule.busy_time`) share one lazily built per-qubit index
@@ -23,15 +23,11 @@ from repro.ir.timed import (
     TimedInstruction,
 )
 
-#: Compatibility alias for the pre-typed-IR name.
-TimedOperation = TimedInstruction
-
 __all__ = [
     "DEPENDENCE_EPSILON_NS",
     "OVERLAP_EPSILON_NS",
     "Schedule",
     "TimedInstruction",
-    "TimedOperation",
 ]
 
 

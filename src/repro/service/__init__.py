@@ -7,14 +7,15 @@ machines.  Clients submit ``repro-ir-v1`` job envelopes over the cache
 protocol's length-prefixed JSON framing; the server queues them with
 explicit backpressure, compiles them on worker threads, quarantines
 poisoned circuits behind a circuit breaker, journals every transition
-crash-safely, and serves the finished artifacts back.
+crash-safely, and serves finished results back from the engine's
+result cache — the one store of finished jobs.
 
 Pieces:
 
 * :mod:`~repro.service.protocol` — op vocabulary and response shapes.
 * :mod:`~repro.service.queue` — bounded reject-not-block job queue.
 * :mod:`~repro.service.breaker` — per-signature circuit breaker.
-* :mod:`~repro.service.journal` — atomic job manifest + result artifacts.
+* :mod:`~repro.service.journal` — atomic job manifest.
 * :mod:`~repro.service.server` — :class:`CompileService` itself.
 * :mod:`~repro.service.client` — :class:`ServiceClient`.
 
@@ -37,11 +38,7 @@ from repro.service.protocol import (
     SERVICE_OPS,
 )
 from repro.service.queue import BoundedJobQueue
-from repro.service.server import (
-    DEFAULT_QUEUE_LIMIT,
-    CompileService,
-    job_signature,
-)
+from repro.service.server import DEFAULT_QUEUE_LIMIT, CompileService
 
 __all__ = [
     "DEFAULT_BREAKER_COOLDOWN",
@@ -56,6 +53,5 @@ __all__ = [
     "CompileService",
     "JobJournal",
     "ServiceClient",
-    "job_signature",
     "parse_service_url",
 ]

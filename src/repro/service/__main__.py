@@ -10,8 +10,9 @@ The cache flag family matches the runner and the cache server: ``--cache``
 mounts a disk stem or sharded directory, ``--cache-url`` mounts a
 ``python -m repro.control.cache_server`` fleet cache instead.  With
 ``--journal DIR`` the server restarts without losing accepted work:
-completed artifacts are re-served from disk, interrupted jobs re-run
-against the still-warm cache.  Clean shutdown on SIGINT/SIGTERM
+completed results are re-served from the result cache (``--result-cache
+DIR``, else one kept inside the journal directory), interrupted jobs
+re-run against the still-warm cache.  Clean shutdown on SIGINT/SIGTERM
 persists the cache.
 """
 
@@ -112,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="content-addressed compiled-result cache directory: repeat "
-        "jobs are served whole without recompiling, across restarts",
+        "jobs are served whole without recompiling, across restarts "
+        "(default: inside --journal, or in memory without one)",
     )
     return parser
 

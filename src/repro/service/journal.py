@@ -1,11 +1,12 @@
 """Crash-safe journal of submitted compile jobs.
 
 The service's restart story: every accepted job is recorded here (the
-full ``repro-ir-v1`` job envelope plus its lifecycle state), every state
-transition rewrites the journal, and every finished result is persisted
-as a standalone artifact *before* the job is marked done.  A restarted
-server therefore re-reports completed work (serving results straight
-from the artifact directory) and re-enqueues whatever was queued or
+full ``repro-ir-v1`` job envelope plus its lifecycle state) and every
+state transition rewrites the journal.  Finished results are not kept
+here: they live in the engine's result cache (see
+:mod:`repro.service.server`), which the service writes before a record
+turns ``done``.  A restarted server therefore re-reports completed work
+(serving results from that store) and re-enqueues whatever was queued or
 running when the previous process died — and because the pulse cache
 persisted independently, those re-runs answer their optimal-control
 queries warm instead of re-synthesizing.
@@ -14,12 +15,11 @@ All writes use the disk cache's crash discipline
 (:func:`repro.control.cache.disk.replace_into`: unique ``mkstemp`` temp
 file in the same directory, fsync, atomic :func:`os.replace`), so a
 killed writer can truncate only its own temp file, never the live
-journal or a finished artifact.
+journal.
 
 Layout under the journal directory::
 
-    journal.json          # the manifest: every job record + next serial
-    results/<job_id>.json # one repro-ir-v1 result artifact per done job
+    journal.json          # the manifest: every job record
 """
 
 from __future__ import annotations
@@ -42,21 +42,19 @@ RESUMABLE_STATES = ("queued", "running")
 
 
 class JobJournal:
-    """Atomic-on-every-write job manifest plus result artifacts.
+    """Atomic-on-every-write job manifest.
 
     Args:
-        directory: Journal root; created (with its ``results/``
-            subdirectory) if absent.  An existing manifest is loaded —
-            construction is how a restarted server recovers its state.
+        directory: Journal root; created if absent.  An existing
+            manifest is loaded — construction is how a restarted server
+            recovers its state.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = os.fspath(directory)
-        self.results_dir = os.path.join(self.directory, "results")
-        os.makedirs(self.results_dir, exist_ok=True)
+        os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
         self._records: dict[str, dict] = {}
-        self.next_serial = 1
         self._load()
 
     @property
@@ -76,32 +74,21 @@ class JobJournal:
                 f"{payload.get('format')!r} (this build reads "
                 f"{JOURNAL_FORMAT!r})"
             )
-        self.next_serial = int(payload.get("next_serial", 1))
         for record in payload.get("jobs", []):
             self._records[record["job_id"]] = dict(record)
 
     def resumable(self) -> list[dict]:
-        """Records a restarted server must re-enqueue, oldest first.
-
-        Jobs journaled as ``done`` whose result artifact is missing or
-        unreadable (a crash between artifact write and manifest update
-        loses nothing — the artifact lands first — but operators can
-        delete artifacts) are demoted to resumable too: better to
-        recompile from the warm cache than to claim a result we cannot
-        serve.
-        """
+        """Queued or running records, oldest first: a restarted server
+        must re-enqueue them.  (Whether a ``done`` record's result is
+        still servable is the result store's question, not the
+        journal's.)"""
         with self._lock:
-            records = [dict(r) for r in self._records.values()]
-        out = []
-        for record in sorted(records, key=lambda r: r.get("serial", 0)):
-            state = record["state"]
-            if state in RESUMABLE_STATES:
-                out.append(record)
-            elif state == "done" and not os.path.exists(
-                self.result_path(record["job_id"])
-            ):
-                out.append(record)
-        return out
+            records = [
+                dict(r)
+                for r in self._records.values()
+                if r["state"] in RESUMABLE_STATES
+            ]
+        return sorted(records, key=lambda r: r.get("serial", 0))
 
     # -- recording -------------------------------------------------------
 
@@ -110,13 +97,6 @@ class JobJournal:
         with self._lock:
             self._records[record["job_id"]] = dict(record)
             self._write_manifest()
-
-    def allocate_serial(self) -> int:
-        """Next monotonically increasing job serial (journal-durable)."""
-        with self._lock:
-            serial = self.next_serial
-            self.next_serial += 1
-            return serial
 
     def get(self, job_id: str) -> dict | None:
         with self._lock:
@@ -141,7 +121,6 @@ class JobJournal:
         """
         payload = {
             "format": JOURNAL_FORMAT,
-            "next_serial": self.next_serial,
             "jobs": sorted(
                 self._records.values(), key=lambda r: r.get("serial", 0)
             ),
@@ -153,40 +132,3 @@ class JobJournal:
             self.manifest_path,
             ".tmp.json",
         )
-
-    # -- result artifacts ------------------------------------------------
-
-    def result_path(self, job_id: str) -> str:
-        return os.path.join(self.results_dir, f"{job_id}.json")
-
-    def write_result(self, job_id: str, result) -> str:
-        """Persist one finished result artifact crash-safely.
-
-        Called *before* the job's record transitions to ``done`` — a
-        crash between the two leaves a ``running`` record with an
-        orphaned artifact, which a restart simply recompiles (warm), the
-        safe direction.  Returns the artifact path.
-        """
-        from repro.ir.serialize import result_to_dict
-
-        payload = result_to_dict(result, include_source=True)
-        path = self.result_path(job_id)
-        replace_into(
-            lambda handle: handle.write(json.dumps(payload).encode("utf-8")),
-            path,
-            ".tmp.json",
-        )
-        return path
-
-    def read_result(self, job_id: str):
-        """Load one persisted result, or None when absent/unreadable."""
-        from repro.ir.serialize import result_from_dict
-
-        path = self.result_path(job_id)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return result_from_dict(json.load(handle))
-        except Exception:
-            return None

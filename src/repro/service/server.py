@@ -5,8 +5,8 @@ One process owns one warm :class:`~repro.compiler.batch.BatchCompiler`
 ``tcp://`` fleet cache) and serves compile jobs submitted over the wire
 (:mod:`repro.service.protocol`).  Submissions land on a bounded queue
 with explicit backpressure; worker threads drain it through
-:meth:`BatchCompiler.run_job`; finished artifacts are persisted and
-served back.  Robustness features:
+:meth:`BatchCompiler.run_job`; finished results are served back from the
+engine's result cache.  Robustness features:
 
 * **Backpressure** — a full queue rejects instantly with a
   ``retry_after`` derived from observed job times, never parks a client.
@@ -15,10 +15,19 @@ served back.  Robustness features:
 * **Circuit breaker** — a job signature that fails ``threshold`` times
   in a row is quarantined (:mod:`repro.service.breaker`) so one
   poisoned circuit cannot wedge the worker pool.
+* **One result store** — a job's signature is the engine's
+  :meth:`~repro.compiler.batch.BatchCompiler.result_key`, and the
+  engine's result cache is the only place a finished result lives: a
+  stored key is answered ``done`` at submit time, and the ``result`` op
+  sends the stored entry as is.  An engine without a result cache gets
+  one: a :class:`~repro.compiler.result_cache.DiskResultCache` under
+  ``<journal>/result-cache/``, else an in-memory store.
 * **Crash-safe journal** — every accepted job and state transition is
-  journaled atomically (:mod:`repro.service.journal`); a restarted
-  server re-serves completed artifacts and re-runs interrupted jobs
-  against the still-warm cache (zero re-synthesis for cached pulses).
+  journaled atomically (:mod:`repro.service.journal`).  A restarted
+  server re-keys every job under its current engine, keeps done jobs
+  whose key is stored, and re-runs the rest of its unfinished or
+  unstored jobs against the still-warm cache (zero re-synthesis for
+  cached pulses).
 
 Embed it (tests, examples)::
 
@@ -32,13 +41,13 @@ or run it standalone with ``python -m repro.service``.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import os
 import socketserver
 import threading
 import time
 
 from repro.compiler.batch import _COUNTER_KEYS, BatchCompiler
+from repro.compiler.result_cache import DiskResultCache, ResultCache
 from repro.errors import JobCancelledError, ReproError, ServiceError
 from repro.service.breaker import (
     DEFAULT_BREAKER_COOLDOWN,
@@ -73,22 +82,18 @@ _EWMA_WEIGHT = 0.3
 #: Worker poll granularity; also bounds stop() latency for idle workers.
 _TAKE_TIMEOUT_SECONDS = 0.2
 
-
-def job_signature(envelope: dict) -> str:
-    """Content digest of one job envelope, ignoring its display label.
-
-    Two submissions of the same circuit/strategy/device share a
-    signature even under different labels — that is the identity the
-    circuit breaker quarantines on (a poisoned circuit resubmitted under
-    a fresh name is still poisoned).
-    """
-    payload = {k: v for k, v in envelope.items() if k != "label"}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+#: Where an engine without a result cache gets its disk store, inside
+#: the journal directory.
+RESULT_CACHE_DIR = "result-cache"
 
 
 class _JobRecord:
-    """Everything the server tracks for one submitted job."""
+    """Everything the server tracks for one submitted job.
+
+    ``signature`` is the job's result key under the running engine:
+    label-blind, so a poisoned circuit resubmitted under a fresh name is
+    still poisoned, and a done job's result is the store entry under it.
+    """
 
     __slots__ = (
         "job_id",
@@ -147,6 +152,13 @@ class _JobRecord:
             status["counters"] = dict(self.counters)
         return status
 
+    def mark_served(self) -> None:
+        """Done without running: the result is already in the store."""
+        self.state = "done"
+        self.finished_at = time.time()
+        self.seconds = 0.0
+        self.counters = dict.fromkeys(_COUNTER_KEYS, 0)
+
     def journal_record(self) -> dict:
         return {
             "job_id": self.job_id,
@@ -197,7 +209,8 @@ class CompileService:
 
     Args:
         engine: The resident :class:`BatchCompiler` (its cache is the
-            service's warm cache).  A default engine when omitted.
+            service's warm cache, its result cache the store of finished
+            jobs).  A default engine when omitted.
         host / port: Bind address; port 0 picks a free port (read it
             back from :attr:`url`).
         queue_limit: Queued-job bound; submissions past it are rejected
@@ -213,6 +226,8 @@ class CompileService:
             seconds before a probe).
         journal: A :class:`JobJournal` (or a directory path for one) for
             crash-safe restarts; ``None`` keeps state in memory only.
+            Results survive a restart only when the engine's result
+            cache is on disk — as it is when mounted here.
     """
 
     def __init__(
@@ -237,6 +252,14 @@ class CompileService:
         self.journal = (
             JobJournal(journal) if isinstance(journal, str) else journal
         )
+        if self.engine.result_cache is None:
+            self.engine.result_cache = (
+                DiskResultCache(
+                    os.path.join(self.journal.directory, RESULT_CACHE_DIR)
+                )
+                if self.journal is not None
+                else ResultCache()
+            )
         self.workers = workers
         self.job_timeout = job_timeout
         self.started_at = time.time()
@@ -248,11 +271,6 @@ class CompileService:
         #: Guards the record table, job-id serial, and the EWMA.
         self._lock = threading.Lock()
         self._records: dict[str, _JobRecord] = {}
-        self._results: dict[str, object] = {}
-        #: Signature -> job_id of the latest successfully completed job
-        #: with that signature: repeat submissions are answered ``done``
-        #: from its artifact without touching the queue.
-        self._done_by_signature: dict[str, str] = {}
         #: Signature -> job_id of the queued/running job concurrent
         #: identical submissions coalesce onto (their "primary").
         self._inflight_by_signature: dict[str, str] = {}
@@ -350,21 +368,27 @@ class CompileService:
     def _recover(self) -> None:
         """Rebuild the record table from the journal; re-enqueue work.
 
-        Completed jobs come back as ``done`` records served from their
-        persisted artifacts.  Queued/running jobs (the previous process
-        died holding them) are re-enqueued — ``force=True`` so a backlog
-        larger than the queue limit is never stranded — with ``running``
-        ones charged one attempt for the run that died.
+        Every job's key is recomputed under the current engine, so a
+        restart with another engine configuration never serves results
+        compiled under the old one.  Done jobs whose key is in the
+        result store come back ``done``.  Queued/running jobs (the
+        previous process died holding them), and done jobs whose result
+        is not in the store, are re-enqueued — ``force=True`` so a
+        backlog larger than the queue limit is never stranded — with
+        ``running`` ones charged one attempt for the run that died.
         """
+        from repro.ir.serialize import batch_job_from_dict
+
         resumable_ids = {r["job_id"] for r in self.journal.resumable()}
         for stored in sorted(
             self.journal.records(), key=lambda r: r.get("serial", 0)
         ):
+            try:
+                key = self.engine.result_key(batch_job_from_dict(stored["job"]))
+            except ReproError:
+                key = stored.get("signature")  # a worker will fail it
             record = _JobRecord(
-                stored["job_id"],
-                stored.get("serial", 0),
-                stored["job"],
-                stored.get("signature") or job_signature(stored["job"]),
+                stored["job_id"], stored.get("serial", 0), stored["job"], key
             )
             record.state = stored["state"]
             record.submitted_at = stored.get("submitted_at", record.submitted_at)
@@ -372,7 +396,9 @@ class CompileService:
             record.finished_at = stored.get("finished_at")
             record.attempts = stored.get("attempts", 0)
             record.error = stored.get("error")
-            if record.job_id in resumable_ids:
+            if record.job_id in resumable_ids or (
+                record.state == "done" and key not in self.engine.result_cache
+            ):
                 if record.state == "running":
                     record.attempts += 1
                 record.state = "queued"
@@ -386,10 +412,6 @@ class CompileService:
                 self._inflight_by_signature.setdefault(
                     record.signature, record.job_id
                 )
-            if record.state == "done":
-                # Serial order: the latest completed job wins, and its
-                # persisted artifact answers repeat submissions.
-                self._done_by_signature[record.signature] = record.job_id
             self._records[record.job_id] = record
             self._next_serial = max(self._next_serial, record.serial + 1)
 
@@ -447,12 +469,10 @@ class CompileService:
         except Exception as error:  # defensive: foreign bug, same handling
             self._finish_failed(record, f"{type(error).__name__}: {error}")
             return
-        if self.journal is not None:
-            # Artifact before state flip: a crash between the two leaves
-            # a resumable "running" record, never a done-but-missing one.
-            self.journal.write_result(record.job_id, result)
+        # run_job stored the result under the record's key before
+        # returning: a crash before the flip below leaves a resumable
+        # "running" record, never a done one without a result.
         with self._lock:
-            self._results[record.job_id] = result
             record.state = "done"
             record.finished_at = time.time()
             record.seconds = seconds
@@ -463,7 +483,6 @@ class CompileService:
                 _EWMA_WEIGHT * seconds
                 + (1.0 - _EWMA_WEIGHT) * self._ewma_job_seconds
             )
-            self._done_by_signature[record.signature] = record.job_id
             if (
                 self._inflight_by_signature.get(record.signature)
                 == record.job_id
@@ -472,15 +491,14 @@ class CompileService:
             followers = self._followers.pop(record.job_id, [])
         self.breaker.record_success(record.signature)
         self._journal(record)
-        self._resolve_followers_done(followers, result)
+        self._resolve_followers_done(followers)
 
-    def _resolve_followers_done(self, followers: list[str], result) -> None:
-        """Fan a finished primary's result out to its coalesced riders.
+    def _resolve_followers_done(self, followers: list[str]) -> None:
+        """A finished primary's coalesced riders are served its result.
 
-        Each still-queued follower becomes ``done`` sharing the primary's
-        result object (results are immutable to the service; clients get
-        independent deserialized copies over the wire) with zero seconds
-        and all-zero counters — no pass ran for it.  Followers a client
+        Each still-queued follower becomes ``done`` — its key is the
+        primary's, so the stored entry is its result — with zero seconds
+        and all-zero counters: no pass ran for it.  Followers a client
         cancelled in the meantime are left alone.
         """
         for job_id in followers:
@@ -488,17 +506,7 @@ class CompileService:
                 follower = self._records.get(job_id)
                 if follower is None or follower.state != "queued":
                     continue
-            if self.journal is not None:
-                self.journal.write_result(job_id, result)
-            with self._lock:
-                if follower.state != "queued":
-                    continue  # cancelled between the two critical sections
-                self._results[job_id] = result
-                follower.state = "done"
-                follower.finished_at = time.time()
-                follower.seconds = 0.0
-                follower.pass_seconds = dict(result.pass_seconds)
-                follower.counters = dict.fromkeys(_COUNTER_KEYS, 0)
+                follower.mark_served()
             self._journal(follower)
 
     def _finish_cancelled(self, record: _JobRecord, error: Exception) -> None:
@@ -631,10 +639,9 @@ class CompileService:
         envelope = request.get("job")
         if not isinstance(envelope, dict):
             raise ServiceError("submit needs a job envelope under 'job'")
-        # Validate eagerly so a malformed submission fails its submitter,
-        # not a worker thread minutes later.
-        batch_job_from_dict(envelope)
-        signature = job_signature(envelope)
+        # Deserializing validates eagerly, so a malformed submission
+        # fails its submitter, not a worker thread minutes later.
+        signature = self.engine.result_key(batch_job_from_dict(envelope))
         allowed, retry_after = self.breaker.allow(signature)
         if not allowed:
             with self._counter_lock:
@@ -647,38 +654,39 @@ class CompileService:
                 "signature": signature,
                 "breaker_state": self.breaker.state_of(signature),
             }
-        # Warm path 1: a completed job with this signature already has a
-        # persisted artifact — answer done instantly, zero compilation.
-        served = self._serve_from_done(envelope, signature)
-        if served is not None:
-            return served
         with self._lock:
             serial = self._next_serial
             self._next_serial += 1
             job_id = f"job-{serial}-{signature[:8]}"
             record = _JobRecord(job_id, serial, envelope, signature)
-            # Warm path 2: an identical job is queued/running right now
-            # — ride along as a follower instead of queueing twice.
             primary_id = self._inflight_by_signature.get(signature)
             primary = self._records.get(primary_id) if primary_id else None
-            if primary is not None and primary.state in ("queued", "running"):
+            coalesced_onto = None
+            # Checked under the lock: a primary stores its result before
+            # it leaves the in-flight index, so a racing submission
+            # either finds the result or coalesces onto the primary.
+            served = signature in self.engine.result_cache
+            if served:
+                # Warm path 1: the result is already stored — the job is
+                # born done, zero compilation.
+                record.mark_served()
+                self._records[job_id] = record
+            elif primary is not None and primary.state in ("queued", "running"):
+                # Warm path 2: an identical job is queued/running right
+                # now — ride along as a follower instead of queueing twice.
                 self._records[job_id] = record
                 self._followers.setdefault(primary_id, []).append(job_id)
                 coalesced_onto = primary_id
-            else:
-                coalesced_onto = None
+        if served:
+            with self._counter_lock:
+                self.result_cache_hits += 1
+            self._journal(record)
+            return self._accepted(record)
         if coalesced_onto is not None:
             with self._counter_lock:
                 self.coalesced += 1
             self._journal(record)
-            return {
-                "ok": True,
-                "accepted": True,
-                "job_id": job_id,
-                "state": record.state,
-                "position": len(self.queue),
-                "coalesced_with": coalesced_onto,
-            }
+            return {**self._accepted(record), "coalesced_with": coalesced_onto}
         with self._lock:
             self._records[job_id] = record
         if not self.queue.offer(job_id):
@@ -699,59 +707,15 @@ class CompileService:
         with self._counter_lock:
             self.result_cache_misses += 1
         self._journal(record)
+        return self._accepted(record)
+
+    def _accepted(self, record: _JobRecord) -> dict:
         return {
             "ok": True,
             "accepted": True,
-            "job_id": job_id,
+            "job_id": record.job_id,
             "state": record.state,
             "position": len(self.queue),
-        }
-
-    def _serve_from_done(self, envelope: dict, signature: str) -> dict | None:
-        """Answer a repeat submission from a completed job's artifact.
-
-        Returns the submit response (a fresh job record born ``done``,
-        sharing the prior result) or None when no completed job with
-        this signature — or no retrievable artifact — exists, in which
-        case the submission takes the normal queue path.
-        """
-        with self._lock:
-            done_id = self._done_by_signature.get(signature)
-            result = self._results.get(done_id) if done_id else None
-        if done_id is None:
-            return None
-        if result is None and self.journal is not None:
-            result = self.journal.read_result(done_id)
-        if result is None:
-            return None
-        lookup_started = time.time()
-        with self._lock:
-            serial = self._next_serial
-            self._next_serial += 1
-            job_id = f"job-{serial}-{signature[:8]}"
-            record = _JobRecord(job_id, serial, envelope, signature)
-            self._records[job_id] = record
-        if self.journal is not None:
-            # Same artifact-before-state-flip discipline as _run_record.
-            self.journal.write_result(job_id, result)
-        with self._lock:
-            self._results[job_id] = result
-            record.state = "done"
-            record.finished_at = time.time()
-            record.seconds = time.time() - lookup_started
-            record.pass_seconds = dict(result.pass_seconds)
-            record.counters = dict.fromkeys(_COUNTER_KEYS, 0)
-            self._done_by_signature[signature] = job_id
-        with self._counter_lock:
-            self.result_cache_hits += 1
-        self._journal(record)
-        return {
-            "ok": True,
-            "accepted": True,
-            "job_id": job_id,
-            "state": "done",
-            "position": len(self.queue),
-            "served_from": done_id,
         }
 
     def _record_or_raise(self, request: dict) -> _JobRecord:
@@ -771,12 +735,9 @@ class CompileService:
         return {"ok": True, "status": job_status_to_dict(status)}
 
     def _op_result(self, request: dict) -> dict:
-        from repro.ir.serialize import result_to_dict
-
         record = self._record_or_raise(request)
         with self._lock:
             state = record.state
-            result = self._results.get(record.job_id)
         if state != "done":
             return {
                 "ok": True,
@@ -784,22 +745,15 @@ class CompileService:
                 "state": state,
                 "error": record.error,
             }
-        if result is None and self.journal is not None:
-            # A restarted server serves pre-restart results from disk.
-            result = self.journal.read_result(record.job_id)
-            if result is not None:
-                with self._lock:
-                    self._results[record.job_id] = result
+        # The stored dict is the result_to_dict(..., include_source=True)
+        # payload the wire carries: sent as is, never rebuilt here.
+        result = self.engine.result_cache.get_dict(record.signature)
         if result is None:
             raise ServiceError(
-                f"job {record.job_id!r} is done but its artifact is gone "
-                f"(journal disabled or artifact deleted); resubmit"
+                f"job {record.job_id!r} is done but its result is no longer "
+                f"in the result store (evicted or deleted); resubmit"
             )
-        return {
-            "ok": True,
-            "ready": True,
-            "result": result_to_dict(result, include_source=True),
-        }
+        return {"ok": True, "ready": True, "result": result}
 
     def _op_cancel(self, request: dict) -> dict:
         record = self._record_or_raise(request)
@@ -875,18 +829,13 @@ class CompileService:
             "journal_jobs": len(self.journal) if self.journal else 0,
             "cache": self.engine.cache_stats(),
             "coalesced_submissions": coalesced,
-            "result_cache": self._result_cache_stats(
-                result_cache_hits, result_cache_misses
-            ),
+            # Submissions served at submit time vs queued, plus the
+            # store's own stats.  ``completed`` deliberately excludes
+            # served/coalesced jobs, so "second pass did zero
+            # compilations" is a pure counter assertion.
+            "result_cache": {
+                "hits": result_cache_hits,
+                "misses": result_cache_misses,
+                "engine": self.engine.result_cache_stats(),
+            },
         }
-
-    def _result_cache_stats(self, hits: int, misses: int) -> dict:
-        """The service-level warm-path counters, plus the engine's own
-        result-cache store stats when one is attached.  ``completed``
-        deliberately excludes served/coalesced jobs, so "second pass did
-        zero compilations" is a pure counter assertion."""
-        stats = {"hits": hits, "misses": misses}
-        engine_stats = self.engine.result_cache_stats()
-        if engine_stats is not None:
-            stats["engine"] = engine_stats
-        return stats

@@ -33,6 +33,17 @@ def dag_unitary(dag, num_qubits):
     return total
 
 
+def test_diagonal_family_circuit_whose_block_stalls_the_eigensolver():
+    """This seed aggregates a phased SWAP whose Weyl coordinates once
+    raised ``LinAlgError: Eigenvalues did not converge``."""
+    from repro.compiler.pipeline import compile_circuit
+    from repro.testing.generators import random_circuit
+
+    circuit = random_circuit(4, 30, 1197971220, "diagonal")
+    result = compile_circuit(circuit, "cls+aggregation")
+    assert result.verify_equivalence()
+
+
 class TestCandidateActions:
     def test_adjacent_pair_found(self):
         dag = build_dag(Circuit(2).cnot(0, 1).rz(0.5, 1))

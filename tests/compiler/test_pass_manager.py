@@ -52,7 +52,7 @@ from repro.errors import (
 from repro.gates.decompositions import lower_to_standard_set
 from repro.mapping.placement import initial_placement
 from repro.mapping.router import route
-from repro.mapping.topology import grid_for
+from repro.device.topology import grid_for
 from repro.scheduling.cls import cls_schedule
 from repro.scheduling.list_scheduler import list_schedule
 

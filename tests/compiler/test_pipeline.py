@@ -15,7 +15,7 @@ from repro.compiler.strategies import (
     all_strategies,
 )
 from repro.control.unit import OptimalControlUnit
-from repro.mapping.topology import LineTopology
+from repro.device.topology import LineTopology
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,12 @@ from repro.config import DEFAULT_COMPILER
 from repro.control.cache import PulseCache
 from repro.errors import VerificationError
 from repro.ir import canonical_result_dict
-from repro.ir.serialize import batch_job_to_dict, circuit_to_dict
+from repro.ir.serialize import (
+    batch_job_from_dict,
+    batch_job_to_dict,
+    circuit_to_dict,
+    result_to_dict,
+)
 
 
 def _circuit(name="rc", nodes=4):
@@ -62,6 +67,53 @@ class TestKeying:
         assert result_key(envelope, model) != result_key(envelope, grape)
         assert result_key(envelope, model) != result_key(envelope)
 
+    # BatchCompiler.result_key is the compile service's job identity:
+    # its breaker, coalescing, journal signature and result lookups.
+
+    def test_engine_key_ignores_the_label(self):
+        engine = BatchCompiler()
+        one = BatchJob(circuit=_circuit(), label="one")
+        two = BatchJob(circuit=_circuit(), label="two")
+        assert engine.result_key(one) == engine.result_key(two)
+
+    def test_engine_key_changes_with_circuit_and_strategy(self):
+        engine = BatchCompiler()
+        base = engine.result_key(_job())
+        assert base != engine.result_key(_job(nodes=5))
+        assert base != engine.result_key(_job(strategy="isa"))
+
+    def test_engine_key_changes_with_the_default_device(self):
+        """A job without a pinned device compiles differently on another
+        engine default, so it must not share that engine's identity."""
+        assert BatchCompiler().result_key(_job()) != BatchCompiler(
+            device="line-4"
+        ).result_key(_job())
+
+    def test_engine_key_survives_the_wire(self):
+        engine = BatchCompiler()
+        job = BatchJob(circuit=_circuit(), device="line-4")
+        rebuilt = batch_job_from_dict(batch_job_to_dict(job))
+        assert rebuilt.device is not job.device
+        assert engine.result_key(rebuilt) == engine.result_key(job)
+
+    def test_uncacheable_job_has_no_key(self):
+        explicit = BatchJob(circuit=_circuit(), passes=tuple(CLS.pipeline()))
+        assert BatchCompiler().result_key(explicit) is None
+
+    def test_engine_component_memo_is_keyed_by_device_value(self):
+        """Every deserialization builds a fresh Device; an identity-keyed
+        memo grew one entry (and one throwaway OCU) per submission."""
+        engine = BatchCompiler()
+        envelope = batch_job_to_dict(
+            BatchJob(circuit=_circuit(), device="line-4")
+        )
+        keys = {
+            engine.result_key(batch_job_from_dict(envelope))
+            for _ in range(20)
+        }
+        assert len(keys) == 1
+        assert len(engine._result_components) == 1
+
 
 class TestStore:
     def test_round_trip_returns_a_fresh_equal_result(self):
@@ -86,6 +138,18 @@ class TestStore:
         assert stats["entries"] == 1
         assert stats["total_bytes"] > 0
         assert stats["lookup_seconds"] > 0
+
+    def test_get_dict_is_the_stored_wire_payload(self):
+        """The compile service's result op sends this dict as is."""
+        cache = ResultCache()
+        result = compile_circuit(_circuit(), CLS)
+        cache.put("k", result)
+        assert cache.get_dict("absent") is None
+        assert cache.get_dict("k") == json.loads(
+            json.dumps(result_to_dict(result, include_source=True))
+        )
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
 
     def test_verify_on_load_accepts_a_genuine_entry(self):
         cache = ResultCache()
@@ -187,6 +251,33 @@ class TestDiskRestart:
         assert reborn.lifetime_info["model_evals"] == 0
         for a, b in zip(cold, warm):
             assert canonical_result_dict(a) == canonical_result_dict(b)
+
+    def test_torn_or_foreign_files_read_as_misses(self, tmp_path):
+        directory = tmp_path / "store"
+        DiskResultCache(directory).put(
+            "good", compile_circuit(_circuit(), CLS)
+        )
+        (directory / "torn.json").write_text(
+            '{"format": "%s", "key": "torn", "res' % RESULT_CACHE_FORMAT
+        )
+        (directory / "foreign.json").write_text(
+            json.dumps({"format": "repro-ir-v1", "kind": "result"})
+        )
+        reborn = DiskResultCache(directory)
+        assert reborn.loaded_entries == 1
+        assert "torn" not in reborn
+        assert reborn.get("torn") is None
+        assert reborn.get("foreign") is None
+        assert reborn.get("good") is not None
+
+    def test_membership_reads_through_to_disk(self, tmp_path):
+        """An entry another process wrote after this store loaded is
+        found by ``in`` exactly as ``get`` would find it."""
+        directory = tmp_path / "store"
+        early = DiskResultCache(directory)
+        DiskResultCache(directory).put("late", compile_circuit(_circuit(), CLS))
+        assert "late" in early
+        assert early.stats()["disk_hits"] == 1
 
     def test_string_spec_mounts_a_disk_store(self, tmp_path):
         directory = str(tmp_path / "spec")

@@ -192,6 +192,29 @@ class TestShardedStore:
         # Concurrent misses on one shard coalesce into a single load.
         assert reader.shard_loads == 1
 
+    def test_miss_overtaken_by_a_peer_load_is_retried(self, tmp_path, monkeypatch):
+        """The interleaving that made the threaded test flaky, forced: a
+        peer thread loads the shard right after this lookup misses in
+        memory, so the freshness check finds nothing left to load — the
+        miss must still be retried against the now-loaded shard."""
+        writer = ShardedDiskPulseCache(tmp_path / "cache", shards=1)
+        writer.put_latency(_latency_key(0), 1.0)
+        writer.save()
+        reader = ShardedDiskPulseCache(tmp_path / "cache", autoload=False)
+        in_memory = PulseCache.get_latency
+        overtaken = []
+
+        def miss_then_peer_loads(self, key):
+            value = in_memory(self, key)
+            if value is None and not overtaken:
+                overtaken.append(key)
+                reader.load()
+            return value
+
+        monkeypatch.setattr(PulseCache, "get_latency", miss_then_peer_loads)
+        assert reader.get_latency(_latency_key(0)) == 1.0
+        assert overtaken and reader.shard_loads == 1
+
     def test_stats_report_backend_fields(self, tmp_path):
         cache = ShardedDiskPulseCache(tmp_path / "cache", shards=2)
         cache.put_latency(_latency_key(0), 1.0)

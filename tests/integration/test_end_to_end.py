@@ -25,7 +25,7 @@ from repro.linalg.embed import embed_operator
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.mapping.router import permutation_restore_gates
 from repro.mapping.placement import Placement
-from repro.mapping.topology import grid_for
+from repro.device.topology import grid_for
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ class TestPaperShapes:
 
 class TestPermutationRestore:
     def test_restores_identity_mapping(self):
-        from repro.mapping.topology import LineTopology
+        from repro.device.topology import LineTopology
 
         placement = Placement({0: 2, 1: 0, 2: 1}, LineTopology(3))
         gates = permutation_restore_gates(placement)
@@ -179,7 +179,7 @@ class TestPermutationRestore:
         assert all(position[q] == q for q in position)
 
     def test_identity_placement_needs_no_gates(self):
-        from repro.mapping.topology import LineTopology
+        from repro.device.topology import LineTopology
 
         placement = Placement({0: 0, 1: 1}, LineTopology(2))
         assert permutation_restore_gates(placement) == []

@@ -83,6 +83,36 @@ class TestWeylCoordinates:
         )
         assert _coords_equal(weyl_coordinates(sqrt_iswap), (PI4 / 2, PI4 / 2, 0.0))
 
+    def test_phased_swap_whose_gram_matrix_stalls_the_eigensolver(self):
+        """SWAP times diagonal phases, as aggregation of a diagonal-family
+        circuit produced it: the magic-basis Gram matrix is -i*I up to
+        ~1e-17 noise, on which LAPACK's eigvals does not converge."""
+        a = complex(0.47892672663590957, -0.8778548800991043)
+        b = a.conjugate()
+        gate = np.array(
+            [[a, 0, 0, 0], [0, 0, a, 0], [0, b, 0, 0], [0, 0, 0, b]]
+        )
+        assert _coords_equal(weyl_coordinates(gate), (PI4, PI4, PI4))
+
+    def test_diagonal_gate_survives_an_eigensolver_failure(self, monkeypatch):
+        """Whether LAPACK stalls on the noise is build-dependent, so the
+        failure is forced: any input carrying sub-1e-12 noise raises."""
+        gate = np.diag(np.exp(1j * np.array([0.3, 1.1, -0.4, 2.0])))
+        expected = weyl_coordinates(gate)
+        real_eigvals = np.linalg.eigvals
+        failures = []
+
+        def stalls_on_noise(matrix):
+            magnitudes = np.abs(matrix)
+            if np.any((magnitudes > 0) & (magnitudes < 1e-12)):
+                failures.append(matrix)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", stalls_on_noise)
+        assert _coords_equal(weyl_coordinates(gate), expected)
+        assert len(failures) == 1
+
     def test_non_unitary_rejected(self):
         with pytest.raises(LinalgError):
             weyl_coordinates(np.ones((4, 4)))

@@ -10,7 +10,7 @@ from repro.mapping.placement import (
     initial_placement,
     interaction_graph_of,
 )
-from repro.mapping.topology import GridTopology, LineTopology
+from repro.device.topology import GridTopology, LineTopology
 
 
 class TestPlacementObject:

@@ -9,7 +9,7 @@ from repro.gates import library as lib
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.mapping.placement import Placement, initial_placement
 from repro.mapping.router import route
-from repro.mapping.topology import GridTopology, LineTopology
+from repro.device.topology import GridTopology, LineTopology
 
 from tests.conftest import sequence_unitary
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MappingError
-from repro.mapping.topology import GridTopology, LineTopology, grid_for
+from repro.device.topology import GridTopology, LineTopology, grid_for
 
 
 class TestGridTopology:

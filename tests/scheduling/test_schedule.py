@@ -9,18 +9,18 @@ from repro.ir.timed import (
     OVERLAP_EPSILON_NS,
     TimedInstruction,
 )
-from repro.scheduling.schedule import Schedule, TimedOperation
+from repro.scheduling.schedule import Schedule
 
 
-class TestTimedOperation:
+class TestTimedInstruction:
     def test_end_time(self):
-        op = TimedOperation(lib.H(0), 1.0, 2.5)
+        op = TimedInstruction(lib.H(0), 1.0, 2.5)
         assert op.end == pytest.approx(3.5)
 
     def test_overlap_detection(self):
-        a = TimedOperation(lib.H(0), 0.0, 2.0)
-        b = TimedOperation(lib.X(0), 1.0, 2.0)
-        c = TimedOperation(lib.Z(0), 2.0, 1.0)
+        a = TimedInstruction(lib.H(0), 0.0, 2.0)
+        b = TimedInstruction(lib.X(0), 1.0, 2.0)
+        c = TimedInstruction(lib.Z(0), 2.0, 1.0)
         assert a.overlaps(b)
         assert not a.overlaps(c)  # touching intervals do not overlap
 
@@ -106,9 +106,8 @@ class TestTypedIR:
         assert [op.node_id for op in ops] == [0, 1, 2]
         assert all(isinstance(op, TimedInstruction) for op in schedule)
 
-    def test_timed_operation_alias(self):
-        assert TimedOperation is TimedInstruction
-        free = TimedOperation(lib.H(0), 1.0, 2.0)
+    def test_free_standing_instruction_has_no_node_id(self):
+        free = TimedInstruction(lib.H(0), 1.0, 2.0)
         assert free.node_id == -1  # free-standing, not schedule-owned
 
     def test_epsilon_constants_documented_and_ordered(self):

@@ -1,4 +1,9 @@
-"""Tests for the crash-safe job journal."""
+"""Tests for the crash-safe job journal.
+
+Result storage lives in the engine's result cache: the restart tests
+that pair journal records with stored results are in
+``tests/service/test_service.py::TestRestart``.
+"""
 
 import json
 import os
@@ -6,7 +11,7 @@ import os
 import pytest
 
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
-from repro.compiler.batch import BatchCompiler, BatchJob
+from repro.compiler.batch import BatchJob
 from repro.errors import ServiceError
 from repro.ir.serialize import batch_job_to_dict
 from repro.service.journal import JobJournal
@@ -57,6 +62,11 @@ class TestManifest:
         ]
         assert leftovers == []
 
+    def test_manifest_is_the_only_file(self, tmp_path):
+        journal = JobJournal(tmp_path / "journal")
+        journal.record(_record("job-1", 1, "done"))
+        assert os.listdir(journal.directory) == ["journal.json"]
+
     def test_unknown_format_rejected(self, tmp_path):
         directory = tmp_path / "journal"
         directory.mkdir()
@@ -65,13 +75,6 @@ class TestManifest:
         )
         with pytest.raises(ServiceError, match="unknown journal format"):
             JobJournal(directory)
-
-    def test_serial_survives_restart(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal")
-        assert journal.allocate_serial() == 1
-        journal.record(_record("job-1", 1, "queued"))
-        reloaded = JobJournal(tmp_path / "journal")
-        assert reloaded.allocate_serial() == 2
 
 
 class TestResumable:
@@ -83,34 +86,10 @@ class TestResumable:
         resumable = [r["job_id"] for r in journal.resumable()]
         assert resumable == ["job-1", "job-3"]
 
-    def test_done_with_artifact_does_not_resume(self, tmp_path):
+    def test_finished_records_never_resume_here(self, tmp_path):
+        """Whether a done job's result is still servable is the result
+        store's question; the compile service's restart asks it."""
         journal = JobJournal(tmp_path / "journal")
-        circuit = maxcut_qaoa_circuit(line_graph(3), name="done")
-        result, _, _ = BatchCompiler().run_job(BatchJob(circuit=circuit))
-        journal.write_result("job-1", result)
-        journal.record(_record("job-1", 1, "done"))
+        for serial, state in enumerate(("done", "failed", "cancelled"), 1):
+            journal.record(_record(f"job-{serial}", serial, state))
         assert journal.resumable() == []
-
-    def test_done_with_missing_artifact_resumes(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal")
-        journal.record(_record("job-1", 1, "done"))
-        assert [r["job_id"] for r in journal.resumable()] == ["job-1"]
-
-
-class TestResultArtifacts:
-    def test_write_then_read_round_trip(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal")
-        circuit = maxcut_qaoa_circuit(line_graph(4), name="art")
-        result, _, _ = BatchCompiler().run_job(BatchJob(circuit=circuit))
-        path = journal.write_result("job-1", result)
-        assert os.path.exists(path)
-        loaded = journal.read_result("job-1")
-        assert loaded.latency_ns == result.latency_ns
-        assert loaded.verify_equivalence()
-
-    def test_missing_or_corrupt_artifact_reads_none(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal")
-        assert journal.read_result("job-1") is None
-        with open(journal.result_path("job-2"), "w") as handle:
-            handle.write("{not json")
-        assert journal.read_result("job-2") is None

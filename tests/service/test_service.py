@@ -5,9 +5,14 @@ which pins queue states for the backpressure and cancel-while-queued
 tests; the poisoned job (a 5-qubit circuit pinned to a 3-qubit device)
 fails placement identically on every attempt, which drives the breaker
 tests; restart tests share one journal directory and one disk cache
-stem across server generations.
+stem across server generations (an engine without a result cache gets a
+disk one inside the journal directory, so results persist with it).
 """
 
+import hashlib
+import json
+import os
+import shutil
 import threading
 import time
 
@@ -19,6 +24,7 @@ from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.result_cache import ResultCache
 from repro.control.cache import DiskPulseCache
 from repro.errors import ServiceBusyError, ServiceError
+from repro.ir.serialize import result_to_dict
 from repro.service import CompileService, ServiceClient
 from repro.service.protocol import (
     REJECT_QUARANTINED,
@@ -26,6 +32,8 @@ from repro.service.protocol import (
     SERVICE_FORMAT,
     send_message,
 )
+from repro.service.server import RESULT_CACHE_DIR
+from repro.testing.generators import random_circuit
 
 
 def _circuit(name="svc", nodes=4):
@@ -233,6 +241,7 @@ class TestRestart:
             workers=1,
             journal=journal_dir,
         ) as reborn:
+            assert reborn.resumed == 0  # its result is in the store
             with ServiceClient(reborn.url) as client:
                 status = client.status(job_id)
                 assert status["state"] == "done"
@@ -240,8 +249,123 @@ class TestRestart:
                 again = client.result(job_id)
                 assert again.latency_ns == first.latency_ns
                 assert again.verify_equivalence(circuit=circuit)
-            # Serving the artifact costs zero compilation.
+            # Serving the stored result costs zero compilation.
             assert reborn.engine.lifetime_info["model_evals"] == 0
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["gone", "legacy"])
+    def test_done_job_without_a_stored_result_recompiles_warm(
+        self, tmp_path, legacy
+    ):
+        """Its result was deleted ("gone"), or its journal predates the
+        one store ("legacy": the signature is the bare envelope digest
+        and the result a per-job artifact, neither of which is trusted).
+        Either way the job is re-keyed and recompiled warm."""
+        journal_dir = tmp_path / "journal"
+        stem = str(tmp_path / "cache")
+        circuit = _circuit("gone")
+        with CompileService(
+            engine=BatchCompiler(cache=DiskPulseCache(stem)),
+            workers=1,
+            journal=str(journal_dir),
+        ) as service:
+            with ServiceClient(service.url) as client:
+                job_id = client.submit(circuit)
+                first = client.wait(job_id, timeout=120)
+        shutil.rmtree(journal_dir / RESULT_CACHE_DIR)
+        if legacy:
+            manifest = json.loads((journal_dir / "journal.json").read_text())
+            (record,) = manifest["jobs"]
+            envelope = {k: v for k, v in record["job"].items() if k != "label"}
+            record["signature"] = hashlib.sha256(
+                json.dumps(
+                    envelope, sort_keys=True, separators=(",", ":")
+                ).encode()
+            ).hexdigest()
+            manifest["next_serial"] = 2
+            (journal_dir / "journal.json").write_text(json.dumps(manifest))
+            (journal_dir / "results").mkdir()
+            (journal_dir / "results" / f"{job_id}.json").write_text(
+                json.dumps(result_to_dict(first, include_source=True))
+            )
+
+        engine = BatchCompiler(cache=DiskPulseCache(stem))
+        with CompileService(
+            engine=engine, workers=1, journal=str(journal_dir)
+        ) as reborn:
+            assert reborn.resumed == 1
+            with ServiceClient(reborn.url) as client:
+                again = client.wait(job_id, timeout=120)
+                assert again.latency_ns == first.latency_ns
+                assert again.verify_equivalence(circuit=circuit)
+                assert client.stats()["completed"] == 1
+                assert client.status(job_id)["signature"] == engine.result_key(
+                    BatchJob(circuit=circuit)
+                )
+            assert engine.lifetime_info["model_evals"] == 0
+
+    def test_resumed_job_is_rekeyed_under_the_new_engine(self, tmp_path):
+        """Its re-run stores the result under the new engine's key, so
+        that is the key its record must carry for the result op."""
+        journal_dir = str(tmp_path / "journal")
+        circuit = _circuit("rekey", nodes=3)
+        with CompileService(workers=0, journal=journal_dir) as service:
+            with ServiceClient(service.url) as client:
+                job_id = client.submit(circuit)
+
+        engine = BatchCompiler(device="line-4")
+        with CompileService(
+            engine=engine, workers=1, journal=journal_dir
+        ) as reborn:
+            assert reborn.resumed == 1
+            with ServiceClient(reborn.url) as client:
+                result = client.wait(job_id, timeout=120)
+                assert result.device_name == "line-4"
+                status = client.status(job_id)
+        assert status["signature"] == engine.result_key(BatchJob(circuit=circuit))
+
+    def test_undeserializable_journaled_job_fails_without_blocking_restart(
+        self, tmp_path
+    ):
+        """A journaled job whose strategy is no longer registered cannot
+        be re-keyed; the service still starts, and the job fails."""
+        journal_dir = tmp_path / "journal"
+        with CompileService(workers=0, journal=str(journal_dir)) as service:
+            with ServiceClient(service.url) as client:
+                job_id = client.submit(_circuit("orphan", nodes=3))
+        manifest = json.loads((journal_dir / "journal.json").read_text())
+        manifest["jobs"][0]["job"]["strategy_key"] = "since-unregistered"
+        (journal_dir / "journal.json").write_text(json.dumps(manifest))
+
+        with CompileService(workers=1, journal=str(journal_dir)) as reborn:
+            assert reborn.resumed == 1
+            with ServiceClient(reborn.url) as client:
+                with pytest.raises(ServiceError, match="since-unregistered"):
+                    client.wait(job_id, timeout=120)
+
+    def test_restart_on_another_device_never_serves_stale_results(
+        self, tmp_path
+    ):
+        journal_dir = str(tmp_path / "journal")
+        circuit = random_circuit(4, 30, 11, "soup")
+        with CompileService(workers=1, journal=journal_dir) as service:
+            with ServiceClient(service.url) as client:
+                first = client.submit(circuit)
+                assert client.wait(first, timeout=120).device_name is None
+
+        with CompileService(
+            engine=BatchCompiler(device="line-4"),
+            workers=1,
+            journal=journal_dir,
+        ) as reborn:
+            with ServiceClient(reborn.url) as client:
+                again = client.submit(circuit)
+                result = client.wait(again, timeout=120)
+                assert result.device_name == "line-4"
+                assert result.verify_equivalence(circuit=circuit)
+                # The old done job re-ran under the new engine, and the
+                # resubmission rode on it: one compilation in all.
+                assert client.wait(first, timeout=120).device_name == "line-4"
+                assert client.stats()["completed"] == 1
 
     def test_interrupted_jobs_resume_warm(self, tmp_path):
         journal_dir = str(tmp_path / "journal")
@@ -261,8 +385,8 @@ class TestRestart:
         # Generation 2 has no workers: two accepted jobs are still
         # queued when it "dies" — the mid-batch kill.  Distinct circuit
         # names keep their signatures fresh (a byte-identical repeat of
-        # the generation-1 job would be served done from its artifact
-        # instead of queueing).
+        # the generation-1 job would be served done from the result
+        # store instead of queueing).
         queued_circuits = [_circuit(f"resume-q{i}") for i in range(2)]
         with CompileService(
             engine=BatchCompiler(cache=DiskPulseCache(stem)),
@@ -304,7 +428,11 @@ class TestResultCacheServing:
                 # Different label, same signature: done on arrival.
                 second = client.submit(circuit, label="two")
                 assert second != first
-                assert client.status(second)["state"] == "done"
+                status = client.status(second)
+                assert status["state"] == "done"
+                # No pass ran for it.
+                assert "pass_seconds" not in status
+                assert not any(status["counters"].values())
                 again = client.result(second)
                 assert again.latency_ns == original.latency_ns
                 assert again.verify_equivalence(circuit=circuit)
@@ -342,10 +470,34 @@ class TestResultCacheServing:
 
         raw = service.stats()
         assert raw["coalesced_submissions"] == 0
-        assert raw["result_cache"] == {"hits": 0, "misses": 0}
+        assert raw["result_cache"]["hits"] == 0
+        assert raw["result_cache"]["misses"] == 0
+        # Every service has a result store, so its stats always travel.
+        assert raw["result_cache"]["engine"]["entries"] == 0
         decoded = service_stats_from_dict(service_stats_to_dict(raw))
         assert decoded["coalesced_submissions"] == 0
         assert decoded["result_cache"] == raw["result_cache"]
+
+
+class TestOneStore:
+    def test_each_distinct_result_is_written_once(self, tmp_path):
+        """N distinct jobs plus R repeats leave N result files in all:
+        the result cache's entries, and nothing beside the journal."""
+        journal_dir = tmp_path / "journal"
+        results_dir = tmp_path / "results"
+        engine = BatchCompiler(result_cache=str(results_dir))
+        circuits = [_circuit(f"once-{i}", nodes=3) for i in range(3)]
+        with CompileService(
+            engine=engine, workers=1, journal=str(journal_dir)
+        ) as service:
+            with ServiceClient(service.url) as client:
+                for circuit in circuits + circuits[:2]:
+                    client.wait(client.submit(circuit), timeout=120)
+                stats = client.stats()
+        assert stats["completed"] == 3
+        assert stats["result_cache"]["hits"] == 2
+        assert len(list(results_dir.glob("*.json"))) == 3
+        assert os.listdir(journal_dir) == ["journal.json"]
 
 
 class TestCoalescing:

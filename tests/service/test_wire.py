@@ -19,7 +19,6 @@ from repro.ir.serialize import (
     service_stats_from_dict,
     service_stats_to_dict,
 )
-from repro.service.server import job_signature
 
 
 def _circuit(name="wire"):
@@ -81,25 +80,6 @@ class TestJobEnvelope:
         rebuilt = loads(dumps(job))
         assert isinstance(rebuilt, BatchJob)
         assert rebuilt.strategy.key == "isa"
-
-
-class TestSignature:
-    def test_label_does_not_change_the_signature(self):
-        a = batch_job_to_dict(BatchJob(circuit=_circuit(), label="one"))
-        b = batch_job_to_dict(BatchJob(circuit=_circuit(), label="two"))
-        assert job_signature(a) == job_signature(b)
-
-    def test_circuit_change_changes_the_signature(self):
-        a = batch_job_to_dict(BatchJob(circuit=_circuit()))
-        b = batch_job_to_dict(
-            BatchJob(circuit=maxcut_qaoa_circuit(line_graph(5), name="wire"))
-        )
-        assert job_signature(a) != job_signature(b)
-
-    def test_strategy_change_changes_the_signature(self):
-        a = batch_job_to_dict(BatchJob(circuit=_circuit(), strategy="isa"))
-        b = batch_job_to_dict(BatchJob(circuit=_circuit(), strategy="cls"))
-        assert job_signature(a) != job_signature(b)
 
 
 class TestStatusAndStats:
