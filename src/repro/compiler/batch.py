@@ -918,35 +918,20 @@ class BatchCompiler:
         return used["model_evals"]
 
     def _prewarm_synthesize_processes(self, jobs, worklist, workers, counters):
-        from repro.ir.serialize import (
-            cache_delta_from_dict,
-            cache_delta_to_dict,
-            device_config_to_dict,
-            device_to_dict,
-            node_to_dict,
-        )
+        from repro.ir.serialize import cache_delta_from_dict, node_to_dict
 
         entries = []
         for node, positional, job_index in worklist.values():
             payload = {"node": node_to_dict(node), "positional": positional}
             target = self._job_target(jobs[job_index])
             if target is not self.device:
-                payload["device"] = (
-                    device_to_dict(target)
-                    if isinstance(target, Device)
-                    else device_config_to_dict(target)
-                )
+                payload["device"] = target_payload(target)
             entries.append(payload)
         if not entries:
             return 0
         config = self._config_payload()
-        snapshot = cache_delta_to_dict(self.cache.snapshot_delta())
         synthesized = 0
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(entries)),
-            initializer=_seed_worker_store,
-            initargs=(snapshot,),
-        ) as pool:
+        with self._seeded_pool(min(workers, len(entries))) as pool:
             futures = [
                 pool.submit(_prewarm_item_payload, config, entry)
                 for entry in entries
@@ -961,20 +946,21 @@ class BatchCompiler:
 
     # -- process executor ----------------------------------------------
 
-    def _config_payload(self) -> dict:
-        """Engine-level settings as one :mod:`repro.ir` wire payload."""
-        from repro.ir.serialize import (
-            compiler_config_to_dict,
-            device_config_to_dict,
-            device_to_dict,
+    def _seeded_pool(self, workers: int) -> ProcessPoolExecutor:
+        """Worker processes, each seeded once with a snapshot of the store."""
+        from repro.ir.serialize import cache_delta_to_dict
+
+        snapshot = cache_delta_to_dict(self.cache.snapshot_delta())
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_seed_worker_store, initargs=(snapshot,)
         )
 
-        if isinstance(self.device, Device):
-            device_payload = device_to_dict(self.device)
-        else:
-            device_payload = device_config_to_dict(self.device)
+    def _config_payload(self) -> dict:
+        """Engine-level settings as one :mod:`repro.ir` wire payload."""
+        from repro.ir.serialize import compiler_config_to_dict
+
         return {
-            "device": device_payload,
+            "device": target_payload(self.device),
             "compiler": compiler_config_to_dict(self.compiler_config),
             "backend": self.backend,
             "grape_qubit_limit": self.grape_qubit_limit,
@@ -985,48 +971,6 @@ class BatchCompiler:
             "grape_warm_start": self.grape_warm_start,
             "grape_plateau_iterations": self.grape_plateau_iterations,
         }
-
-    def _job_payload(self, job: BatchJob) -> dict:
-        """One job as a wire payload, or a clear error when it cannot ship.
-
-        Strategies travel by registered key (the worker re-resolves it;
-        under a ``fork`` start method custom registrations are inherited,
-        under ``spawn`` only importable registrations survive).  In-memory
-        pass objects cannot travel at all.
-        """
-        from repro.ir.serialize import (
-            circuit_to_dict,
-            device_to_dict,
-            topology_to_dict,
-        )
-
-        if job.passes is not None:
-            raise ConfigError(
-                f"job {job.key!r} carries an explicit passes= list, which "
-                f"cannot cross a process boundary; use executor='thread' "
-                f"for custom pipelines"
-            )
-        try:
-            strategy_by_key(job.strategy.key)
-        except ConfigError:
-            raise ConfigError(
-                f"job {job.key!r} uses unregistered strategy "
-                f"{job.strategy.key!r}: process workers rebuild strategies "
-                f"from their registered keys, so register it "
-                f"(register_strategy) or use executor='thread'"
-            ) from None
-        payload = {
-            "circuit": circuit_to_dict(job.circuit),
-            "strategy_key": job.strategy.key,
-            "width_limit": job.width_limit,
-            "label": job.label,
-            "pulse_backend": job.pulse_backend,
-        }
-        if job.device is not None:
-            payload["device"] = device_to_dict(job.device)
-        if job.topology is not None:
-            payload["topology"] = topology_to_dict(job.topology)
-        return payload
 
     def _run_parallel_processes(
         self, pending, workers, counters, results, seconds
@@ -1047,21 +991,25 @@ class BatchCompiler:
         deltas; each warms up over its own job stream.)
         """
         from repro.ir.serialize import (
+            batch_job_to_dict,
             cache_delta_from_dict,
-            cache_delta_to_dict,
             result_from_dict,
         )
 
         config = self._config_payload()
-        payloads = [
-            (index, self._job_payload(job)) for index, job in pending
-        ]
-        snapshot = cache_delta_to_dict(self.cache.snapshot_delta())
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_seed_worker_store,
-            initargs=(snapshot,),
-        ) as pool:
+        # Jobs ship as their repro-ir-v1 envelope, the compile service's
+        # submission unit: strategies travel by registered key (under a
+        # ``fork`` start method custom registrations are inherited, under
+        # ``spawn`` only importable ones survive), and in-memory pass
+        # objects cannot travel at all.
+        try:
+            payloads = [(index, batch_job_to_dict(job)) for index, job in pending]
+        except SerializationError as error:
+            raise ConfigError(
+                f"{error} (so it cannot cross a process boundary either: "
+                f"use executor='thread')"
+            ) from None
+        with self._seeded_pool(workers) as pool:
             active = {
                 pool.submit(_compile_job_payload, config, payload): index
                 for index, payload in payloads
@@ -1127,6 +1075,15 @@ def _worker_store() -> PulseCache:
     return _WORKER_STORE
 
 
+def _target_from_payload(payload: dict) -> Device | DeviceConfig:
+    """The target a :func:`target_payload` encodes."""
+    from repro.ir.serialize import device_config_from_dict, device_from_dict
+
+    if payload["kind"] == "device":
+        return device_from_dict(payload)
+    return device_config_from_dict(payload)
+
+
 def _seed_worker_store(snapshot_payload: dict) -> None:
     """Pool initializer: warm this worker's store from the parent's.
 
@@ -1149,23 +1106,15 @@ def _compile_job_payload(config: dict, job_payload: dict) -> tuple:
     payloads again, so nothing process-local leaks back to the parent.
     """
     from repro.ir.serialize import (
+        batch_job_from_dict,
         cache_delta_to_dict,
-        circuit_from_dict,
         compiler_config_from_dict,
-        device_config_from_dict,
-        device_from_dict,
         result_to_dict,
-        topology_from_dict,
     )
 
     started = time.perf_counter()
-    device_payload = config["device"]
-    if device_payload.get("kind") == "device":
-        device = device_from_dict(device_payload)
-    else:
-        device = device_config_from_dict(device_payload)
     engine = BatchCompiler(
-        device=device,
+        device=_target_from_payload(config["device"]),
         compiler_config=compiler_config_from_dict(config["compiler"]),
         cache=_worker_store(),
         backend=config["backend"],
@@ -1173,32 +1122,15 @@ def _compile_job_payload(config: dict, job_payload: dict) -> tuple:
         grape_qubit_limit=config["grape_qubit_limit"],
         grape_dt=config["grape_dt"],
         seed=config["seed"],
-        # .get(): payloads written by older parents predate these flags.
-        verify_ir=config.get("verify_ir", False),
-        grape_kernel=config.get("grape_kernel", "vectorized"),
-        grape_warm_start=config.get("grape_warm_start", True),
-        grape_plateau_iterations=config.get("grape_plateau_iterations", 60),
+        verify_ir=config["verify_ir"],
+        grape_kernel=config["grape_kernel"],
+        grape_warm_start=config["grape_warm_start"],
+        grape_plateau_iterations=config["grape_plateau_iterations"],
         # Pre-warming happened (if at all) in the parent before this
         # worker's seed snapshot was taken; never re-plan per job.
         prewarm=False,
     )
-    job = BatchJob(
-        circuit=circuit_from_dict(job_payload["circuit"]),
-        strategy=job_payload["strategy_key"],
-        width_limit=job_payload["width_limit"],
-        topology=(
-            topology_from_dict(job_payload["topology"])
-            if "topology" in job_payload
-            else None
-        ),
-        label=job_payload["label"],
-        pulse_backend=job_payload["pulse_backend"],
-        device=(
-            device_from_dict(job_payload["device"])
-            if "device" in job_payload
-            else None
-        ),
-    )
+    job = batch_job_from_dict(job_payload)
     session = CacheSession(engine.cache)
     ocu = engine.make_ocu(cache=session, device=engine._job_target(job))
     result = engine._compile_job(job, ocu)
@@ -1249,29 +1181,22 @@ def _prewarm_item_payload(config: dict, entry: dict) -> tuple:
     from repro.ir.serialize import (
         cache_delta_to_dict,
         compiler_config_from_dict,
-        device_config_from_dict,
-        device_from_dict,
         node_from_dict,
     )
 
-    device_payload = entry.get("device", config["device"])
-    if device_payload.get("kind") == "device":
-        device = device_from_dict(device_payload)
-    else:
-        device = device_config_from_dict(device_payload)
     store = _worker_store()
     session = CacheSession(store)
     unit = OptimalControlUnit(
-        device=device,
+        device=_target_from_payload(entry.get("device", config["device"])),
         compiler=compiler_config_from_dict(config["compiler"]),
         backend=config["backend"],
         grape_qubit_limit=config["grape_qubit_limit"],
         grape_dt=config["grape_dt"],
         seed=config["seed"],
         cache=session,
-        grape_kernel=config.get("grape_kernel", "vectorized"),
-        grape_warm_start=config.get("grape_warm_start", True),
-        grape_plateau_iterations=config.get("grape_plateau_iterations", 60),
+        grape_kernel=config["grape_kernel"],
+        grape_warm_start=config["grape_warm_start"],
+        grape_plateau_iterations=config["grape_plateau_iterations"],
     )
     unit.latency(node_from_dict(entry["node"]), entry["positional"])
     store.merge_delta(session.delta)

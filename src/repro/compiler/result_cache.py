@@ -30,8 +30,8 @@ can still be re-verified against the program it claims to implement —
 :meth:`get` takes ``verify=True`` for callers who want that on the load
 path, and the test suite pins it.
 
-The memory store keeps an LRU byte budget exactly like the pulse cache
-(:class:`~repro.control.cache.store.PulseCache`); the
+The memory store uses the same LRU as the pulse cache
+(:class:`~repro.control.cache.store.ByteBudgetLRU`); the
 :class:`DiskResultCache` backend persists one crash-safe JSON file per
 entry (unique temp + fsync + atomic replace, the pulse store's
 ``replace_into`` discipline) and trims the directory to the same budget
@@ -40,7 +40,6 @@ under an advisory file lock, so many processes can share one directory.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import json
 import os
@@ -49,6 +48,7 @@ import time
 
 from repro.control.cache.disk import replace_into
 from repro.control.cache.locking import FileLock
+from repro.control.cache.store import ByteBudgetLRU
 
 RESULT_CACHE_FORMAT = "repro-result-cache-v1"
 
@@ -126,31 +126,23 @@ def result_key(envelope: dict, engine: str = "") -> str:
     return digest.hexdigest()
 
 
-class ResultCache:
+class ResultCache(ByteBudgetLRU):
     """In-memory LRU store of serialized compilation results.
 
     Args:
         max_bytes: Optional byte budget over the serialized entries;
             least-recently-used entries are evicted when a store pushes
             the total over it.  The entry being written is never evicted
-            (same protect rule as the pulse cache), so one oversized
-            result still caches — and is the next eviction candidate.
+            (the LRU's protect rule), so one oversized result still
+            caches — and is the next eviction candidate.
     """
 
     def __init__(self, max_bytes: int | None = None) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_bytes = max_bytes
+        super().__init__(max_bytes)
         self._lock = threading.RLock()
-        self._entries: collections.OrderedDict[str, bytes] = (
-            collections.OrderedDict()
-        )
-        self.total_bytes = 0
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.evictions = 0
-        self.evicted_bytes = 0
         self.verified_loads = 0
         self.lookup_seconds = 0.0
 
@@ -280,10 +272,9 @@ class ResultCache:
         """Resident bytes for ``key`` (refreshing recency), else the
         backend's, which become resident."""
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
-                return payload
+            payload = self._lookup(key)
+        if payload is not None:
+            return payload
         payload = self._read_backend(key)
         if payload is not None:
             self._insert(key, payload, count_store=False)
@@ -291,26 +282,10 @@ class ResultCache:
 
     def _insert(self, key: str, payload: bytes, count_store: bool) -> None:
         with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self.total_bytes -= len(previous)
-            self._entries[key] = payload
-            self.total_bytes += len(payload)
+            self._store(key, payload, len(payload))
             if count_store:
                 self.stores += 1
-            if self.max_bytes is not None:
-                while (
-                    self.total_bytes > self.max_bytes
-                    and len(self._entries) > 1
-                ):
-                    victim, evicted = next(iter(self._entries.items()))
-                    if victim == key:
-                        break  # protect the entry being written
-                    del self._entries[victim]
-                    self.total_bytes -= len(evicted)
-                    self.evictions += 1
-                    self.evicted_bytes += len(evicted)
-                    self._evict_backend(victim)
+            self._evict_over_budget(protect=key)
 
     # Backend hooks (no-ops for the pure in-memory store) --------------
 
@@ -318,9 +293,6 @@ class ResultCache:
         return None
 
     def _write_backend(self, key: str, payload: bytes) -> None:
-        return None
-
-    def _evict_backend(self, key: str) -> None:
         return None
 
 

@@ -2,8 +2,10 @@
 
 Layering (each module builds on the previous):
 
-* :mod:`.store` — in-memory :class:`PulseCache` (thread-safe, LRU byte
-  budgets), :class:`CacheSession` (worker-local buffered view),
+* :mod:`.store` — :class:`~.store.ByteBudgetLRU` (the one recency order
+  and byte budget of every store here and of the compiled-result cache),
+  in-memory :class:`PulseCache` (thread-safe, latencies and pulses in
+  one LRU), :class:`CacheSession` (worker-local buffered view),
   :class:`CacheDelta` (the merge unit), :func:`config_fingerprint`.
 * :mod:`.disk` — the ``<stem>.json``/``.npz`` pair format and the
   single-pair :class:`DiskPulseCache`.
@@ -11,8 +13,11 @@ Layering (each module builds on the previous):
 * :mod:`.sharded` — :class:`ShardedDiskPulseCache`: many processes on
   one box share a directory of shard pairs, no server needed.
 * :mod:`.protocol` / :mod:`.server` / :mod:`.client` — the socket
-  protocol, :class:`CacheServer` (``python -m repro.control.cache_server``)
-  and :class:`RemotePulseCache` for sharing across boxes.
+  protocol; the framed-TCP core, :class:`~.server.FramedServer` and
+  :class:`~.client.FramedClient`, that the compile service
+  (:mod:`repro.service`) subclasses too; and on it :class:`CacheServer`
+  (``python -m repro.control.cache_server``) and
+  :class:`RemotePulseCache` for sharing across boxes.
 * :mod:`.metrics` — hit-rate helpers and the exit-bill summary line.
 
 All four store backends are drop-in :class:`PulseCache` subclasses; use

@@ -1,5 +1,11 @@
 """Client side of the shared cache: read-through, write-behind.
 
+:class:`FramedClient` is the transport both clients in this package
+tree share — this module's :class:`RemotePulseCache` and the compile
+service's :class:`~repro.service.client.ServiceClient`: one socket, one
+lock around each round trip, one silent reconnect on a dropped
+connection.
+
 :class:`RemotePulseCache` subclasses :class:`PulseCache`, so the whole
 compiler stack mounts it unchanged: the in-memory base acts as the local
 L1, remote round trips happen only on L1 misses, and writes are buffered
@@ -25,8 +31,7 @@ from repro.control.cache.protocol import (
     recv_message,
     send_message,
 )
-from repro.control.cache.store import CacheDelta, PulseCache
-from repro.control.grape import GrapeResult
+from repro.control.cache.store import LATENCY, CacheDelta, PulseCache
 
 #: Entries buffered locally before a background ``push_delta`` upload.
 DEFAULT_FLUSH_THRESHOLD = 32
@@ -50,6 +55,92 @@ def parse_cache_url(url: str) -> tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise ProtocolError(f"cache url {url!r} has a non-numeric port") from None
+
+
+class FramedClient:
+    """One connection to a :class:`~repro.control.cache.server.FramedServer`.
+
+    One lock serializes each round trip, so threads sharing a client can
+    neither interleave frames nor receive each other's responses.  A
+    dropped connection — a server that stopped or restarted — is retried
+    once over a fresh one: a server back on the same port answers it,
+    and with nothing listening the request raises.  An ``ok: false``
+    response raises :attr:`error` naming the :attr:`peer`.
+
+    Args:
+        url: Server address, ``host:port`` or ``tcp://host:port``.
+        timeout: Socket timeout per round trip, seconds.
+    """
+
+    #: What the server is, for error messages.
+    peer = "cache server"
+    #: Exception raised on an ``ok: false`` response.
+    error: type[Exception] = ProtocolError
+
+    def __init__(self, url: str, timeout: float = 30.0) -> None:
+        self.url = url
+        self.host, self.port = parse_cache_url(url)
+        self.timeout = timeout
+        #: Completed round trips and the seconds they took.
+        self.requests = 0
+        self.seconds = 0.0
+        self._sock: socket.socket | None = None
+        self._lock = threading.Lock()
+
+    # -- pickling: sockets and locks cannot cross process boundaries -----
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_sock"] = None
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def request(self, payload: dict) -> dict:
+        """One round trip; reconnects once on a dropped connection."""
+        with self._lock:
+            started = time.perf_counter()
+            for attempt in (0, 1):
+                if self._sock is None:
+                    self._sock = socket.create_connection(
+                        (self.host, self.port), timeout=self.timeout
+                    )
+                try:
+                    send_message(self._sock, payload)
+                    response = recv_message(self._sock)
+                    if response is None:
+                        raise ProtocolError("server closed the connection")
+                    break
+                except (OSError, ProtocolError):
+                    self._drop_connection()
+                    if attempt:
+                        raise
+            self.requests += 1
+            self.seconds += time.perf_counter() - started
+        if not response.get("ok"):
+            raise self.error(
+                f"{self.peer} {self.url}: {response.get('error', 'unknown error')}"
+            )
+        return response
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop_connection()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _drop_connection(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            with contextlib.suppress(OSError):
+                sock.close()
 
 
 class RemotePulseCache(PulseCache):
@@ -78,24 +169,19 @@ class RemotePulseCache(PulseCache):
     ) -> None:
         super().__init__(max_bytes=max_bytes)
         self.url = url
-        self.host, self.port = parse_cache_url(url)
+        self._wire = FramedClient(url, timeout)
         self.flush_threshold = max(0, int(flush_threshold))
-        self.timeout = timeout
         self.lock_ttl = lock_ttl
         self.owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
         self._pending = CacheDelta()
-        self._sock: socket.socket | None = None
-        #: Serializes the single socket *and* the pending delta across
-        #: the batch engine's thread-pool workers, which all read through
-        #: one shared client; interleaved frames would cross responses
-        #: between threads.  Reentrant because ``flush`` calls
-        #: ``_request`` while holding it.  (The inherited ``_lock``
-        #: covers only the in-memory L1.)
+        #: Serializes the pending delta across the batch engine's
+        #: thread-pool workers, which all write through one shared
+        #: client.  Reentrant because ``put_*`` flush while holding it.
+        #: (The inherited ``_lock`` covers only the in-memory L1; the
+        #: wire holds its own lock around each round trip.)
         self._io_lock = threading.RLock()
         self.remote_hits = 0
         self.remote_misses = 0
-        self.remote_requests = 0
-        self.remote_seconds = 0.0
         self.flushes = 0
         self.flushed_entries = 0
         self.lease_wait_seconds = 0.0
@@ -105,7 +191,6 @@ class RemotePulseCache(PulseCache):
     def __getstate__(self):
         self.flush()
         state = super().__getstate__()
-        state["_sock"] = None
         del state["_io_lock"]
         return state
 
@@ -115,98 +200,48 @@ class RemotePulseCache(PulseCache):
         # A forked/unpickled copy is a distinct lease holder.
         self.owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
 
-    # -- transport -------------------------------------------------------
+    @property
+    def remote_requests(self) -> int:
+        """Completed round trips to the server."""
+        return self._wire.requests
 
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        return self._sock
-
-    def _request(self, payload: dict) -> dict:
-        """One round trip; reconnects once on a dropped connection.
-
-        Holds ``_io_lock`` for the whole round trip so concurrent
-        threads cannot interleave frames or receive each other's
-        responses on the shared socket.
-        """
-        with self._io_lock:
-            started = time.perf_counter()
-            for attempt in (0, 1):
-                sock = self._connect()
-                try:
-                    send_message(sock, payload)
-                    response = recv_message(sock)
-                    if response is None:
-                        raise ProtocolError("server closed the connection")
-                    break
-                except (OSError, ProtocolError):
-                    self._drop_connection()
-                    if attempt:
-                        raise
-            self.remote_requests += 1
-            self.remote_seconds += time.perf_counter() - started
-        if not response.get("ok"):
-            raise ProtocolError(
-                f"cache server {self.url}: {response.get('error', 'unknown error')}"
-            )
-        return response
-
-    def _drop_connection(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            with contextlib.suppress(OSError):
-                sock.close()
+    @property
+    def remote_seconds(self) -> float:
+        """Seconds those round trips took."""
+        return self._wire.seconds
 
     # -- lookups: L1 first, then the server ------------------------------
 
-    def get_latency(self, key: tuple) -> float | None:
-        value = super().get_latency(key)
+    def _get(self, kind: str, key: tuple):
+        value = super()._get(kind, key)
         if value is not None:
             return value
-        response = self._request(
-            {"op": "get_latency", "key": encode_latency_key(key)}
-        )
+        if kind == LATENCY:
+            request = {"op": "get_latency", "key": encode_latency_key(key)}
+        else:
+            request = {"op": "get_pulse", "key": encode_pulse_key(key)}
+        response = self._wire.request(request)
         if not response["found"]:
             self.remote_misses += 1
             return None
         self.remote_hits += 1
-        value = float(response["value"])
+        if kind == LATENCY:
+            value = float(response["value"])
+        else:
+            from repro.ir.serialize import grape_result_from_dict
+
+            value = grape_result_from_dict(response["result"])
         with self._lock:
-            self._set_latency(key, value)
-            self._evict_over_budget(protect=("latency", key))
+            self._absorb({kind: {key: value}}, protect=(kind, key))
         return value
-
-    def get_pulse(self, key: tuple) -> GrapeResult | None:
-        result = super().get_pulse(key)
-        if result is not None:
-            return result
-        response = self._request({"op": "get_pulse", "key": encode_pulse_key(key)})
-        if not response["found"]:
-            self.remote_misses += 1
-            return None
-        from repro.ir.serialize import grape_result_from_dict
-
-        self.remote_hits += 1
-        result = grape_result_from_dict(response["result"])
-        with self._lock:
-            self._set_pulse(key, result)
-            self._evict_over_budget(protect=("pulse", key))
-        return result
 
     # -- writes: L1 immediately, server in batches -----------------------
 
-    def put_latency(self, key: tuple, value: float) -> None:
-        super().put_latency(key, value)
+    def _put(self, kind: str, key: tuple, value) -> None:
+        super()._put(kind, key, value)
         with self._io_lock:
-            self._pending.latencies[key] = float(value)
-            self._maybe_flush()
-
-    def put_pulse(self, key: tuple, result: GrapeResult) -> None:
-        super().put_pulse(key, result)
-        with self._io_lock:
-            self._pending.pulses[key] = result
+            pending = self._pending
+            (pending.latencies if kind == LATENCY else pending.pulses)[key] = value
             self._maybe_flush()
 
     def merge_delta(self, delta: CacheDelta) -> int:
@@ -240,7 +275,7 @@ class RemotePulseCache(PulseCache):
 
             delta, self._pending = self._pending, CacheDelta()
             try:
-                self._request(
+                self._wire.request(
                     {"op": "push_delta", "delta": cache_delta_to_dict(delta)}
                 )
             except Exception:
@@ -258,7 +293,7 @@ class RemotePulseCache(PulseCache):
     def close(self) -> None:
         with self._io_lock:
             self.flush()
-            self._drop_connection()
+        self._wire.close()
 
     def __enter__(self) -> RemotePulseCache:
         return self
@@ -289,7 +324,7 @@ class RemotePulseCache(PulseCache):
             acquire["ttl"] = float(self.lock_ttl)
         delay = _LEASE_POLL_SECONDS
         started = time.perf_counter()
-        while not self._request(acquire)["granted"]:
+        while not self._wire.request(acquire)["granted"]:
             time.sleep(delay)
             delay = min(delay * 2, _LEASE_POLL_MAX_SECONDS)
         self.lease_wait_seconds += time.perf_counter() - started
@@ -297,7 +332,7 @@ class RemotePulseCache(PulseCache):
             yield
             self.flush()
         finally:
-            self._request({"op": "unlock", "key": wire, "owner": self.owner})
+            self._wire.request({"op": "unlock", "key": wire, "owner": self.owner})
 
     # -- metrics ---------------------------------------------------------
 
@@ -305,7 +340,7 @@ class RemotePulseCache(PulseCache):
         """The server's own stats() (store + request counters)."""
         from repro.ir.serialize import cache_stats_from_dict
 
-        return cache_stats_from_dict(self._request({"op": "stats"})["stats"])
+        return cache_stats_from_dict(self._wire.request({"op": "stats"})["stats"])
 
     def stats(self) -> dict:
         info = super().stats()
@@ -324,4 +359,9 @@ class RemotePulseCache(PulseCache):
         return info
 
 
-__all__ = ["DEFAULT_FLUSH_THRESHOLD", "RemotePulseCache", "parse_cache_url"]
+__all__ = [
+    "DEFAULT_FLUSH_THRESHOLD",
+    "FramedClient",
+    "RemotePulseCache",
+    "parse_cache_url",
+]

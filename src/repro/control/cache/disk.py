@@ -44,6 +44,8 @@ import numpy as np
 
 from repro.control.cache.store import (
     CACHE_FORMAT,
+    LATENCY,
+    PULSE,
     LatencyKey,
     PulseCache,
     PulseKey,
@@ -263,19 +265,10 @@ class DiskPulseCache(PulseCache):
         """
         latencies, pulses, skipped = read_pair(self.stem)
         self.pulse_entries_skipped = skipped
-        read = 0
         with self._lock:
-            for key, value in latencies.items():
-                if key not in self._latencies:
-                    self._set_latency(key, value)
-                read += 1
-            for key, result in pulses.items():
-                if key not in self._pulses:
-                    self._set_pulse(key, result)
-                read += 1
-            self._evict_over_budget()
-        self.loaded_entries = read
-        return read
+            self._absorb({LATENCY: latencies, PULSE: pulses})
+        self.loaded_entries = len(latencies) + len(pulses)
+        return self.loaded_entries
 
     def save(self) -> int:
         """Write the whole store to disk; returns entries written.
@@ -284,8 +277,6 @@ class DiskPulseCache(PulseCache):
         atomic replace) and carry a content-derived ``save_id`` that
         :meth:`load` checks before pairing them.
         """
-        with self._lock:
-            payload, arrays = encode_pair(self._latencies, self._pulses)
-            written = len(self._latencies) + len(self._pulses)
-        write_pair(self.stem, payload, arrays)
-        return written
+        snapshot = self.snapshot_delta()
+        write_pair(self.stem, *encode_pair(snapshot.latencies, snapshot.pulses))
+        return len(snapshot)

@@ -1,8 +1,13 @@
 """The shared cache server: one warm pulse store for a whole fleet.
 
-A stdlib ``socketserver.ThreadingTCPServer`` speaking the
-length-prefixed JSON protocol of :mod:`repro.control.cache.protocol`.
-The server owns one :class:`~repro.control.cache.store.PulseCache`
+:class:`FramedServer` is the framed-TCP core of both servers in this
+package tree: a stdlib ``socketserver.ThreadingTCPServer`` speaking the
+length-prefixed JSON frames of :mod:`repro.control.cache.protocol`,
+with the lifecycle, op dispatch and request counters.  The compile
+service (:class:`repro.service.server.CompileService`) subclasses it
+with its own op vocabulary, and so does :class:`CacheServer`.
+
+The cache server owns one :class:`~repro.control.cache.store.PulseCache`
 (optionally disk-backed, optionally byte-budgeted — eviction then
 happens server-side, fleet-wide) and answers point lookups, batched
 delta uploads, statistics queries, and the per-signature lease that
@@ -14,11 +19,13 @@ it (tests, examples)::
     server = CacheServer(store=DiskPulseCache("fleet_cache"))
     server.start()                      # background thread
     ... clients connect to server.url ...
-    server.stop()                       # drains, saves a disk store
+    server.stop()                       # closes connections, saves
 """
 
 from __future__ import annotations
 
+import contextlib
+import socket
 import socketserver
 import threading
 import time
@@ -42,6 +49,10 @@ DEFAULT_LOCK_TTL_SECONDS = 300.0
 #: client asks for, a crashed holder's lease still expires within this.
 MIN_LOCK_TTL_SECONDS = 1.0
 MAX_LOCK_TTL_SECONDS = 3600.0
+
+#: Seconds :meth:`FramedServer.stop` waits for handler threads to
+#: finish the request they are in.
+_DRAIN_SECONDS = 5.0
 
 _OPS = (
     "ping",
@@ -98,7 +109,7 @@ class _Handler(socketserver.BaseRequestHandler):
     """One connection: a stream of request frames until EOF."""
 
     def handle(self) -> None:
-        server: _TCPServer = self.server  # type: ignore[assignment]
+        owner: FramedServer = self.server.owner  # type: ignore[attr-defined]
         while True:
             try:
                 request = recv_message(self.request)
@@ -107,11 +118,11 @@ class _Handler(socketserver.BaseRequestHandler):
             if request is None:
                 return
             try:
-                response = server.cache_server.dispatch(request)
+                response = owner.dispatch(request)
             except Exception as error:  # never kill the server thread
                 # A raised dispatch is as much a failed request as an
                 # unknown op; without this, stats() under-reports.
-                server.cache_server.record_error()
+                owner.record_error()
                 response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
             try:
                 send_message(self.request, response)
@@ -120,43 +131,75 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
+    """Thread-per-connection server that can close what it accepted."""
+
     allow_reuse_address = True
     daemon_threads = True
-    cache_server: CacheServer
+    owner: FramedServer
+
+    def __init__(self, address: tuple[str, int]) -> None:
+        self._connections: set = set()
+        self._connections_changed = threading.Condition()
+        super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        # Runs on the serve loop, before the handler thread exists: once
+        # the loop has stopped, every accepted connection is tracked.
+        with self._connections_changed:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._connections_changed:
+            self._connections.discard(request)
+            self._connections_changed.notify_all()
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut every open connection down; wait for its handler to end."""
+        with self._connections_changed:
+            for connection in self._connections:
+                with contextlib.suppress(OSError):
+                    connection.shutdown(socket.SHUT_RDWR)
+            self._connections_changed.wait_for(
+                lambda: not self._connections, timeout=timeout
+            )
 
 
-class CacheServer:
-    """The fleet cache: store + lease table + request dispatch.
+class FramedServer:
+    """A framed-TCP request server: lifecycle, dispatch and counters.
+
+    The shared core of :class:`CacheServer` and the compile service
+    (:class:`repro.service.server.CompileService`).  One daemon thread
+    serves each connection: it reads length-prefixed JSON frames
+    (:mod:`repro.control.cache.protocol`) and answers each through
+    :meth:`dispatch`, which routes ``{"op": name}`` to the subclass's
+    ``_op_<name>`` method and counts it.  Subclasses set :attr:`FORMAT`
+    (answered by ``ping``) and :attr:`OPS`, and add their own state
+    around :meth:`start` / :meth:`serve_forever` / :meth:`stop`.
 
     Args:
-        store: The backing :class:`PulseCache` (any backend; pass a
-            :class:`~repro.control.cache.disk.DiskPulseCache` for
-            persistence or set its ``max_bytes`` for server-side
-            eviction).  A fresh in-memory store when omitted.
         host / port: Bind address; port 0 picks a free port (read it
             back from :attr:`url` after construction).
-        lock_ttl: Seconds before an unreleased synthesis lease expires.
     """
 
-    def __init__(
-        self,
-        store: PulseCache | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        lock_ttl: float = DEFAULT_LOCK_TTL_SECONDS,
-    ) -> None:
-        self.store = store if store is not None else PulseCache()
-        self.leases = _LeaseTable(lock_ttl)
+    #: Wire-format tag answered by ``ping`` (set by each subclass).
+    FORMAT: str
+    #: The op vocabulary (``ping`` included); ``dispatch`` answers only these.
+    OPS: tuple[str, ...]
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.started_at = time.time()
-        self.op_counts: dict[str, int] = dict.fromkeys(_OPS, 0)
+        self.op_counts: dict[str, int] = dict.fromkeys(self.OPS, 0)
         self.errors = 0
-        #: Request/error counters are bumped from ThreadingTCPServer
-        #: handler threads, one per connected client; ``n += 1`` is a
-        #: read-modify-write, so unlocked concurrent bumps lose counts.
+        #: Request/error counters are bumped from the handler threads,
+        #: one per connected client; ``n += 1`` is a read-modify-write,
+        #: so unlocked concurrent bumps lose counts.
         self._counter_lock = threading.Lock()
-        self._tcp = _TCPServer((host, port), _Handler)
-        self._tcp.cache_server = self
+        self._serving = False
         self._thread: threading.Thread | None = None
+        self._tcp = _TCPServer((host, port))
+        self._tcp.owner = self
 
     # -- lifecycle -------------------------------------------------------
 
@@ -177,28 +220,40 @@ class CacheServer:
         host, port = self.address
         return f"{reachable_host(host)}:{port}"
 
-    def start(self) -> CacheServer:
+    def start(self):
         """Serve from a daemon thread; returns self for chaining."""
+        self._serving = True
         self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name="cache-server", daemon=True
+            target=self._tcp.serve_forever, name=type(self).__name__, daemon=True
         )
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI path)."""
+        self._serving = True
         self._tcp.serve_forever()
 
-    def stop(self) -> int:
-        """Shut down and persist the store; returns entries saved."""
-        self._tcp.shutdown()
+    def stop(self) -> None:
+        """Stop serving and close every connection.
+
+        Stops the serve loop (when one ran), closes the listener, shuts
+        down the accepted connections and waits for their handler
+        threads, so a subclass that persists state after this returns
+        never acknowledges a request it has not persisted: a client
+        mid-request sees a dropped connection instead.  Safe on a
+        server that was never started, and safe to call twice.
+        """
+        if self._serving:
+            self._serving = False
+            self._tcp.shutdown()
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        return self.store.save()
+        self._tcp.close_connections(timeout=_DRAIN_SECONDS)
 
-    def __enter__(self) -> CacheServer:
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -213,15 +268,55 @@ class CacheServer:
 
     def dispatch(self, request: dict) -> dict:
         op = request.get("op")
-        if op not in _OPS:
+        if op not in self.OPS:
             self.record_error()
-            return {"ok": False, "error": f"unknown op {op!r}; known: {_OPS}"}
+            return {"ok": False, "error": f"unknown op {op!r}; known: {self.OPS}"}
         with self._counter_lock:
             self.op_counts[op] += 1
         return getattr(self, f"_op_{op}")(request)
 
+    def request_counts(self) -> tuple[dict[str, int], int]:
+        """(requests per op that ran at least once, failed requests)."""
+        with self._counter_lock:
+            return {k: v for k, v in self.op_counts.items() if v}, self.errors
+
     def _op_ping(self, request: dict) -> dict:
-        return {"ok": True, "format": PROTOCOL_FORMAT}
+        return {"ok": True, "format": self.FORMAT}
+
+
+class CacheServer(FramedServer):
+    """The fleet cache: store + lease table + request dispatch.
+
+    Args:
+        store: The backing :class:`PulseCache` (any backend; pass a
+            :class:`~repro.control.cache.disk.DiskPulseCache` for
+            persistence or set its ``max_bytes`` for server-side
+            eviction).  A fresh in-memory store when omitted.
+        host / port: Bind address; port 0 picks a free port (read it
+            back from :attr:`url` after construction).
+        lock_ttl: Seconds before an unreleased synthesis lease expires.
+    """
+
+    FORMAT = PROTOCOL_FORMAT
+    OPS = _OPS
+
+    def __init__(
+        self,
+        store: PulseCache | None = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        lock_ttl: float = DEFAULT_LOCK_TTL_SECONDS,
+    ) -> None:
+        self.store = store if store is not None else PulseCache()
+        self.leases = _LeaseTable(lock_ttl)
+        super().__init__(host, port)
+
+    def stop(self) -> int:
+        """Shut down, then persist the store; returns entries saved."""
+        super().stop()
+        return self.store.save()
+
+    # -- request dispatch ------------------------------------------------
 
     def _op_get_latency(self, request: dict) -> dict:
         key = decode_latency_key(request["key"])
@@ -269,9 +364,7 @@ class CacheServer:
     def stats(self) -> dict:
         """Store stats plus server-side request/lease counters."""
         info = self.store.stats()
-        with self._counter_lock:
-            requests = {k: v for k, v in self.op_counts.items() if v}
-            errors = self.errors
+        requests, errors = self.request_counts()
         info.update(
             server_uptime_seconds=time.time() - self.started_at,
             server_requests=requests,

@@ -40,12 +40,12 @@ import time
 from repro.control.cache.disk import encode_pair, read_pair, write_pair
 from repro.control.cache.locking import FileLock
 from repro.control.cache.store import (
+    LATENCY,
+    PULSE,
     CacheDelta,
-    LatencyKey,
     PulseCache,
     PulseKey,
-    latency_entry_bytes,
-    pulse_entry_bytes,
+    entry_bytes,
 )
 from repro.errors import ControlError
 
@@ -192,27 +192,15 @@ class ShardedDiskPulseCache(PulseCache):
 
     # -- lookups with disk read-through ----------------------------------
 
-    def get_latency(self, key: LatencyKey) -> float | None:
+    def _get(self, kind: str, key: tuple):
         loads = self.shard_loads
-        value = super().get_latency(key)
+        value = super()._get(kind, key)
         if value is None and self._refresh_shard(self.shard_of(key), loads):
-            value = super().get_latency(key)
+            value = super()._get(kind, key)
         return value
 
-    def get_pulse(self, key: PulseKey):
-        loads = self.shard_loads
-        result = super().get_pulse(key)
-        if result is None and self._refresh_shard(self.shard_of(key), loads):
-            result = super().get_pulse(key)
-        return result
-
-    def put_latency(self, key: LatencyKey, value: float) -> None:
-        super().put_latency(key, value)
-        with self._lock:
-            self._dirty.add(self.shard_of(key))
-
-    def put_pulse(self, key: PulseKey, result) -> None:
-        super().put_pulse(key, result)
+    def _put(self, kind: str, key: tuple, value) -> None:
+        super()._put(kind, key, value)
         with self._lock:
             self._dirty.add(self.shard_of(key))
 
@@ -277,13 +265,7 @@ class ShardedDiskPulseCache(PulseCache):
                 time.sleep(0.002 * (attempt + 1))
                 state = self._stat_shard(index) or state
             with self._lock:
-                for key, value in latencies.items():
-                    if key not in self._latencies:
-                        self._set_latency(key, value)
-                for key, result in pulses.items():
-                    if key not in self._pulses:
-                        self._set_pulse(key, result)
-                self._evict_over_budget()
+                self._absorb({LATENCY: latencies, PULSE: pulses})
                 self._shard_states[index] = state
                 self.pulse_entries_skipped += skipped
                 self.shard_loads += 1
@@ -291,12 +273,12 @@ class ShardedDiskPulseCache(PulseCache):
 
     def load(self) -> int:
         """Read every shard into memory; returns entries loaded."""
-        before = self.latency_count + self.pulse_count
+        before = len(self._entries)
         for index in range(self.shards):
             with self._lock:
                 self._shard_states.pop(index, None)
             self._refresh_shard(index, self.shard_loads)
-        self.loaded_entries = self.latency_count + self.pulse_count - before
+        self.loaded_entries = len(self._entries) - before
         return self.loaded_entries
 
     def save(self) -> int:
@@ -319,21 +301,19 @@ class ShardedDiskPulseCache(PulseCache):
         lock = FileLock(self._lock_path(f"shard-{index:03d}.lock"))
         with lock:
             disk_lat, disk_pul, _ = read_pair(self.shard_stem(index))
+            merged = {LATENCY: disk_lat, PULSE: disk_pul}
             with self._lock:
-                ours_lat = {
-                    key: value
-                    for key, value in self._latencies.items()
-                    if self.shard_of(key) == index
-                }
-                ours_pul = {
-                    key: result
-                    for key, result in self._pulses.items()
-                    if self.shard_of(key) == index
-                }
-            merged_lat = {**disk_lat, **ours_lat}
-            merged_pul = {**disk_pul, **ours_pul}
-            self._trim_shard(merged_lat, merged_pul, ours_lat, ours_pul)
-            payload, arrays = encode_pair(merged_lat, merged_pul)
+                ours = [
+                    (entry, value)
+                    for entry, (value, _) in self._entries.items()
+                    if self.shard_of(entry[1]) == index
+                ]
+            recency = {}  # our entries' ranks in the recency order, LRU first
+            for rank, ((kind, key), value) in enumerate(ours):
+                merged[kind][key] = value
+                recency[(kind, key)] = rank
+            self._trim_shard(merged[LATENCY], merged[PULSE], recency)
+            payload, arrays = encode_pair(merged[LATENCY], merged[PULSE])
             write_pair(self.shard_stem(index), payload, arrays)
             # Invalidate (never update) the freshness marker: the file we
             # just wrote contains disk entries merged through from *other*
@@ -345,13 +325,14 @@ class ShardedDiskPulseCache(PulseCache):
                 self._shard_states.pop(index, None)
         self.lock_wait_seconds += lock.waited_seconds
         self.shard_flushes += 1
-        return len(merged_lat) + len(merged_pul)
+        return len(merged[LATENCY]) + len(merged[PULSE])
 
-    def _trim_shard(self, latencies, pulses, ours_lat, ours_pul) -> None:
+    def _trim_shard(self, latencies, pulses, recency) -> None:
         """Enforce ``max_shard_bytes`` on the about-to-be-written union.
 
         Disk-only entries go first (no one here has used them since the
-        last load), then this process's LRU order; the trim mutates the
+        last load), then this process's LRU order (``recency`` ranks our
+        resident entries, least recently used first); the trim mutates the
         merged maps in place and counts ``disk_evictions``.  Correct for
         the same reason memory eviction is: content-addressed entries
         are recomputed on miss, never answered wrong.  Pulses currently
@@ -364,22 +345,18 @@ class ShardedDiskPulseCache(PulseCache):
             return
         with self._lock:
             protected = set(self._exclusive_keys)
-        sized = []  # (priority, size, kind, key) — evict low priority first
-        for key, value in latencies.items():
-            size = latency_entry_bytes(key)
-            stamp = self._stamps.get(("latency", key), -1)
-            sized.append(((key in ours_lat, stamp), size, "latency", key))
-        for key, result in pulses.items():
-            size = pulse_entry_bytes(key, result)
-            stamp = self._stamps.get(("pulse", key), -1)
-            sized.append(((key in ours_pul, stamp), size, "pulse", key))
+        sized = []  # (rank, size, kind, key) — evict low rank first
+        for kind, entries in ((LATENCY, latencies), (PULSE, pulses)):
+            for key, value in entries.items():
+                rank = recency.get((kind, key), -1)  # -1: disk-only
+                sized.append((rank, entry_bytes(kind, key, value), kind, key))
         total = sum(size for _, size, _, _ in sized)
-        for priority, size, kind, key in sorted(sized, key=lambda x: x[0]):
+        for _, size, kind, key in sorted(sized, key=lambda x: x[0]):
             if total <= self.max_shard_bytes or len(sized) == 1:
                 break
-            if kind == "pulse" and key in protected:
+            if kind == PULSE and key in protected:
                 continue
-            del (latencies if kind == "latency" else pulses)[key]
+            del (latencies if kind == LATENCY else pulses)[key]
             total -= size
             self.disk_evictions += 1
 

@@ -9,10 +9,12 @@ lives in sibling modules and subclasses :class:`PulseCache`.
 
 Eviction
 --------
-Pass ``max_bytes`` to bound the store.  Entries (latencies *and* pulses,
-one recency order across both) are tracked with an approximate byte size
-(:func:`latency_entry_bytes` / :func:`pulse_entry_bytes`) and the least
-recently used entries are dropped whenever the total exceeds the budget.
+Pass a positive ``max_bytes`` to bound the store.  Entries (latencies
+*and* pulses, one recency order across both — the
+:class:`ByteBudgetLRU` the result cache uses too) are tracked with an
+approximate byte size (:func:`latency_entry_bytes` /
+:func:`pulse_entry_bytes`) and the least recently used entries are
+dropped whenever the total exceeds the budget.
 Keys are content-addressed — a structural signature plus a configuration
 fingerprint fully determines the value — so eviction is always *correct*:
 a dropped entry is recomputed on the next miss, never answered wrong.
@@ -42,7 +44,7 @@ LatencyKey = tuple
 #: A pulse entry key: (fingerprint, structural signature).
 PulseKey = tuple
 
-#: Flat bookkeeping charge per entry (key objects, dict slots, stamps).
+#: Flat bookkeeping charge per entry (key objects, dict slots).
 _ENTRY_OVERHEAD_BYTES = 64
 
 
@@ -136,7 +138,82 @@ class CacheDelta:
         self.pulses.update(other.pulses)
 
 
-class PulseCache:
+#: Tags of the two entry kinds in a :class:`PulseCache`'s one recency
+#: order (its keys are ``(kind, key)`` pairs).
+LATENCY = "latency"
+PULSE = "pulse"
+
+
+def entry_bytes(kind: str, key: tuple, value) -> int:
+    """Approximate resident size of one latency or pulse entry."""
+    if kind == LATENCY:
+        return latency_entry_bytes(key)
+    return pulse_entry_bytes(key, value)
+
+
+class ByteBudgetLRU:
+    """Entries in one recency order under an optional byte budget.
+
+    The one LRU of both cache families: :class:`PulseCache` keeps its
+    latencies and pulses here, and
+    :class:`~repro.compiler.result_cache.ResultCache` its serialized
+    results.  ``_entries`` maps each key to ``(value, size)``, least
+    recently used first, and ``total_bytes`` sums the sizes.  Nothing
+    here locks: subclasses call these methods under their own lock.
+
+    Args:
+        max_bytes: Byte budget; ``None`` (default) means unbounded.  A
+            zero or negative budget is rejected — a store that evicts
+            everything it is given is a misconfiguration, not a cache.
+    """
+
+    def __init__(self, max_bytes: int | None = None) -> None:
+        if max_bytes is not None and max_bytes <= 0:
+            raise ValueError(f"max_bytes must be None or positive, got {max_bytes}")
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict = OrderedDict()
+        self.total_bytes = 0
+        self.evictions = 0
+        self.evicted_bytes = 0
+
+    def _lookup(self, key):
+        """The value under ``key``, now the most recent entry; else None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def _store(self, key, value, size: int) -> bool:
+        """Insert or overwrite as the most recent entry; True when new."""
+        previous = self._entries.pop(key, None)
+        if previous is not None:
+            self.total_bytes -= previous[1]
+        self._entries[key] = (value, size)
+        self.total_bytes += size
+        return previous is None
+
+    def _evict_over_budget(self, protect=None) -> list:
+        """Drop least recently used entries until the budget is met;
+        returns the keys dropped.
+
+        ``protect`` names the entry being written right now: it is never
+        the victim, so a single oversized entry still round-trips.
+        """
+        evicted: list = []
+        while self.max_bytes is not None and self.total_bytes > self.max_bytes:
+            victim = next((key for key in self._entries if key != protect), None)
+            if victim is None:
+                break
+            _, size = self._entries.pop(victim)
+            self.total_bytes -= size
+            self.evictions += 1
+            self.evicted_bytes += size
+            evicted.append(victim)
+        return evicted
+
+
+class PulseCache(ByteBudgetLRU):
     """Thread-safe in-memory latency/pulse store.
 
     The same store may back many optimal-control units at once (the batch
@@ -148,22 +225,13 @@ class PulseCache:
     """
 
     def __init__(self, max_bytes: int | None = None) -> None:
-        self._latencies: OrderedDict[LatencyKey, float] = OrderedDict()
-        self._pulses: OrderedDict[PulseKey, GrapeResult] = OrderedDict()
+        super().__init__(max_bytes)
         self._lock = threading.Lock()
-        #: Global recency stamp per ("latency"|"pulse", key); the fronts
-        #: of the two OrderedDicts are each map's LRU entry, and the
-        #: stamp orders those two fronts against each other.
-        self._stamps: dict[tuple, int] = {}
-        self._sizes: dict[tuple, int] = {}
-        self._tick = 0
-        self.max_bytes = max_bytes
-        self.total_bytes = 0
+        #: Resident entries per kind, so counting never scans the store.
+        self._counts = {LATENCY: 0, PULSE: 0}
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.evictions = 0
-        self.evicted_bytes = 0
         self.lookup_seconds = 0.0
 
     # -- pickling: locks cannot cross process boundaries -----------------
@@ -180,40 +248,16 @@ class PulseCache:
     # -- lookups ---------------------------------------------------------
 
     def get_latency(self, key: LatencyKey) -> float | None:
-        started = time.perf_counter()
-        with self._lock:
-            value = self._latencies.get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                self._touch("latency", key)
-            self.lookup_seconds += time.perf_counter() - started
-            return value
+        return self._get(LATENCY, key)
 
     def put_latency(self, key: LatencyKey, value: float) -> None:
-        with self._lock:
-            self._set_latency(key, float(value))
-            self.stores += 1
-            self._evict_over_budget(protect=("latency", key))
+        self._put(LATENCY, key, float(value))
 
     def get_pulse(self, key: PulseKey) -> GrapeResult | None:
-        started = time.perf_counter()
-        with self._lock:
-            result = self._pulses.get(key)
-            if result is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                self._touch("pulse", key)
-            self.lookup_seconds += time.perf_counter() - started
-            return result
+        return self._get(PULSE, key)
 
     def put_pulse(self, key: PulseKey, result: GrapeResult) -> None:
-        with self._lock:
-            self._set_pulse(key, result)
-            self.stores += 1
-            self._evict_over_budget(protect=("pulse", key))
+        self._put(PULSE, key, result)
 
     # -- single-flight ----------------------------------------------------
 
@@ -247,13 +291,10 @@ class PulseCache:
         added = 0
         with self._lock:
             for key, value in delta.latencies.items():
-                if self._set_latency(key, float(value)):
-                    added += 1
-                self.stores += 1
+                added += self._set(LATENCY, key, float(value))
             for key, result in delta.pulses.items():
-                if self._set_pulse(key, result):
-                    added += 1
-                self.stores += 1
+                added += self._set(PULSE, key, result)
+            self.stores += len(delta)
             self._evict_over_budget()
         return added
 
@@ -264,12 +305,14 @@ class PulseCache:
         (:func:`repro.ir.serialize.cache_delta_to_dict`), ship it across
         the process boundary, and ``merge_delta`` it into the far store —
         the batch engine seeds each worker process this way so warm
-        caches skip optimal-control work in process mode too.
+        caches skip optimal-control work in process mode too.  Each map
+        lists its entries least recently used first.
         """
+        delta = CacheDelta()
         with self._lock:
-            return CacheDelta(
-                latencies=dict(self._latencies), pulses=dict(self._pulses)
-            )
+            for (kind, key), (value, _) in self._entries.items():
+                (delta.latencies if kind == LATENCY else delta.pulses)[key] = value
+        return delta
 
     def save(self) -> int:
         """Persist the store where the backend supports it.
@@ -283,11 +326,11 @@ class PulseCache:
 
     @property
     def latency_count(self) -> int:
-        return len(self._latencies)
+        return self._counts[LATENCY]
 
     @property
     def pulse_count(self) -> int:
-        return len(self._pulses)
+        return self._counts[PULSE]
 
     def stats(self) -> dict:
         """Store-level counters (per-unit counters live on the OCU).
@@ -312,74 +355,58 @@ class PulseCache:
             "lookup_seconds": self.lookup_seconds,
         }
 
-    # -- internals (call with the lock held) ------------------------------
+    # -- internals -------------------------------------------------------
 
-    def _touch(self, kind: str, key: tuple) -> None:
-        mapping = self._latencies if kind == "latency" else self._pulses
-        mapping.move_to_end(key)
-        self._tick += 1
-        self._stamps[(kind, key)] = self._tick
+    def _get(self, kind: str, key: tuple):
+        """One counted lookup — the hook backends extend to read through
+        on a miss (the sharded store's shard reload, the remote
+        client's server round trip)."""
+        started = time.perf_counter()
+        with self._lock:
+            value = self._lookup((kind, key))
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            self.lookup_seconds += time.perf_counter() - started
+            return value
 
-    def _set_latency(self, key: LatencyKey, value: float) -> bool:
-        """Insert/overwrite one latency entry; True when the key is new."""
-        fresh = key not in self._latencies
-        if not fresh:
-            self.total_bytes -= self._sizes[("latency", key)]
-        self._latencies[key] = value
-        size = latency_entry_bytes(key)
-        self._sizes[("latency", key)] = size
-        self.total_bytes += size
-        self._touch("latency", key)
+    def _put(self, kind: str, key: tuple, value) -> None:
+        """One counted write — the hook backends extend to mark a shard
+        dirty or buffer an upload."""
+        with self._lock:
+            self._set(kind, key, value)
+            self.stores += 1
+            self._evict_over_budget(protect=(kind, key))
+
+    def _set(self, kind: str, key: tuple, value) -> bool:
+        """Insert/overwrite one entry (lock held); True when the key is new."""
+        fresh = self._store((kind, key), value, entry_bytes(kind, key, value))
+        self._counts[kind] += fresh
         return fresh
 
-    def _set_pulse(self, key: PulseKey, result: GrapeResult) -> bool:
-        fresh = key not in self._pulses
-        if not fresh:
-            self.total_bytes -= self._sizes[("pulse", key)]
-        self._pulses[key] = result
-        size = pulse_entry_bytes(key, result)
-        self._sizes[("pulse", key)] = size
-        self.total_bytes += size
-        self._touch("pulse", key)
-        return fresh
+    def _evict_over_budget(self, protect=None) -> list:
+        evicted = super()._evict_over_budget(protect)
+        for kind, _ in evicted:
+            self._counts[kind] -= 1
+        return evicted
 
-    def _lru_of(self, mapping, kind: str, protect):
-        for key in mapping:
-            if protect == (kind, key):
-                continue
-            return (self._stamps[(kind, key)], kind, key)
-        return None
+    def _absorb(self, loaded: dict[str, dict], protect=None) -> None:
+        """Add entries loaded from elsewhere, then evict over budget.
 
-    def _evict_over_budget(self, protect: tuple | None = None) -> None:
-        """Drop globally-LRU entries until the byte budget is met.
-
-        ``protect`` names the entry being written right now: it is never
-        the victim, so a single oversized entry still round-trips.
+        The one fill step of every backend that reads entries in — a
+        disk pair, a shard, the cache server.  ``loaded`` maps a kind
+        (:data:`LATENCY` / :data:`PULSE`) to its entries.  Only keys the
+        store lacks are added: a resident entry holds the same value
+        under the content-addressed key contract, and its recency is
+        real use.  ``protect`` is as for :meth:`_evict_over_budget`.
+        Call with the lock held.
         """
-        if self.max_bytes is None:
-            return
-        while self.total_bytes > self.max_bytes:
-            candidates = [
-                entry
-                for entry in (
-                    self._lru_of(self._latencies, "latency", protect),
-                    self._lru_of(self._pulses, "pulse", protect),
-                )
-                if entry is not None
-            ]
-            if not candidates:
-                return
-            _, kind, key = min(candidates)
-            self._evict_entry(kind, key)
-
-    def _evict_entry(self, kind: str, key: tuple) -> None:
-        mapping = self._latencies if kind == "latency" else self._pulses
-        del mapping[key]
-        self._stamps.pop((kind, key), None)
-        size = self._sizes.pop((kind, key))
-        self.total_bytes -= size
-        self.evictions += 1
-        self.evicted_bytes += size
+        for kind, entries in loaded.items():
+            for key, value in entries.items():
+                if (kind, key) not in self._entries:
+                    self._set(kind, key, value)
+        self._evict_over_budget(protect)
 
 
 class CacheSession:

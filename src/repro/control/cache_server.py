@@ -8,8 +8,9 @@ Typical fleet setup::
     python -m repro.experiments.runner --cache-url 127.0.0.1:7777 ...
 
 The store is persisted (``--cache`` stem or sharded directory) on clean
-shutdown (SIGINT/SIGTERM); ``--max-bytes`` bounds it with fleet-wide LRU
-eviction.
+shutdown (SIGINT/SIGTERM), after every client connection has closed, so
+no write is acknowledged that the saved store lacks; ``--max-bytes``
+(positive) bounds it with fleet-wide LRU eviction.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        saved = store.save()
+        saved = server.stop()
         stats = server.stats()
         print(
             f"cache server stopped: {saved} entries persisted, "

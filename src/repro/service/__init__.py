@@ -8,7 +8,12 @@ protocol's length-prefixed JSON framing; the server queues them with
 explicit backpressure, compiles them on worker threads, quarantines
 poisoned circuits behind a circuit breaker, journals every transition
 crash-safely, and serves finished results back from the engine's
-result cache — the one store of finished jobs.
+result cache — the one store of finished jobs.  The wire itself is the
+cache package's framed-TCP core: :class:`CompileService` subclasses
+:class:`~repro.control.cache.server.FramedServer` and
+:class:`ServiceClient` subclasses
+:class:`~repro.control.cache.client.FramedClient`, the pair the pulse
+cache server and its clients are built on.
 
 Pieces:
 
@@ -29,7 +34,7 @@ from repro.service.breaker import (
     DEFAULT_BREAKER_THRESHOLD,
     CircuitBreaker,
 )
-from repro.service.client import ServiceClient, parse_service_url
+from repro.service.client import ServiceClient
 from repro.service.journal import JobJournal
 from repro.service.protocol import (
     REJECT_QUARANTINED,
@@ -53,5 +58,4 @@ __all__ = [
     "CompileService",
     "JobJournal",
     "ServiceClient",
-    "parse_service_url",
 ]

@@ -3,8 +3,9 @@
 :class:`ServiceClient` wraps the wire protocol in a job-shaped API:
 submit circuits (or prebuilt :class:`~repro.compiler.batch.BatchJob`
 payloads), poll status, download finished
-:class:`~repro.compiler.result.CompilationResult` artifacts.  Transport
-mirrors :class:`~repro.control.cache.client.RemotePulseCache`: one
+:class:`~repro.compiler.result.CompilationResult` artifacts.  The
+transport is :class:`~repro.control.cache.client.FramedClient`, the one
+:class:`~repro.control.cache.client.RemotePulseCache` uses too: one
 socket, one lock around each round trip, one silent reconnect on a
 dropped connection — which is exactly what rides out a server restart
 mid-session.
@@ -18,31 +19,17 @@ hint retry loop.
 
 from __future__ import annotations
 
-import contextlib
-import socket
-import threading
 import time
 
+from repro.control.cache.client import FramedClient
 from repro.errors import ServiceBusyError, ServiceError
-from repro.service.protocol import (
-    SERVICE_FORMAT,
-    ProtocolError,
-    recv_message,
-    send_message,
-)
+from repro.service.protocol import SERVICE_FORMAT
 
 #: Default seconds between status polls in :meth:`ServiceClient.wait`.
 DEFAULT_POLL_SECONDS = 0.1
 
 
-def parse_service_url(url: str) -> tuple[str, int]:
-    """``host:port`` or ``tcp://host:port`` -> (host, port)."""
-    from repro.control.cache.client import parse_cache_url
-
-    return parse_cache_url(url)
-
-
-class ServiceClient:
+class ServiceClient(FramedClient):
     """One connection to a compile service.
 
     Args:
@@ -50,65 +37,14 @@ class ServiceClient:
         timeout: Socket timeout per round trip, seconds.
     """
 
-    def __init__(self, url: str, timeout: float = 30.0) -> None:
-        self.url = url
-        self.host, self.port = parse_service_url(url)
-        self.timeout = timeout
-        self._sock: socket.socket | None = None
-        self._io_lock = threading.Lock()
-
-    # -- transport -------------------------------------------------------
-
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        return self._sock
-
-    def _request(self, payload: dict) -> dict:
-        """One round trip; reconnects once on a dropped connection."""
-        with self._io_lock:
-            for attempt in (0, 1):
-                sock = self._connect()
-                try:
-                    send_message(sock, payload)
-                    response = recv_message(sock)
-                    if response is None:
-                        raise ProtocolError("server closed the connection")
-                    break
-                except (OSError, ProtocolError):
-                    self._drop_connection()
-                    if attempt:
-                        raise
-        if not response.get("ok"):
-            raise ServiceError(
-                f"compile service {self.url}: "
-                f"{response.get('error', 'unknown error')}"
-            )
-        return response
-
-    def _drop_connection(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            with contextlib.suppress(OSError):
-                sock.close()
-
-    def close(self) -> None:
-        with self._io_lock:
-            self._drop_connection()
-
-    def __enter__(self) -> ServiceClient:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    peer = "compile service"
+    error = ServiceError
 
     # -- ops -------------------------------------------------------------
 
     def ping(self) -> str:
         """Liveness check; returns the server's wire-format tag."""
-        response = self._request({"op": "ping"})
+        response = self.request({"op": "ping"})
         tag = response.get("format")
         if tag != SERVICE_FORMAT:
             raise ServiceError(
@@ -136,7 +72,7 @@ class ServiceClient:
         from repro.ir.serialize import batch_job_to_dict
 
         envelope = job if isinstance(job, dict) else batch_job_to_dict(job)
-        response = self._request({"op": "submit", "job": envelope})
+        response = self.request({"op": "submit", "job": envelope})
         if not response.get("accepted"):
             reason = response.get("reason", "busy")
             retry_after = float(response.get("retry_after") or 1.0)
@@ -166,7 +102,7 @@ class ServiceClient:
         """One job's lifecycle record (state, timestamps, timings)."""
         from repro.ir.serialize import job_status_from_dict
 
-        response = self._request({"op": "status", "job_id": job_id})
+        response = self.request({"op": "status", "job_id": job_id})
         return job_status_from_dict(response["status"])
 
     def result(self, job_id: str):
@@ -178,7 +114,7 @@ class ServiceClient:
         """
         from repro.ir.serialize import result_from_dict
 
-        response = self._request({"op": "result", "job_id": job_id})
+        response = self.request({"op": "result", "job_id": job_id})
         if not response["ready"]:
             state = response.get("state")
             if state in ("failed", "cancelled"):
@@ -214,21 +150,21 @@ class ServiceClient:
         already terminal); ``"running"`` means the stop lands at the
         next pass boundary — poll :meth:`status` for the outcome.
         """
-        response = self._request({"op": "cancel", "job_id": job_id})
+        response = self.request({"op": "cancel", "job_id": job_id})
         return response["state"]
 
     def jobs(self) -> list[dict]:
         """Status records for every job the server knows, oldest first."""
         from repro.ir.serialize import job_status_from_dict
 
-        response = self._request({"op": "jobs"})
+        response = self.request({"op": "jobs"})
         return [job_status_from_dict(entry) for entry in response["jobs"]]
 
     def stats(self) -> dict:
         """The server's :meth:`CompileService.stats` dict."""
         from repro.ir.serialize import service_stats_from_dict
 
-        return service_stats_from_dict(self._request({"op": "stats"})["stats"])
+        return service_stats_from_dict(self.request({"op": "stats"})["stats"])
 
 
-__all__ = ["DEFAULT_POLL_SECONDS", "ServiceClient", "parse_service_url"]
+__all__ = ["DEFAULT_POLL_SECONDS", "ServiceClient"]

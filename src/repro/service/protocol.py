@@ -1,10 +1,13 @@
-"""Wire protocol of the compile service.
+"""Wire protocol of the compile service: its op vocabulary and format tag.
 
 The service speaks the cache protocol's transport — 4-byte big-endian
 length prefix, UTF-8 JSON object per frame, many frames per connection
-(:mod:`repro.control.cache.protocol`) — with its own op vocabulary and
-format tag, so one fleet deployment reuses one framing codebase, one
-firewall story, and one debugging toolset for both servers.
+(:mod:`repro.control.cache.protocol`) — through the same server and
+client core (:class:`~repro.control.cache.server.FramedServer`,
+:class:`~repro.control.cache.client.FramedClient`), so one fleet
+deployment runs one framing codebase, one firewall story, and one
+debugging toolset for both servers.  This module adds only what differs:
+the ops below and the format tag.
 
 Requests are ``{"op": <name>, ...}``; responses always carry ``"ok"``.
 ``ok: false`` means the *request* failed (malformed payload, unknown op,
@@ -40,13 +43,6 @@ Ops
 
 from __future__ import annotations
 
-from repro.control.cache.protocol import (  # noqa: F401  (re-exports)
-    ProtocolError,
-    reachable_host,
-    recv_message,
-    send_message,
-)
-
 #: Format tag answered by ``ping`` and checked by clients: bump on any
 #: incompatible change to the op vocabulary or response shapes.
 SERVICE_FORMAT = "repro-service-wire-v1"
@@ -71,8 +67,4 @@ __all__ = [
     "REJECT_QUEUE_FULL",
     "SERVICE_FORMAT",
     "SERVICE_OPS",
-    "ProtocolError",
-    "reachable_host",
-    "recv_message",
-    "send_message",
 ]

@@ -3,7 +3,10 @@
 One process owns one warm :class:`~repro.compiler.batch.BatchCompiler`
 (and therefore one shared pulse cache — local, sharded-dir, or a
 ``tcp://`` fleet cache) and serves compile jobs submitted over the wire
-(:mod:`repro.service.protocol`).  Submissions land on a bounded queue
+(:mod:`repro.service.protocol`) — on the framed-TCP core it shares with
+the cache server, :class:`~repro.control.cache.server.FramedServer`,
+which owns the connections, the op dispatch and the request counters.
+Submissions land on a bounded queue
 with explicit backpressure; worker threads drain it through
 :meth:`BatchCompiler.run_job`; finished results are served back from the
 engine's result cache.  Robustness features:
@@ -42,12 +45,12 @@ or run it standalone with ``python -m repro.service``.
 from __future__ import annotations
 
 import os
-import socketserver
 import threading
 import time
 
 from repro.compiler.batch import _COUNTER_KEYS, BatchCompiler
 from repro.compiler.result_cache import DiskResultCache, ResultCache
+from repro.control.cache.server import FramedServer
 from repro.errors import JobCancelledError, ReproError, ServiceError
 from repro.service.breaker import (
     DEFAULT_BREAKER_COOLDOWN,
@@ -60,9 +63,6 @@ from repro.service.protocol import (
     REJECT_QUEUE_FULL,
     SERVICE_FORMAT,
     SERVICE_OPS,
-    reachable_host,
-    recv_message,
-    send_message,
 )
 from repro.service.queue import BoundedJobQueue
 
@@ -175,36 +175,7 @@ class _JobRecord:
         }
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One connection: a stream of request frames until EOF."""
-
-    def handle(self) -> None:
-        server: _TCPServer = self.server  # type: ignore[assignment]
-        while True:
-            try:
-                request = recv_message(self.request)
-            except Exception:
-                return  # torn frame / reset: drop the connection
-            if request is None:
-                return
-            try:
-                response = server.service.dispatch(request)
-            except Exception as error:  # never kill the server thread
-                server.service.record_error()
-                response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-            try:
-                send_message(self.request, response)
-            except OSError:
-                return
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    service: CompileService
-
-
-class CompileService:
+class CompileService(FramedServer):
     """The compile server: engine + queue + breaker + journal + wire.
 
     Args:
@@ -229,6 +200,9 @@ class CompileService:
             Results survive a restart only when the engine's result
             cache is on disk — as it is when mounted here.
     """
+
+    FORMAT = SERVICE_FORMAT
+    OPS = SERVICE_OPS
 
     def __init__(
         self,
@@ -262,12 +236,6 @@ class CompileService:
             )
         self.workers = workers
         self.job_timeout = job_timeout
-        self.started_at = time.time()
-        self.op_counts: dict[str, int] = dict.fromkeys(SERVICE_OPS, 0)
-        self.errors = 0
-        #: Same discipline as the cache server: counters are bumped from
-        #: handler threads, so every read-modify-write takes this lock.
-        self._counter_lock = threading.Lock()
         #: Guards the record table, job-id serial, and the EWMA.
         self._lock = threading.Lock()
         self._records: dict[str, _JobRecord] = {}
@@ -290,78 +258,51 @@ class CompileService:
         self.result_cache_hits = 0
         self.result_cache_misses = 0
         self.coalesced = 0
-        self._tcp = _TCPServer((host, port), _Handler)
-        self._tcp.service = self
-        self._serve_thread: threading.Thread | None = None
+        super().__init__(host, port)
         if self.journal is not None:
             self._recover()
 
     # -- lifecycle -------------------------------------------------------
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        """A connectable ``host:port`` (wildcard binds -> loopback)."""
-        host, port = self.address
-        return f"{reachable_host(host)}:{port}"
-
     def start(self) -> CompileService:
         """Serve requests and start workers; returns self for chaining."""
-        self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, name="compile-service", daemon=True
-        )
-        self._serve_thread.start()
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"compile-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._worker_threads.append(thread)
+        super().start()
+        self._start_workers()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI path); workers still spawn."""
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"compile-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._worker_threads.append(thread)
-        self._tcp.serve_forever()
+        self._start_workers()
+        super().serve_forever()
 
     def stop(self) -> None:
-        """Drain admissions, stop workers, persist the cache.
+        """Close every connection, stop the workers, persist the cache.
 
+        The wire closes first (:meth:`FramedServer.stop`), so every
+        request answered before that was journaled at its answer.
         Queued jobs are *not* abandoned: they stay journaled as queued,
         so the next start resumes them.  A running job finishes its
         current pass, is cancelled cooperatively, and is re-journaled as
         queued for the restart (its finished optimal-control work is
         already in the cache).
         """
+        super().stop()
         self._stopping.set()
         self.queue.close()
-        self._tcp.shutdown()
-        self._tcp.server_close()
         for thread in self._worker_threads:
             thread.join(timeout=10)
         self._worker_threads.clear()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5)
-            self._serve_thread = None
         self.engine.save_cache()
 
-    def __enter__(self) -> CompileService:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    def _start_workers(self) -> None:
+        for index in range(self.workers):
+            thread = threading.Thread(
+                target=self._worker_loop,
+                name=f"compile-worker-{index}",
+                daemon=True,
+            )
+            thread.start()
+            self._worker_threads.append(thread)
 
     # -- restart recovery ------------------------------------------------
 
@@ -483,12 +424,7 @@ class CompileService:
                 _EWMA_WEIGHT * seconds
                 + (1.0 - _EWMA_WEIGHT) * self._ewma_job_seconds
             )
-            if (
-                self._inflight_by_signature.get(record.signature)
-                == record.job_id
-            ):
-                del self._inflight_by_signature[record.signature]
-            followers = self._followers.pop(record.job_id, [])
+            followers = self._retire(record)
         self.breaker.record_success(record.signature)
         self._journal(record)
         self._resolve_followers_done(followers)
@@ -543,12 +479,7 @@ class CompileService:
             record.finished_at = time.time()
             record.error = error
             self.failed += 1
-            if (
-                self._inflight_by_signature.get(record.signature)
-                == record.job_id
-            ):
-                del self._inflight_by_signature[record.signature]
-            followers = self._followers.pop(record.job_id, [])
+            followers = self._retire(record)
         self.breaker.record_failure(record.signature)
         self._journal(record)
         # A follower is the same job by construction, so the failure is
@@ -573,12 +504,7 @@ class CompileService:
         no live follower the signature simply leaves the in-flight index.
         """
         with self._lock:
-            followers = self._followers.pop(record.job_id, [])
-            if (
-                self._inflight_by_signature.get(record.signature)
-                == record.job_id
-            ):
-                del self._inflight_by_signature[record.signature]
+            followers = self._retire(record)
             new_primary = None
             remaining = []
             for job_id in followers:
@@ -596,28 +522,18 @@ class CompileService:
         if new_primary is not None:
             self.queue.offer(new_primary, force=True)
 
+    def _retire(self, record: _JobRecord) -> list[str]:
+        """Take a resolved job out of the in-flight index (lock held) and
+        hand back the followers that rode on it."""
+        if self._inflight_by_signature.get(record.signature) == record.job_id:
+            del self._inflight_by_signature[record.signature]
+        return self._followers.pop(record.job_id, [])
+
     def _journal(self, record: _JobRecord) -> None:
         if self.journal is not None:
             self.journal.record(record.journal_record())
 
     # -- request dispatch ------------------------------------------------
-
-    def record_error(self) -> None:
-        """Count one failed request (unknown op or raised dispatch)."""
-        with self._counter_lock:
-            self.errors += 1
-
-    def dispatch(self, request: dict) -> dict:
-        op = request.get("op")
-        if op not in SERVICE_OPS:
-            self.record_error()
-            return {"ok": False, "error": f"unknown op {op!r}; known: {SERVICE_OPS}"}
-        with self._counter_lock:
-            self.op_counts[op] += 1
-        return getattr(self, f"_op_{op}")(request)
-
-    def _op_ping(self, request: dict) -> dict:
-        return {"ok": True, "format": SERVICE_FORMAT}
 
     def _retry_after(self) -> float:
         """Backpressure hint: EWMA job seconds x backlog per worker."""
@@ -795,9 +711,8 @@ class CompileService:
 
     def stats(self) -> dict:
         """Service metrics: queue, workers, breaker, journal, cache."""
+        requests, errors = self.request_counts()
         with self._counter_lock:
-            requests = {k: v for k, v in self.op_counts.items() if v}
-            errors = self.errors
             rejected_busy = self.rejected_busy
             rejected_quarantined = self.rejected_quarantined
             result_cache_hits = self.result_cache_hits

@@ -6,12 +6,15 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.compiler.result_cache import DiskResultCache, ResultCache
 from repro.config import CompilerConfig, DeviceConfig
 from repro.control.cache import (
     CacheDelta,
     CacheSession,
     DiskPulseCache,
     PulseCache,
+    RemotePulseCache,
+    ShardedDiskPulseCache,
     config_fingerprint,
 )
 from repro.control.grape import GrapeResult
@@ -212,11 +215,45 @@ class TestEviction:
         assert DiskPulseCache(stem).loaded_entries == 2
 
 
+class TestBudgetValidation:
+    """One budget rule for every store: ``max_bytes`` is None or positive."""
+
+    BACKENDS = {
+        "memory": lambda path, budget: PulseCache(max_bytes=budget),
+        "disk": lambda path, budget: DiskPulseCache(path, max_bytes=budget),
+        "sharded": lambda path, budget: ShardedDiskPulseCache(
+            path, max_bytes=budget
+        ),
+        # Never connects: the budget is checked before any round trip.
+        "remote": lambda path, budget: RemotePulseCache(
+            "127.0.0.1:1", max_bytes=budget
+        ),
+        "result": lambda path, budget: ResultCache(max_bytes=budget),
+        "disk-result": lambda path, budget: DiskResultCache(
+            path, max_bytes=budget
+        ),
+    }
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_non_positive_budget_rejected(self, backend, budget, tmp_path):
+        # A zero budget would leave a pulse store keeping nothing (every
+        # merge evicted at once); the result caches always refused it.
+        with pytest.raises(ValueError, match="max_bytes"):
+            self.BACKENDS[backend](tmp_path / "store", budget)
+
+    def test_unbounded_and_positive_budgets_accepted(self, tmp_path):
+        for name, build in self.BACKENDS.items():
+            assert build(tmp_path / name / "none", None).max_bytes is None
+            assert build(tmp_path / name / "one", 1).max_bytes == 1
+
+
 class TestMergeDeltaProperties:
     """The algebra the fleet-wide delta sync relies on."""
 
     def _snapshot(self, cache):
-        return (dict(cache._latencies), dict(cache._pulses))
+        snapshot = cache.snapshot_delta()
+        return (snapshot.latencies, snapshot.pulses)
 
     def test_merging_same_delta_twice_changes_nothing(self):
         cache = PulseCache()
@@ -243,8 +280,10 @@ class TestMergeDeltaProperties:
         forward.merge_delta(delta_b)
         backward.merge_delta(delta_b)
         backward.merge_delta(delta_a)
-        assert dict(forward._latencies) == dict(backward._latencies)
-        assert set(forward._pulses) == set(backward._pulses)
+        forward_snapshot = forward.snapshot_delta()
+        backward_snapshot = backward.snapshot_delta()
+        assert forward_snapshot.latencies == backward_snapshot.latencies
+        assert set(forward_snapshot.pulses) == set(backward_snapshot.pulses)
         assert forward.latency_count == 3
 
     def test_new_entry_counts_sum_to_distinct_keys(self):

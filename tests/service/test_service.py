@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import shutil
-import threading
 import time
 
 import pytest
@@ -30,7 +29,6 @@ from repro.service.protocol import (
     REJECT_QUARANTINED,
     REJECT_QUEUE_FULL,
     SERVICE_FORMAT,
-    send_message,
 )
 from repro.service.server import RESULT_CACHE_DIR
 from repro.testing.generators import random_circuit
@@ -555,31 +553,3 @@ class TestCoalescing:
                     with pytest.raises(ServiceError, match="failed"):
                         client.wait(job_id, timeout=120)
                 assert client.stats()["failed"] == 2
-
-
-class TestCounters:
-    def test_threaded_dispatch_loses_no_op_counts(self, service):
-        threads, pings = 8, 400
-
-        def hammer():
-            with ServiceClient(service.url) as client:
-                for _ in range(pings):
-                    client.ping()
-
-        pool = [threading.Thread(target=hammer) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-        assert service.op_counts["ping"] == threads * pings
-
-    def test_dispatch_exception_counts_as_error(self, service):
-        import socket
-
-        from repro.control.cache.protocol import recv_message
-
-        with socket.create_connection(service.address) as sock:
-            send_message(sock, {"op": "submit", "job": "not-a-dict"})
-            response = recv_message(sock)
-        assert response["ok"] is False
-        assert service.errors == 1
