@@ -9,33 +9,38 @@ SWAP and diagonal-block structures appear in every job.
 
 :class:`BatchCompiler` exploits that.  It owns one shared
 :class:`~repro.control.cache.PulseCache` (optionally a disk-persistent
-one) and fans jobs across ``concurrent.futures`` workers.  Each worker
-compiles through a :class:`~repro.control.cache.CacheSession` — a private
-read-through view of the shared store — so workers never contend on the
-store lock for writes; when a job finishes, its delta of newly computed
-latencies/pulses is merged back into the store, and later jobs see it.
+one).  Every unit of work — a job, a pre-warm planner dry-run, a
+pre-warm synthesis — takes one path: a fresh
+:class:`~repro.control.cache.CacheSession` (a private read-through view
+of the shared store, so workers never contend on the store lock for
+writes), a unit built from the engine's one set of settings, the work,
+and a merge of the session's delta of newly computed latencies/pulses
+into the store, even when the work raises.  A job opens its session
+when it starts, so it sees every delta merged before then.
 
-Two executors share that contract:
+Both executors fan units out with ``Executor.map``: outcomes come back
+in input order, and a failed unit surfaces once the units before it
+finish, after which units not yet started never run.
 
 * ``executor="thread"`` (default) — worker threads over the shared
-  in-memory store.  Cheap to start, full cache sharing, but the pure-
-  Python pass pipeline serializes on the GIL.
-* ``executor="process"`` — worker *processes*.  Each job ships to a
-  worker as a :mod:`repro.ir` wire payload (circuit, device, configs —
-  nothing process-local crosses the boundary), compiles there against a
-  worker-resident cache, and returns a serialized result plus the
-  :class:`~repro.control.cache.CacheDelta` of newly computed entries,
+  in-memory store, inline when one worker suffices.  Cheap to start,
+  full cache sharing, but the pure-Python pass pipeline serializes on
+  the GIL.
+* ``executor="process"`` — worker *processes*, each seeded at pool
+  start with a snapshot of the shared store and a twin engine rebuilt
+  from this engine's settings.  Jobs ship as :mod:`repro.ir` envelopes
+  (pre-warm problems as serialized nodes; nothing process-local crosses
+  the boundary), run through the twin's same session path, and return
+  serialized results plus their :class:`~repro.control.cache.CacheDelta`,
   which the parent merges into the shared store.  This sidesteps the
-  GIL entirely — the speedup on many-core machines is what
+  GIL — the speedup on many-core machines is what
   ``benchmarks/bench_batch.py`` records — at the cost of per-job
   serialization and no *cross-worker* cache sharing during one batch
-  (each worker is seeded with a snapshot of the shared store at pool
-  start and then warms up over its own job stream; the merged store
-  carries everything forward to the next batch).  Jobs carrying
-  in-memory pass objects (``BatchJob.passes``) or engines with
-  ``pass_callbacks`` cannot cross a process boundary and are rejected
-  with a :class:`~repro.errors.ConfigError`; strategies ship by
-  registered key.
+  (the merged store carries everything forward to the next batch).
+  Jobs carrying in-memory pass objects (``BatchJob.passes``) or engines
+  with ``pass_callbacks`` cannot cross a process boundary and are
+  rejected with a :class:`~repro.errors.ConfigError`; strategies ship
+  by registered key.
 
 Results are returned in job order and are bit-identical to serial
 :func:`compile_circuit` calls: the latency model and GRAPE are
@@ -48,16 +53,12 @@ parity on the canonical wire form).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.circuit.circuit import Circuit
 from repro.compiler.manager import PassCallback
@@ -72,6 +73,7 @@ from repro.config import (
     DeviceConfig,
 )
 from repro.control.cache import (
+    CacheDelta,
     CacheSession,
     DiskPulseCache,
     PulseCache,
@@ -90,7 +92,9 @@ from repro.device.presets import device_by_key
 from repro.device.topology import Topology
 from repro.errors import ConfigError, JobCancelledError, SerializationError
 
-_COUNTER_KEYS = (
+#: The optimal-control counters every unit of work reports, summed into
+#: ``BatchReport.cache_info`` and :attr:`BatchCompiler.lifetime_info`.
+COUNTER_KEYS = (
     "cache_hits",
     "grape_calls",
     "grape_fallbacks",
@@ -349,7 +353,7 @@ class BatchCompiler:
         #: several sweeps over one engine read their optimal-control
         #: bill here.
         self.lifetime_info: dict[str, float] = dict.fromkeys(
-            _COUNTER_KEYS + ("prewarm_synthesized",), 0
+            COUNTER_KEYS + ("prewarm_synthesized",), 0
         )
 
     @classmethod
@@ -385,31 +389,34 @@ class BatchCompiler:
 
     # ------------------------------------------------------------------
 
+    def _unit_settings(self) -> dict:
+        """The optimal-control unit keywords every unit this engine
+        builds shares: everything but the target and the cache."""
+        return {
+            "compiler": self.compiler_config,
+            "backend": self.backend,
+            "grape_qubit_limit": self.grape_qubit_limit,
+            "grape_dt": self.grape_dt,
+            "seed": self.seed,
+            "grape_kernel": self.grape_kernel,
+            "grape_warm_start": self.grape_warm_start,
+            "grape_plateau_iterations": self.grape_plateau_iterations,
+        }
+
     def make_ocu(
         self,
         cache: PulseCache | CacheSession | None = None,
         device: Device | DeviceConfig | None = None,
-        backend: str | None = None,
     ) -> OptimalControlUnit:
         """A fresh OCU bound to the shared store (or a session view).
 
-        ``device`` overrides the engine's default target — the batch
-        loop builds each job's OCU against the job's own device so
-        per-edge limits and cache fingerprints match that machine.
-        ``backend`` overrides the engine's pulse backend (the pre-warm
-        planner dry-runs jobs against the analytic model).
+        ``device`` overrides the engine's default target, so per-edge
+        limits and cache fingerprints match that machine.
         """
         return OptimalControlUnit(
             device=device if device is not None else self.device,
-            compiler=self.compiler_config,
-            backend=backend if backend is not None else self.backend,
-            grape_qubit_limit=self.grape_qubit_limit,
-            grape_dt=self.grape_dt,
-            seed=self.seed,
             cache=cache if cache is not None else self.cache,
-            grape_kernel=self.grape_kernel,
-            grape_warm_start=self.grape_warm_start,
-            grape_plateau_iterations=self.grape_plateau_iterations,
+            **self._unit_settings(),
         )
 
     def compile(
@@ -420,7 +427,7 @@ class BatchCompiler:
         topology: Topology | None = None,
         device: Device | str | None = None,
     ) -> CompilationResult:
-        """Compile one circuit through the shared cache (no workers)."""
+        """Compile one circuit now: :meth:`run_job`'s result for it."""
         job = BatchJob(
             circuit=circuit,
             strategy=strategy,
@@ -428,17 +435,7 @@ class BatchCompiler:
             topology=topology,
             device=device,
         )
-        key = self._cache_key(job)
-        if key is not None:
-            cached = self.result_cache.get(key)
-            if cached is not None:
-                return cached
-        result = self._compile_job(
-            job, self.make_ocu(device=self._job_target(job))
-        )
-        if key is not None:
-            self.result_cache.put(key, result)
-        return result
+        return self.run_job(job)[0]
 
     def _result_engine(self, job: BatchJob) -> str:
         """The engine-component string for one job's compilation target.
@@ -464,23 +461,16 @@ class BatchCompiler:
         (default device, compiler config, backend, OCU fingerprint), so
         a differently configured engine never shares an identity.  The
         compile service keys its jobs, breaker and coalescing on it.
-        None when the job's envelope cannot serialize (explicit
-        ``passes=`` lists, unregistered strategies) — such jobs never
-        cache.
+        None when the job's envelope or its compilation target cannot
+        serialize (explicit ``passes=`` lists, unregistered strategies,
+        custom topology subclasses) — such jobs never cache.
         """
         from repro.ir.serialize import batch_job_to_dict
 
         try:
-            envelope = batch_job_to_dict(job)
+            return result_key(batch_job_to_dict(job), self._result_engine(job))
         except SerializationError:
             return None
-        return result_key(envelope, self._result_engine(job))
-
-    def _cache_key(self, job: BatchJob) -> str | None:
-        """:meth:`result_key`, or None when no result cache is attached."""
-        if self.result_cache is None:
-            return None
-        return self.result_key(job)
 
     def compile_batch(self, jobs: Iterable) -> BatchReport:
         """Compile every job, fanning across workers; results in order.
@@ -491,23 +481,9 @@ class BatchCompiler:
                 width_limit)`` tuples.
         """
         jobs = [_as_job(job) for job in jobs]
-        if not jobs:
-            return BatchReport(
-                results=[],
-                seconds=[],
-                wall_seconds=0.0,
-                workers=0,
-                cache_info=self._store_info(dict.fromkeys(_COUNTER_KEYS, 0)),
-                executor=self.executor,
-                result_cache=self._fresh_result_stats(),
-            )
-        workers = self.max_workers
-        if workers is None:
-            workers = min(len(jobs), os.cpu_count() or 1)
-        workers = max(1, min(workers, len(jobs)))
-
+        workers = self._worker_count(len(jobs))
         started = time.perf_counter()
-        counters = {key: 0 for key in _COUNTER_KEYS}
+        counters = dict.fromkeys(COUNTER_KEYS, 0)
         results: list[CompilationResult | None] = [None] * len(jobs)
         seconds = [0.0] * len(jobs)
         # Triage against the result cache: serve repeats, collapse
@@ -540,27 +516,14 @@ class BatchCompiler:
                 result_keys[index] = key
                 pending.append((index, job))
             result_stats["compiled"] = len(pending)
+        to_compile = [job for _, job in pending]
         prewarm_stats = None
-        if pending and self.prewarm_active():
-            prewarm_stats = self._prewarm_batch(
-                [job for _, job in pending], workers, counters
-            )
-        if not pending:
-            pass
-        elif self.executor == "process":
-            # Even a single worker goes through the pool: the point of
-            # the mode is the serialized-job path, and silently running
-            # inline would hide wire-format regressions.
-            self._run_parallel_processes(
-                pending, workers, counters, results, seconds
-            )
-        elif workers == 1:
-            for index, job in pending:
-                results[index], seconds[index], used = self._run_job(job)
-                for key in _COUNTER_KEYS:
-                    counters[key] += used[key]
-        else:
-            self._run_parallel(pending, workers, counters, results, seconds)
+        if to_compile and self.prewarm_active():
+            prewarm_stats = self._prewarm_batch(to_compile, workers, counters)
+        outcomes = self._map_jobs(to_compile, workers)
+        for (index, _), (result, elapsed, used) in zip(pending, outcomes):
+            results[index], seconds[index] = result, elapsed
+            _add_counters(counters, used)
         if self.result_cache is not None:
             for index, key in result_keys.items():
                 if results[index] is not None:
@@ -579,8 +542,7 @@ class BatchCompiler:
                         result_to_dict(results[primary], include_source=True)
                     )
                     seconds[index] = 0.0
-        for key in _COUNTER_KEYS:
-            self.lifetime_info[key] += counters[key]
+        _add_counters(self.lifetime_info, counters)
         if prewarm_stats is not None:
             self.lifetime_info["prewarm_synthesized"] += prewarm_stats[
                 "synthesized"
@@ -664,21 +626,48 @@ class BatchCompiler:
             verify_ir=self.verify_ir if verify_ir is None else verify_ir,
         )
 
+    def _in_session(
+        self,
+        target: Device | DeviceConfig,
+        work: Callable[[OptimalControlUnit], object],
+        unit: Callable[..., OptimalControlUnit] = OptimalControlUnit,
+    ) -> tuple[object, CacheDelta, dict]:
+        """Run ``work(unit)`` over a fresh session of the shared store.
+
+        The one path every unit of work takes — jobs, planner dry-runs
+        and pre-warm syntheses, here and on a process worker's twin
+        engine alike.  ``unit`` (the OCU class, or a factory taking its
+        keywords) is built for ``target`` from :meth:`_unit_settings`
+        over the session.  The session delta is merged into the shared
+        store even when ``work`` raises — optimal-control work already
+        finished stays warm, so a retry (or the next job sharing blocks
+        with this one) never re-synthesizes it.
+
+        Returns:
+            ``(value, delta, counters)`` — what ``work`` returned, the
+            session's delta, and the unit's :data:`COUNTER_KEYS`.
+        """
+        session = CacheSession(self.cache)
+        ocu = unit(device=target, cache=session, **self._unit_settings())
+        try:
+            value = work(ocu)
+        finally:
+            self.cache.merge_delta(session.delta)
+        used = {key: getattr(ocu, key) for key in COUNTER_KEYS}
+        return value, session.delta, used
+
     def _run_job(
         self,
         job: BatchJob,
         cancel: Callable[[], str | None] | None = None,
         extra_callbacks: Sequence[PassCallback] = (),
     ) -> tuple[CompilationResult, float, dict[str, int]]:
-        """Compile one job through a session view and merge its delta.
+        """Compile one job in a session; ``(result, seconds, counters)``.
 
         ``cancel`` is an optional cooperative probe polled at every pass
         boundary; returning a non-empty string aborts the job with a
-        :class:`~repro.errors.JobCancelledError` carrying that reason.
-        The session delta is merged into the shared store even when the
-        job fails or is cancelled mid-pipeline — optimal-control work
-        already finished stays warm, so a retry (or the next job sharing
-        blocks with this one) never re-synthesizes it.
+        :class:`~repro.errors.JobCancelledError` carrying that reason
+        (the session delta still merges).
         """
         callbacks = list(extra_callbacks)
         if cancel is not None:
@@ -692,13 +681,10 @@ class BatchCompiler:
 
             callbacks.append(_abort_if_cancelled)
         job_started = time.perf_counter()
-        session = CacheSession(self.cache)
-        ocu = self.make_ocu(cache=session, device=self._job_target(job))
-        try:
-            result = self._compile_job(job, ocu, extra_callbacks=callbacks)
-        finally:
-            self.cache.merge_delta(session.delta)
-        used = {key: getattr(ocu, key) for key in _COUNTER_KEYS}
+        result, _, used = self._in_session(
+            self._job_target(job),
+            lambda unit: self._compile_job(job, unit, extra_callbacks=callbacks),
+        )
         return result, time.perf_counter() - job_started, used
 
     def run_job(
@@ -709,11 +695,10 @@ class BatchCompiler:
     ) -> tuple[CompilationResult, float, dict[str, int]]:
         """Compile one job now, on the calling thread; the service entry.
 
-        Accepts anything :meth:`compile_batch` accepts as a job.  Unlike
-        the internal batch path this also folds the job's counters into
-        :attr:`lifetime_info`, so a long-running front door (the compile
-        service) reads its cumulative optimal-control bill the same way
-        sweep drivers do.
+        Accepts anything :meth:`compile_batch` accepts as a job, and
+        like it folds the job's counters into :attr:`lifetime_info`, so
+        a long-running front door (the compile service) reads its
+        cumulative optimal-control bill the same way sweep drivers do.
 
         Returns:
             ``(result, seconds, counters)`` — the compiled result, its
@@ -722,7 +707,7 @@ class BatchCompiler:
             pass ran, no model was evaluated).
         """
         job = _as_job(job)
-        cache_key = self._cache_key(job)
+        cache_key = None if self.result_cache is None else self.result_key(job)
         if cache_key is not None:
             lookup_started = time.perf_counter()
             cached = self.result_cache.get(cache_key)
@@ -730,47 +715,79 @@ class BatchCompiler:
                 return (
                     cached,
                     time.perf_counter() - lookup_started,
-                    dict.fromkeys(_COUNTER_KEYS, 0),
+                    dict.fromkeys(COUNTER_KEYS, 0),
                 )
         result, seconds, used = self._run_job(
             job, cancel=cancel, extra_callbacks=extra_callbacks
         )
         if cache_key is not None:
             self.result_cache.put(cache_key, result)
-        for key in _COUNTER_KEYS:
-            self.lifetime_info[key] += used[key]
+        _add_counters(self.lifetime_info, used)
         return result, seconds, used
 
-    def _run_parallel(
-        self, pending, workers, counters, results, seconds
-    ) -> None:
-        """Submit at most ``workers`` jobs at a time.
+    def _worker_count(self, units: int) -> int:
+        """Workers for ``units`` units of work: ``max_workers``, else one
+        per CPU, never more than the units."""
+        workers = self.max_workers
+        if workers is None:
+            workers = os.cpu_count() or 1
+        return min(workers, units)
 
-        ``pending`` is the batch's to-compile worklist as ``(index,
-        job)`` pairs — indexes into the full results array, so cache
-        triage can skip served jobs without renumbering.  A bounded
-        submission window (rather than submitting everything up front)
-        means a job launched late in the batch sees every earlier job's
-        merged cache delta, maximizing reuse.
+    def _map_jobs(self, jobs: list[BatchJob], workers: int) -> list[tuple]:
+        """``(result, seconds, counters)`` per job, in job order."""
+        if self.executor == "thread":
+            return _thread_map(self._run_job, jobs, workers)
+        from repro.ir.serialize import batch_job_to_dict, result_from_dict
+
+        # Jobs ship as their repro-ir-v1 envelope, the compile service's
+        # submission unit: strategies travel by registered key (under a
+        # ``fork`` start method custom registrations are inherited, under
+        # ``spawn`` only importable ones survive), and in-memory pass
+        # objects cannot travel at all.
+        try:
+            envelopes = [batch_job_to_dict(job) for job in jobs]
+        except SerializationError as error:
+            raise ConfigError(
+                f"{error} (so it cannot cross a process boundary either: "
+                f"use executor='thread')"
+            ) from None
+        return [
+            (result_from_dict(payload), elapsed, used)
+            for (payload, elapsed), used in self._process_map(
+                _compile_in_worker, envelopes, workers
+            )
+        ]
+
+    def _process_map(
+        self, function: Callable, items: list, workers: int
+    ) -> list[tuple]:
+        """``(value, counters)`` per item, in order, from worker processes
+        seeded by :func:`_seed_worker`.
+
+        ``function`` returns ``(value, delta_payload, counters)``; each
+        delta merges into the shared store as its outcome arrives.  Even
+        one item goes through the pool: the point of the mode is the
+        serialized path, and running inline would hide wire-format
+        regressions.
         """
-        pending_jobs = iter(pending)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            active = {}
-            for index, job in pending_jobs:
-                active[pool.submit(self._run_job, job)] = index
-                if len(active) >= workers:
-                    break
-            while active:
-                done, _ = wait(active, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = active.pop(future)
-                    results[index], seconds[index], used = future.result()
-                    for key in _COUNTER_KEYS:
-                        counters[key] += used[key]
-                for index, job in pending_jobs:
-                    active[pool.submit(self._run_job, job)] = index
-                    if len(active) >= workers:
-                        break
+        if not items:
+            return []
+        from repro.ir.serialize import (
+            cache_delta_from_dict,
+            cache_delta_to_dict,
+        )
+
+        snapshot = cache_delta_to_dict(self.cache.snapshot_delta())
+        outcomes = []
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(items)),
+            initializer=_seed_worker,
+            initargs=(self._config_payload(), snapshot),
+        ) as pool:
+            for value, delta, used in pool.map(function, items):
+                self.cache.merge_delta(cache_delta_from_dict(delta))
+                outcomes.append((value, used))
+        return outcomes
 
     # -- pre-warm planner ----------------------------------------------
 
@@ -804,53 +821,27 @@ class BatchCompiler:
             that needs them, so ``demand / len(worklist)`` is the
             batch's dedup ratio.
         """
-        worklist: dict[tuple, tuple] = {}
-        demand = 0
 
-        def dry_run(indexed) -> dict:
-            index, job = indexed
+        def dry_run(job: BatchJob) -> dict:
             recorded: dict[tuple, tuple] = {}
-            session = CacheSession(self.cache)
-            unit = _PlanningUnit(
-                recorded,
-                device=self._job_target(job),
-                compiler=self.compiler_config,
-                grape_qubit_limit=self.grape_qubit_limit,
-                grape_dt=self.grape_dt,
-                seed=self.seed,
-                cache=session,
-                grape_kernel=self.grape_kernel,
-                grape_warm_start=self.grape_warm_start,
-                grape_plateau_iterations=self.grape_plateau_iterations,
-            )
             # Result discarded: only the recorded worklist and the
             # model-latency cache entries matter.  IR verification (if
             # configured) runs on the real compilation, not twice.
-            self._compile_job(job, unit, verify_ir=False)
-            self.cache.merge_delta(session.delta)
-            return {
-                key: (node, positional, index)
-                for key, (node, positional) in recorded.items()
-            }
+            self._in_session(
+                self._job_target(job),
+                lambda unit: self._compile_job(job, unit, verify_ir=False),
+                unit=functools.partial(_PlanningUnit, recorded),
+            )
+            return recorded
 
-        indexed_jobs = list(enumerate(jobs))
-        pool_size = min(len(indexed_jobs), self._worker_count(len(indexed_jobs)))
-        if pool_size <= 1:
-            per_job = [dry_run(item) for item in indexed_jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                per_job = list(pool.map(dry_run, indexed_jobs))
-        for recorded in per_job:
+        worklist: dict[tuple, tuple] = {}
+        demand = 0
+        per_job = _thread_map(dry_run, jobs, self._worker_count(len(jobs)))
+        for index, recorded in enumerate(per_job):
             demand += len(recorded)
-            for key, value in recorded.items():
-                worklist.setdefault(key, value)
+            for key, (node, positional) in recorded.items():
+                worklist.setdefault(key, (node, positional, index))
         return worklist, demand
-
-    def _worker_count(self, jobs: int) -> int:
-        workers = self.max_workers
-        if workers is None:
-            workers = min(jobs, os.cpu_count() or 1)
-        return max(1, min(workers, jobs))
 
     def _prewarm_batch(self, jobs, workers, counters) -> dict:
         """Run the planner, then solve each distinct problem exactly once.
@@ -865,14 +856,41 @@ class BatchCompiler:
         worklist, demand = self.plan_prewarm(jobs)
         plan_seconds = time.perf_counter() - plan_started
         synthesis_started = time.perf_counter()
+        problems = [
+            (node, positional, self._job_target(jobs[index]))
+            for node, positional, index in worklist.values()
+        ]
         if self.executor == "process":
-            synthesized = self._prewarm_synthesize_processes(
-                jobs, worklist, workers, counters
-            )
+            from repro.ir.serialize import node_to_dict
+
+            payloads = [
+                {
+                    "node": node_to_dict(node),
+                    "positional": positional,
+                    "device": target_payload(target),
+                }
+                for node, positional, target in problems
+            ]
+            per_problem = [
+                used
+                for _, used in self._process_map(
+                    _synthesize_in_worker, payloads, workers
+                )
+            ]
         else:
-            synthesized = self._prewarm_synthesize_threads(
-                jobs, worklist, workers, counters
-            )
+            per_problem = [
+                used
+                for _, _, used in _thread_map(
+                    self._synthesize, problems, workers
+                )
+            ]
+        # A problem already cached solves nothing; grape-backed syntheses
+        # also burn one model eval for the search estimate.
+        solved = "grape_calls" if self.backend == "grape" else "model_evals"
+        synthesized = 0
+        for used in per_problem:
+            synthesized += used[solved]
+            _add_counters(counters, used)
         return {
             "signatures": len(worklist),
             "demand": demand,
@@ -882,152 +900,25 @@ class BatchCompiler:
             "synthesis_seconds": time.perf_counter() - synthesis_started,
         }
 
-    def _prewarm_synthesize_threads(self, jobs, worklist, workers, counters):
-        def synthesize(entry) -> dict:
-            node, positional, job_index = entry
-            session = CacheSession(self.cache)
-            unit = self.make_ocu(
-                cache=session, device=self._job_target(jobs[job_index])
-            )
-            unit.latency(node, positional)
-            self.cache.merge_delta(session.delta)
-            return {key: getattr(unit, key) for key in _COUNTER_KEYS}
-
-        entries = list(worklist.values())
-        if not entries:
-            return 0
-        pool_size = min(workers, len(entries))
-        if pool_size <= 1:
-            infos = [synthesize(entry) for entry in entries]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                infos = list(pool.map(synthesize, entries))
-        synthesized = 0
-        for used in infos:
-            synthesized += self._synthesized_of(used)
-            for key in _COUNTER_KEYS:
-                counters[key] += used[key]
-        return synthesized
-
-    def _synthesized_of(self, used: dict) -> int:
-        """How many problems one synthesis call actually solved (0 when
-        the entry was already cached).  Grape-backed syntheses also burn
-        one model eval for the search estimate, so count by backend."""
-        if self.backend == "grape":
-            return used["grape_calls"]
-        return used["model_evals"]
-
-    def _prewarm_synthesize_processes(self, jobs, worklist, workers, counters):
-        from repro.ir.serialize import cache_delta_from_dict, node_to_dict
-
-        entries = []
-        for node, positional, job_index in worklist.values():
-            payload = {"node": node_to_dict(node), "positional": positional}
-            target = self._job_target(jobs[job_index])
-            if target is not self.device:
-                payload["device"] = target_payload(target)
-            entries.append(payload)
-        if not entries:
-            return 0
-        config = self._config_payload()
-        synthesized = 0
-        with self._seeded_pool(min(workers, len(entries))) as pool:
-            futures = [
-                pool.submit(_prewarm_item_payload, config, entry)
-                for entry in entries
-            ]
-            for future in futures:
-                delta_payload, used = future.result()
-                self.cache.merge_delta(cache_delta_from_dict(delta_payload))
-                synthesized += self._synthesized_of(used)
-                for key in _COUNTER_KEYS:
-                    counters[key] += used[key]
-        return synthesized
-
-    # -- process executor ----------------------------------------------
-
-    def _seeded_pool(self, workers: int) -> ProcessPoolExecutor:
-        """Worker processes, each seeded once with a snapshot of the store."""
-        from repro.ir.serialize import cache_delta_to_dict
-
-        snapshot = cache_delta_to_dict(self.cache.snapshot_delta())
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_seed_worker_store, initargs=(snapshot,)
+    def _synthesize(self, problem: tuple) -> tuple:
+        """Price one pre-warm problem ``(node, positional, target)``
+        through the engine's backend; :meth:`_in_session`'s triple."""
+        node, positional, target = problem
+        return self._in_session(
+            target, lambda unit: unit.latency(node, positional)
         )
 
     def _config_payload(self) -> dict:
-        """Engine-level settings as one :mod:`repro.ir` wire payload."""
+        """Engine settings as one :mod:`repro.ir` wire payload: the
+        :class:`BatchCompiler` keywords a worker's twin engine is built
+        from (see :func:`_seed_worker`)."""
         from repro.ir.serialize import compiler_config_to_dict
 
-        return {
-            "device": target_payload(self.device),
-            "compiler": compiler_config_to_dict(self.compiler_config),
-            "backend": self.backend,
-            "grape_qubit_limit": self.grape_qubit_limit,
-            "grape_dt": self.grape_dt,
-            "seed": self.seed,
-            "verify_ir": self.verify_ir,
-            "grape_kernel": self.grape_kernel,
-            "grape_warm_start": self.grape_warm_start,
-            "grape_plateau_iterations": self.grape_plateau_iterations,
-        }
-
-    def _run_parallel_processes(
-        self, pending, workers, counters, results, seconds
-    ) -> None:
-        """Fan serialized jobs across worker processes.
-
-        ``pending`` carries ``(index, job)`` pairs exactly like
-        :meth:`_run_parallel`.  All jobs are submitted up front (unlike
-        the thread path's bounded
-        window: workers hold process-local caches, so delaying submission
-        would not improve reuse).  Each worker is seeded once, at pool
-        start, with a serialized snapshot of the shared store — a warm
-        (e.g. disk-loaded) cache therefore skips optimal-control work in
-        process mode too.  Each completed future contributes its
-        serialized result and its cache delta; the delta merges into the
-        shared store so subsequent batches — process or thread — start
-        warm.  (Within one batch, workers do not see each other's
-        deltas; each warms up over its own job stream.)
-        """
-        from repro.ir.serialize import (
-            batch_job_to_dict,
-            cache_delta_from_dict,
-            result_from_dict,
-        )
-
-        config = self._config_payload()
-        # Jobs ship as their repro-ir-v1 envelope, the compile service's
-        # submission unit: strategies travel by registered key (under a
-        # ``fork`` start method custom registrations are inherited, under
-        # ``spawn`` only importable ones survive), and in-memory pass
-        # objects cannot travel at all.
-        try:
-            payloads = [(index, batch_job_to_dict(job)) for index, job in pending]
-        except SerializationError as error:
-            raise ConfigError(
-                f"{error} (so it cannot cross a process boundary either: "
-                f"use executor='thread')"
-            ) from None
-        with self._seeded_pool(workers) as pool:
-            active = {
-                pool.submit(_compile_job_payload, config, payload): index
-                for index, payload in payloads
-            }
-            while active:
-                done, _ = wait(active, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = active.pop(future)
-                    result_payload, delta_payload, elapsed, used = (
-                        future.result()
-                    )
-                    results[index] = result_from_dict(result_payload)
-                    seconds[index] = elapsed
-                    self.cache.merge_delta(
-                        cache_delta_from_dict(delta_payload)
-                    )
-                    for key in _COUNTER_KEYS:
-                        counters[key] += used[key]
+        settings = self._unit_settings()
+        settings["compiler"] = compiler_config_to_dict(settings["compiler"])
+        settings["device"] = target_payload(self.device)
+        settings["verify_ir"] = self.verify_ir
+        return settings
 
     def _store_info(self, counters) -> dict:
         info = dict(counters)
@@ -1062,17 +953,32 @@ class BatchCompiler:
         return self.cache.save()
 
 
-#: Process-local cache each worker accumulates across its job stream.
-#: One store per worker process is safe for mixed configurations because
-#: every cache key carries its configuration fingerprint.
-_WORKER_STORE: PulseCache | None = None
+def _add_counters(total: dict, used: dict) -> None:
+    """Fold one unit of work's :data:`COUNTER_KEYS` into ``total``."""
+    for key in COUNTER_KEYS:
+        total[key] += used[key]
 
 
-def _worker_store() -> PulseCache:
-    global _WORKER_STORE
-    if _WORKER_STORE is None:
-        _WORKER_STORE = PulseCache()
-    return _WORKER_STORE
+def _thread_map(function: Callable, items: list, workers: int) -> list:
+    """``function`` over ``items`` on up to ``workers`` threads, in order.
+
+    Runs inline when one worker suffices.  When an item raises, the error
+    surfaces once the items before it have finished, and ``Executor.map``
+    cancels every item not yet started.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [function(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(function, items))
+
+
+#: This worker process's twin engine: rebuilt once, at pool start, from
+#: the parent's settings payload, over a worker-local store that warms
+#: up across the worker's stream of items.  One store per worker is safe
+#: for mixed targets because every cache key carries its configuration
+#: fingerprint.
+_TWIN: BatchCompiler | None = None
 
 
 def _target_from_payload(payload: dict) -> Device | DeviceConfig:
@@ -1084,64 +990,66 @@ def _target_from_payload(payload: dict) -> Device | DeviceConfig:
     return device_config_from_dict(payload)
 
 
-def _seed_worker_store(snapshot_payload: dict) -> None:
-    """Pool initializer: warm this worker's store from the parent's.
+def _seed_worker(config: dict, snapshot_payload: dict) -> None:
+    """Pool initializer: build this worker's twin engine and warm its store.
 
-    Runs once per worker process.  The snapshot is the parent's shared
-    store serialized as one cache delta, so a warm (disk-loaded) cache
-    reaches process workers instead of every worker starting cold.
+    Runs once per worker process.  ``config`` is the parent's
+    :meth:`BatchCompiler._config_payload`; the snapshot is the parent's
+    shared store serialized as one cache delta, so a warm (disk-loaded)
+    cache reaches process workers instead of every worker starting cold.
     """
-    from repro.ir.serialize import cache_delta_from_dict
+    from repro.ir.serialize import cache_delta_from_dict, compiler_config_from_dict
 
-    _worker_store().merge_delta(cache_delta_from_dict(snapshot_payload))
+    global _TWIN
+    settings = dict(config)
+    _TWIN = BatchCompiler(
+        device=_target_from_payload(settings.pop("device")),
+        compiler_config=compiler_config_from_dict(settings.pop("compiler")),
+        **settings,
+    )
+    _TWIN.cache.merge_delta(cache_delta_from_dict(snapshot_payload))
 
 
-def _compile_job_payload(config: dict, job_payload: dict) -> tuple:
-    """Worker-process entry: compile one serialized job.
+def _compile_in_worker(envelope: dict) -> tuple:
+    """Worker-process entry: compile one job envelope on the twin engine.
 
-    Runs in a ``ProcessPoolExecutor`` worker.  Rebuilds the job and the
-    engine configuration from their wire payloads, compiles through a
-    session over the worker-local store, and returns
-    ``(result_payload, delta_payload, seconds, counters)`` — all wire
-    payloads again, so nothing process-local leaks back to the parent.
+    Returns ``((result_payload, seconds), delta_payload, counters)`` —
+    wire payloads again, so nothing process-local leaks back.
     """
     from repro.ir.serialize import (
         batch_job_from_dict,
         cache_delta_to_dict,
-        compiler_config_from_dict,
         result_to_dict,
     )
 
     started = time.perf_counter()
-    engine = BatchCompiler(
-        device=_target_from_payload(config["device"]),
-        compiler_config=compiler_config_from_dict(config["compiler"]),
-        cache=_worker_store(),
-        backend=config["backend"],
-        max_workers=1,
-        grape_qubit_limit=config["grape_qubit_limit"],
-        grape_dt=config["grape_dt"],
-        seed=config["seed"],
-        verify_ir=config["verify_ir"],
-        grape_kernel=config["grape_kernel"],
-        grape_warm_start=config["grape_warm_start"],
-        grape_plateau_iterations=config["grape_plateau_iterations"],
-        # Pre-warming happened (if at all) in the parent before this
-        # worker's seed snapshot was taken; never re-plan per job.
-        prewarm=False,
+    job = batch_job_from_dict(envelope)
+    result, delta, used = _TWIN._in_session(
+        _TWIN._job_target(job), lambda unit: _TWIN._compile_job(job, unit)
     )
-    job = batch_job_from_dict(job_payload)
-    session = CacheSession(engine.cache)
-    ocu = engine.make_ocu(cache=session, device=engine._job_target(job))
-    result = engine._compile_job(job, ocu)
-    engine.cache.merge_delta(session.delta)
-    used = {key: getattr(ocu, key) for key in _COUNTER_KEYS}
+    payload = result_to_dict(result)
     return (
-        result_to_dict(result),
-        cache_delta_to_dict(session.delta),
-        time.perf_counter() - started,
+        (payload, time.perf_counter() - started),
+        cache_delta_to_dict(delta),
         used,
     )
+
+
+def _synthesize_in_worker(problem: dict) -> tuple:
+    """Worker-process entry: solve one serialized pre-warm problem on the
+    twin engine; returns ``(None, delta_payload, counters)`` so the parent
+    merges the synthesized entries *before* the job pool (whose seed
+    snapshot must include them) starts."""
+    from repro.ir.serialize import cache_delta_to_dict, node_from_dict
+
+    _, delta, used = _TWIN._synthesize(
+        (
+            node_from_dict(problem["node"]),
+            problem["positional"],
+            _target_from_payload(problem["device"]),
+        )
+    )
+    return None, cache_delta_to_dict(delta), used
 
 
 class _PlanningUnit(OptimalControlUnit):
@@ -1166,42 +1074,6 @@ class _PlanningUnit(OptimalControlUnit):
             key = (self.fingerprint, self._node_signature(node, positional))
             self._recorded.setdefault(key, (node, positional))
         return super().latency(node, positional)
-
-
-def _prewarm_item_payload(config: dict, entry: dict) -> tuple:
-    """Worker-process entry: solve one serialized control problem.
-
-    The pre-warm analogue of :func:`_compile_job_payload`: rebuilds the
-    node and target from wire payloads, prices it through the engine's
-    real backend against a session over the worker-local store, and
-    returns ``(delta_payload, counters)`` so the parent can merge the
-    synthesized pulse/latency entries into the shared store *before*
-    the job pool (whose seed snapshot must include them) starts.
-    """
-    from repro.ir.serialize import (
-        cache_delta_to_dict,
-        compiler_config_from_dict,
-        node_from_dict,
-    )
-
-    store = _worker_store()
-    session = CacheSession(store)
-    unit = OptimalControlUnit(
-        device=_target_from_payload(entry.get("device", config["device"])),
-        compiler=compiler_config_from_dict(config["compiler"]),
-        backend=config["backend"],
-        grape_qubit_limit=config["grape_qubit_limit"],
-        grape_dt=config["grape_dt"],
-        seed=config["seed"],
-        cache=session,
-        grape_kernel=config["grape_kernel"],
-        grape_warm_start=config["grape_warm_start"],
-        grape_plateau_iterations=config["grape_plateau_iterations"],
-    )
-    unit.latency(node_from_dict(entry["node"]), entry["positional"])
-    store.merge_delta(session.delta)
-    used = {key: getattr(unit, key) for key in _COUNTER_KEYS}
-    return cache_delta_to_dict(session.delta), used
 
 
 def _as_job(job) -> BatchJob:

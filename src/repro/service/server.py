@@ -48,10 +48,20 @@ import os
 import threading
 import time
 
-from repro.compiler.batch import _COUNTER_KEYS, BatchCompiler
-from repro.compiler.result_cache import DiskResultCache, ResultCache
+from repro.compiler.batch import COUNTER_KEYS, BatchCompiler
+from repro.compiler.result_cache import (
+    DiskResultCache,
+    ResultCache,
+    target_payload,
+)
 from repro.control.cache.server import FramedServer
-from repro.errors import JobCancelledError, ReproError, ServiceError
+from repro.errors import (
+    ConfigError,
+    JobCancelledError,
+    ReproError,
+    SerializationError,
+    ServiceError,
+)
 from repro.service.breaker import (
     DEFAULT_BREAKER_COOLDOWN,
     DEFAULT_BREAKER_THRESHOLD,
@@ -157,7 +167,7 @@ class _JobRecord:
         self.state = "done"
         self.finished_at = time.time()
         self.seconds = 0.0
-        self.counters = dict.fromkeys(_COUNTER_KEYS, 0)
+        self.counters = dict.fromkeys(COUNTER_KEYS, 0)
 
     def journal_record(self) -> dict:
         return {
@@ -181,7 +191,9 @@ class CompileService(FramedServer):
     Args:
         engine: The resident :class:`BatchCompiler` (its cache is the
             service's warm cache, its result cache the store of finished
-            jobs).  A default engine when omitted.
+            jobs).  A default engine when omitted.  Its default device
+            must serialize (jobs are keyed under it), else
+            :class:`~repro.errors.ConfigError`.
         host / port: Bind address; port 0 picks a free port (read it
             back from :attr:`url`).
         queue_limit: Queued-job bound; submissions past it are rejected
@@ -219,6 +231,15 @@ class CompileService(FramedServer):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.engine = engine if engine is not None else BatchCompiler()
+        # A job's identity is its result key, which folds in the engine's
+        # default device: one that cannot serialize leaves jobs unkeyed.
+        try:
+            target_payload(self.engine.device)
+        except SerializationError as error:
+            raise ConfigError(
+                f"the compile service needs an engine whose default device "
+                f"serializes: {error}"
+            ) from None
         self.queue = BoundedJobQueue(limit=queue_limit)
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown=breaker_cooldown

@@ -1,0 +1,116 @@
+"""Tests for the batch engine's one path for a unit of work.
+
+Jobs, pre-warm planner dry-runs and pre-warm syntheses all run through
+one session helper, fanned out by one map per executor.  These tests pin
+what that path promises beyond the executor suites: the single-job entry
+bills and caches like a batch, a failed job stops the batch, process-mode
+pre-warm matches thread mode across pinned devices, and an engine whose
+default device cannot serialize compiles its jobs uncached.
+"""
+
+import threading
+
+import pytest
+
+from repro.benchmarks.ising import ising_model_circuit
+from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
+from repro.compiler.batch import BatchCompiler, BatchJob
+from repro.compiler.result_cache import ResultCache
+from repro.device.device import Device
+from repro.device.topology import LineTopology, Topology
+from repro.errors import ConfigError
+from repro.ir import canonical_result_dict
+from repro.service.server import CompileService
+
+
+def _canon(results):
+    return [canonical_result_dict(result) for result in results]
+
+
+class TestSingleJobPath:
+    def test_compile_is_billed_then_served_from_the_result_cache(self):
+        engine = BatchCompiler(result_cache=ResultCache())
+        circuit = maxcut_qaoa_circuit(line_graph(4), name="line4")
+        first = engine.compile(circuit, "cls+aggregation")
+        billed = engine.lifetime_info["model_evals"]
+        assert billed > 0
+        again = engine.compile(circuit, "cls+aggregation")
+        assert engine.lifetime_info["model_evals"] == billed
+        assert engine.result_cache.stats()["hits"] == 1
+        assert _canon([again]) == _canon([first])
+
+
+class TestFailedJob:
+    def test_jobs_queued_behind_a_failed_one_never_start(self):
+        started = set()
+        lock = threading.Lock()
+
+        def record(pass_, context, elapsed):
+            with lock:
+                started.add(context.circuit.name)
+
+        failing = BatchJob(circuit=ising_model_circuit(4, name="bad"), width_limit=0)
+        good = [
+            BatchJob(
+                circuit=ising_model_circuit(
+                    8, trotter_steps=2, field=0.1 * (k + 1), name=f"good{k}"
+                ),
+                strategy="aggregation",
+            )
+            for k in range(7)
+        ]
+        engine = BatchCompiler(max_workers=2, pass_callbacks=[record])
+        with pytest.raises(ConfigError, match="width_limit"):
+            engine.compile_batch([failing] + good)
+        # One worker may pick up a good job while the other fails, and
+        # the freed worker one more before the error reaches the caller;
+        # a pool that ran its whole queue would start all seven.
+        assert len(started) <= 3
+
+
+class TestProcessPrewarm:
+    def test_parity_with_threads_across_pinned_devices(self):
+        circuit = maxcut_qaoa_circuit(line_graph(4), name="line4")
+        weak = Device(topology=LineTopology(4), coupling_limits_ghz={(0, 1): 0.015})
+        jobs = [
+            BatchJob(circuit=circuit, strategy=strategy, device=device)
+            for device in ("ring-6", weak)
+            for strategy in ("aggregation", "cls+aggregation")
+        ]
+
+        def run(executor):
+            engine = BatchCompiler(
+                backend="model", prewarm=True, executor=executor, max_workers=2
+            )
+            return engine.compile_batch(jobs)
+
+        thread, process = run("thread"), run("process")
+        assert process.prewarm["signatures"] > 0
+        # The dry-run already cached every model latency.
+        assert process.prewarm["synthesized"] == 0
+        assert _canon(process) == _canon(thread)
+
+
+class Custom(Topology):
+    """A topology subclass the wire format refuses to flatten."""
+
+
+class TestUnserializableDefaultDevice:
+    @pytest.fixture
+    def device(self):
+        return Device(topology=Custom(3, [(0, 1), (1, 2)]))
+
+    def test_jobs_compile_uncached(self, device):
+        engine = BatchCompiler(device=device, result_cache=ResultCache())
+        circuit = maxcut_qaoa_circuit(line_graph(3), name="line3")
+        job = BatchJob(circuit=circuit, strategy="cls")
+        assert engine.result_key(job) is None
+        report = engine.compile_batch([job])
+        assert report.result_cache["uncacheable"] == 1
+        assert engine.run_job(job)[0].latency_ns == report[0].latency_ns
+        assert engine.compile(circuit, "cls").latency_ns == report[0].latency_ns
+        assert engine.result_cache.stats()["entries"] == 0
+
+    def test_compile_service_refuses_the_engine(self, device):
+        with pytest.raises(ConfigError, match="Custom"):
+            CompileService(engine=BatchCompiler(device=device))
