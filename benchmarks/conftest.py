@@ -8,7 +8,7 @@ sizes (the committed ``results/paper_scale_report.txt`` was produced at
 paper scale).
 
 All benchmarks share one pulse/latency cache through the batch engine.
-Set ``REPRO_BENCH_CACHE=<stem>`` to persist it across pytest sessions
+Set ``REPRO_BENCH_CACHE=<dir>`` to persist it across pytest sessions
 (warm runs skip every cached optimal-control query); by default the
 cache lives in memory for the session only.  ``REPRO_BENCH_WORKERS=N``
 sets the batch engine's worker-thread count (default: 2).
@@ -23,7 +23,7 @@ import pytest
 from repro.benchmarks.registry import table3_suite
 from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.strategies import all_strategies
-from repro.control.cache import DiskPulseCache, PulseCache
+from repro.control.cache import PulseCache, ShardedDiskPulseCache
 from repro.control.unit import OptimalControlUnit
 
 _SWEEP_KEYS_SMALL = ("maxcut-line-6", "ising-6", "sqrt-9", "uccsd-4")
@@ -62,12 +62,12 @@ def bench_scale() -> str:
 def shared_cache():
     """One pulse/latency store for the whole session.
 
-    Disk-persistent when ``REPRO_BENCH_CACHE`` names a file stem; saved
-    back at session end so the next benchmark run starts warm.
+    Disk-persistent when ``REPRO_BENCH_CACHE`` names a cache directory;
+    saved back at session end so the next benchmark run starts warm.
     """
-    stem = os.environ.get("REPRO_BENCH_CACHE")
-    if stem:
-        cache = DiskPulseCache(stem)
+    directory = os.environ.get("REPRO_BENCH_CACHE")
+    if directory:
+        cache = ShardedDiskPulseCache(directory)
         yield cache
         cache.save()
     else:

@@ -18,7 +18,7 @@ import time
 
 from repro.benchmarks.registry import table3_suite
 from repro.compiler import BatchCompiler, BatchJob, all_strategies
-from repro.control.cache import DiskPulseCache
+from repro.control.cache import ShardedDiskPulseCache
 
 
 def build_jobs() -> list[BatchJob]:
@@ -37,9 +37,11 @@ def build_jobs() -> list[BatchJob]:
     return jobs
 
 
-def run_once(stem: str, jobs: list[BatchJob], workers: int):
+def run_once(directory: str, jobs: list[BatchJob], workers: int):
     """One engine lifetime: load cache, compile the batch, save cache."""
-    engine = BatchCompiler(cache=DiskPulseCache(stem), max_workers=workers)
+    engine = BatchCompiler(
+        cache=ShardedDiskPulseCache(directory), max_workers=workers
+    )
     started = time.perf_counter()
     report = engine.compile_batch(jobs)
     elapsed = time.perf_counter() - started
@@ -52,14 +54,15 @@ def main() -> int:
     parser.add_argument(
         "--cache",
         default=os.path.join(tempfile.gettempdir(), "repro_pulse_cache"),
-        help="cache file stem (default: a temp-dir location)",
+        help="cache directory, created on first use (default: a temp-dir "
+        "location)",
     )
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     jobs = build_jobs()
     print(f"{len(jobs)} jobs (10 benchmarks x 5 strategies), "
-          f"{args.workers} workers, cache stem {args.cache}")
+          f"{args.workers} workers, cache directory {args.cache}")
 
     cold_report, cold_seconds = run_once(args.cache, jobs, args.workers)
     warm_report, warm_seconds = run_once(args.cache, jobs, args.workers)

@@ -18,7 +18,7 @@ import tempfile
 from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler import BatchCompiler
-from repro.control.cache import DiskPulseCache
+from repro.control.cache import ShardedDiskPulseCache
 from repro.service import CompileService, ServiceClient
 
 
@@ -40,7 +40,7 @@ def submit_and_verify(url: str, circuits) -> None:
 
 
 def main() -> None:
-    cache_stem = tempfile.mktemp(prefix="repro_service_cache_")
+    cache_dir = tempfile.mkdtemp(prefix="repro_service_cache_")
     journal_dir = tempfile.mkdtemp(prefix="repro_service_journal_")
     circuits = [
         (maxcut_qaoa_circuit(line_graph(5), name="line5"), "isa", "line5/isa"),
@@ -49,14 +49,14 @@ def main() -> None:
     ]
 
     print("first server: cold cache, empty journal")
-    engine = BatchCompiler(cache=DiskPulseCache(cache_stem))
+    engine = BatchCompiler(cache=ShardedDiskPulseCache(cache_dir))
     with CompileService(engine=engine, workers=2, journal=journal_dir) as service:
         submit_and_verify(service.url, circuits)
         first_bill = service.engine.lifetime_info["model_evals"]
     print(f"  optimal-control bill: {first_bill:.0f} model evaluations")
 
     print("second server: same journal + cache, after a 'crash'")
-    engine = BatchCompiler(cache=DiskPulseCache(cache_stem))
+    engine = BatchCompiler(cache=ShardedDiskPulseCache(cache_dir))
     with CompileService(engine=engine, workers=2, journal=journal_dir) as service:
         with ServiceClient(service.url) as client:
             for status in client.jobs():

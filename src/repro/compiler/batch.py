@@ -75,7 +75,6 @@ from repro.config import (
 from repro.control.cache import (
     CacheDelta,
     CacheSession,
-    DiskPulseCache,
     PulseCache,
     resolve_cache,
 )
@@ -234,14 +233,12 @@ class BatchCompiler:
             :class:`~repro.device.device.Device`, a preset key, or a
             bare :class:`DeviceConfig` (paper physics, auto-sized grid).
         compiler_config: Width limits, detection depth, etc.
-        cache: Shared store; a fresh in-memory one when omitted.  Pass a
-            :class:`~repro.control.cache.DiskPulseCache` (or use
-            :meth:`with_disk_cache`) for persistence across processes,
-            any other :class:`~repro.control.cache.PulseCache` backend
-            (sharded directory, remote client), or a string spec —
-            ``"tcp://host:port"`` mounts a cache server, any other
-            string is a disk path (a directory mounts the sharded
-            store, a file stem the single-pair cache).
+        cache: Shared store; a fresh in-memory one when omitted.  Pass
+            any :class:`~repro.control.cache.PulseCache` backend (the
+            :class:`~repro.control.cache.ShardedDiskPulseCache`
+            directory for persistence across processes, the remote
+            client), or a string spec — ``"tcp://host:port"`` mounts a
+            cache server, any other string is a cache directory.
         backend: OCU backend, ``"model"`` or ``"grape"``.
         max_workers: Worker-thread count; ``None`` picks
             ``min(cpu_count, job count)``.
@@ -314,9 +311,7 @@ class BatchCompiler:
         self.compiler_config = compiler_config
         if isinstance(cache, str):
             # A string selects a shared backend: "tcp://host:port" mounts
-            # the cache server, anything else is a disk path (a directory
-            # or sharded layout mounts the sharded store, a stem the
-            # single-pair cache).
+            # the cache server, anything else is a cache directory.
             if cache.startswith("tcp://"):
                 cache = resolve_cache(url=cache)
             else:
@@ -379,13 +374,6 @@ class BatchCompiler:
             grape_warm_start=ocu.grape_warm_start,
             grape_plateau_iterations=ocu.grape_plateau_iterations,
         )
-
-    @classmethod
-    def with_disk_cache(
-        cls, path: str | os.PathLike, **kwargs
-    ) -> BatchCompiler:
-        """An engine over a persistent cache at ``path`` (stem)."""
-        return cls(cache=DiskPulseCache(path), **kwargs)
 
     # ------------------------------------------------------------------
 
@@ -947,8 +935,8 @@ class BatchCompiler:
 
         Every backend implements ``save()`` (a no-op returning 0 for the
         plain in-memory store), so drivers call this unconditionally:
-        disk caches write their pair, sharded caches flush dirty shards
-        under their locks, remote caches upload the pending delta.
+        directory caches flush dirty shards under their locks, remote
+        caches upload the pending delta.
         """
         return self.cache.save()
 

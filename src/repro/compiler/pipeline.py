@@ -63,7 +63,6 @@ def compile_circuit(
     width_limit: int | None = None,
     callbacks: Sequence[PassCallback] = (),
     verify_ir: bool = False,
-    result_cache=None,
 ) -> CompilationResult:
     """Compile a circuit under one strategy and report its pulse latency.
 
@@ -89,11 +88,6 @@ def compile_circuit(
         verify_ir: Debug mode — check IR invariants after every pass
             and raise :class:`~repro.errors.IRVerificationError` naming
             the first pass that broke one (see :mod:`repro.analysis`).
-        result_cache: Optional
-            :class:`~repro.compiler.result_cache.ResultCache` consulted
-            before compiling and fed after: a prior compilation of the
-            same job under the same engine settings returns its cached
-            result (a fresh deserialized copy) without running any pass.
 
     Returns:
         A :class:`CompilationResult`.
@@ -101,17 +95,7 @@ def compile_circuit(
     if isinstance(strategy, str):
         strategy = strategy_by_key(strategy)
     pipeline = strategy.pipeline()
-    cache_key = None
-    if result_cache is not None:
-        ocu, cache_key = _result_cache_key(
-            circuit, strategy, device, compiler_config, ocu, topology,
-            width_limit,
-        )
-        if cache_key is not None:
-            cached = result_cache.get(cache_key)
-            if cached is not None:
-                return cached
-    result = compile_with_pipeline(
+    return compile_with_pipeline(
         circuit,
         pipeline,
         strategy_key=strategy.key,
@@ -123,53 +107,6 @@ def compile_circuit(
         width_limit=width_limit,
         callbacks=callbacks,
         verify_ir=verify_ir,
-    )
-    if result_cache is not None and cache_key is not None:
-        result_cache.put(cache_key, result)
-    return result
-
-
-def _result_cache_key(
-    circuit, strategy, device, compiler_config, ocu, topology, width_limit
-):
-    """(resolved OCU, content key) for one ``compile_circuit`` call.
-
-    Mirrors :meth:`CompilationContext.create`'s target/oracle resolution
-    so the key is computed against exactly the configuration the
-    compilation will run under; the OCU is created here (when the caller
-    gave none) and passed down so the two can never diverge.  Jobs that
-    cannot serialize — an unregistered ad-hoc strategy — return a None
-    key and bypass the cache.
-    """
-    from repro.compiler.batch import BatchJob
-    from repro.compiler.result_cache import engine_component, result_key
-    from repro.device.device import coerce_device
-    from repro.errors import SerializationError
-    from repro.ir.serialize import batch_job_to_dict
-
-    resolved_device, device_config, resolved_topology = coerce_device(
-        device, topology
-    )
-    target = resolved_device if resolved_device is not None else device_config
-    if ocu is None:
-        ocu = OptimalControlUnit(device=target, compiler=compiler_config)
-    try:
-        envelope = batch_job_to_dict(
-            BatchJob(
-                circuit=circuit,
-                strategy=strategy,
-                width_limit=width_limit,
-                topology=(
-                    resolved_topology if resolved_device is None else None
-                ),
-                device=resolved_device,
-            )
-        )
-    except SerializationError:
-        return ocu, None
-    return ocu, result_key(
-        envelope,
-        engine_component(target, compiler_config, ocu.backend, ocu.fingerprint),
     )
 
 

@@ -308,9 +308,9 @@ class DiskResultCache(ResultCache):
             directory: memory evictions fall through to memory only,
             while :meth:`put` additionally trims the directory (oldest
             modification time first) under an advisory file lock.
-        autoload: Warm the resident set from existing entry files
-            immediately (default True; entries also load lazily on
-            demand, so False only changes when the read happens).
+
+    Existing entry files warm the resident set at construction; entries
+    also load lazily on demand.
     """
 
     _LOCK_NAME = ".result-cache.lock"
@@ -319,14 +319,11 @@ class DiskResultCache(ResultCache):
         self,
         directory: str | os.PathLike,
         max_bytes: int | None = None,
-        autoload: bool = True,
     ) -> None:
         super().__init__(max_bytes=max_bytes)
         self.directory = os.fspath(directory)
         self.disk_hits = 0
-        self.loaded_entries = 0
-        if autoload:
-            self.loaded_entries = self.load()
+        self.loaded_entries = self.load()
 
     def _entry_path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")

@@ -3,8 +3,8 @@
 from repro.control.cache import (
     CacheDelta,
     CacheSession,
-    DiskPulseCache,
     PulseCache,
+    ShardedDiskPulseCache,
     config_fingerprint,
 )
 from repro.control.grape import GrapeOptimizer, GrapeResult
@@ -20,13 +20,13 @@ __all__ = [
     "CacheSession",
     "ControlHamiltonian",
     "ControlTerm",
-    "DiskPulseCache",
     "GrapeOptimizer",
     "GrapeResult",
     "OptimalControlUnit",
     "Pulse",
     "PulseCache",
     "PulseSequence",
+    "ShardedDiskPulseCache",
     "config_fingerprint",
     "minimal_pulse_time",
     "xy_hamiltonian",

@@ -7,11 +7,12 @@ Layering (each module builds on the previous):
   in-memory :class:`PulseCache` (thread-safe, latencies and pulses in
   one LRU), :class:`CacheSession` (worker-local buffered view),
   :class:`CacheDelta` (the merge unit), :func:`config_fingerprint`.
-* :mod:`.disk` — the ``<stem>.json``/``.npz`` pair format and the
-  single-pair :class:`DiskPulseCache`.
+* :mod:`.disk` — :func:`~.disk.replace_into`, the crash-safe file
+  write every on-disk store uses.
 * :mod:`.locking` — advisory ``flock`` file locks.
-* :mod:`.sharded` — :class:`ShardedDiskPulseCache`: many processes on
-  one box share a directory of shard pairs, no server needed.
+* :mod:`.sharded` — :class:`ShardedDiskPulseCache`, the one disk store:
+  many processes on one box share a directory of single-file
+  ``cache_delta`` shards, no server needed.
 * :mod:`.protocol` / :mod:`.server` / :mod:`.client` — the socket
   protocol; the framed-TCP core, :class:`~.server.FramedServer` and
   :class:`~.client.FramedClient`, that the compile service
@@ -20,23 +21,19 @@ Layering (each module builds on the previous):
   :class:`RemotePulseCache` for sharing across boxes.
 * :mod:`.metrics` — hit-rate helpers and the exit-bill summary line.
 
-All four store backends are drop-in :class:`PulseCache` subclasses; use
-:func:`resolve_cache` to build one from CLI-style flags.
+The memory, directory and remote stores are drop-in :class:`PulseCache`
+backends; use :func:`resolve_cache` to build one from CLI-style flags.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.control.cache.client import RemotePulseCache, parse_cache_url
-from repro.control.cache.disk import DiskPulseCache
 from repro.control.cache.locking import HAVE_FILE_LOCKS, FileLock
 from repro.control.cache.metrics import cache_summary, hit_rate
 from repro.control.cache.protocol import PROTOCOL_FORMAT, ProtocolError
 from repro.control.cache.server import CacheServer
 from repro.control.cache.sharded import DEFAULT_SHARDS, ShardedDiskPulseCache
 from repro.control.cache.store import (
-    CACHE_FORMAT,
     CacheDelta,
     CacheSession,
     PulseCache,
@@ -44,14 +41,12 @@ from repro.control.cache.store import (
 )
 
 __all__ = [
-    "CACHE_FORMAT",
     "DEFAULT_SHARDS",
     "HAVE_FILE_LOCKS",
     "PROTOCOL_FORMAT",
     "CacheDelta",
     "CacheServer",
     "CacheSession",
-    "DiskPulseCache",
     "FileLock",
     "ProtocolError",
     "PulseCache",
@@ -70,26 +65,17 @@ def resolve_cache(
     url: str | None = None,
     shards: int | None = None,
     max_bytes: int | None = None,
-    max_shard_bytes: int | None = None,
 ) -> PulseCache | None:
     """Build the right cache backend from CLI-style flags.
 
     Precedence: ``url`` mounts a :class:`RemotePulseCache`; ``path``
-    with ``shards`` (or pointing at an existing sharded directory)
-    mounts a :class:`ShardedDiskPulseCache`; a bare ``path`` mounts the
-    single-pair :class:`DiskPulseCache`; nothing returns ``None``
-    (fully in-memory compilation, the historical default).
+    mounts the :class:`ShardedDiskPulseCache` directory there
+    (``shards`` sizes a new one); nothing returns ``None`` (fully
+    in-memory compilation, the historical default).  ``max_bytes``
+    bounds the local store.
     """
     if url:
         return RemotePulseCache(url, max_bytes=max_bytes)
     if path is None:
         return None
-    is_sharded_dir = os.path.isfile(os.path.join(path, "sharding.json"))
-    if shards is not None or is_sharded_dir or os.path.isdir(path):
-        return ShardedDiskPulseCache(
-            path,
-            shards=shards,
-            max_bytes=max_bytes,
-            max_shard_bytes=max_shard_bytes,
-        )
-    return DiskPulseCache(path, max_bytes=max_bytes)
+    return ShardedDiskPulseCache(path, shards=shards, max_bytes=max_bytes)

@@ -307,11 +307,15 @@ class RemotePulseCache(PulseCache):
     def exclusive(self, key: tuple):
         """Fleet-wide single flight via a server-side lease.
 
-        Polls until the lease for ``key`` is granted (another client
-        holding it is synthesizing the same signature; when it publishes
-        and releases, our caller's re-check inside the guard finds the
-        pulse remotely).  The pending delta is flushed *before* the lease
-        is released, so the publish-before-release contract holds across
+        Threads sharing this client queue on the in-process key lock
+        first (:meth:`PulseCache.exclusive`): the server treats a second
+        ``lock`` from the same owner as the holder renewing, so the
+        lease alone cannot tell them apart.  The holder then polls until
+        the lease for ``key`` is granted (another client holding it is
+        synthesizing the same signature; when it publishes and releases,
+        our caller's re-check inside the guard finds the pulse
+        remotely).  The pending delta is flushed *before* the lease is
+        released, so the publish-before-release contract holds across
         the network too.
 
         When :attr:`lock_ttl` is set it rides the ``lock`` op, so long
@@ -322,17 +326,20 @@ class RemotePulseCache(PulseCache):
         acquire = {"op": "lock", "key": wire, "owner": self.owner}
         if self.lock_ttl is not None:
             acquire["ttl"] = float(self.lock_ttl)
-        delay = _LEASE_POLL_SECONDS
-        started = time.perf_counter()
-        while not self._wire.request(acquire)["granted"]:
-            time.sleep(delay)
-            delay = min(delay * 2, _LEASE_POLL_MAX_SECONDS)
-        self.lease_wait_seconds += time.perf_counter() - started
-        try:
-            yield
-            self.flush()
-        finally:
-            self._wire.request({"op": "unlock", "key": wire, "owner": self.owner})
+        with super().exclusive(key):
+            delay = _LEASE_POLL_SECONDS
+            started = time.perf_counter()
+            while not self._wire.request(acquire)["granted"]:
+                time.sleep(delay)
+                delay = min(delay * 2, _LEASE_POLL_MAX_SECONDS)
+            self.lease_wait_seconds += time.perf_counter() - started
+            try:
+                yield
+                self.flush()
+            finally:
+                self._wire.request(
+                    {"op": "unlock", "key": wire, "owner": self.owner}
+                )
 
     # -- metrics ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ gives remote clients fleet-wide single-flight synthesis.
 Run it standalone with ``python -m repro.control.cache_server`` or embed
 it (tests, examples)::
 
-    server = CacheServer(store=DiskPulseCache("fleet_cache"))
+    server = CacheServer(store=ShardedDiskPulseCache("fleet_cache"))
     server.start()                      # background thread
     ... clients connect to server.url ...
     server.stop()                       # closes connections, saves
@@ -289,8 +289,8 @@ class CacheServer(FramedServer):
 
     Args:
         store: The backing :class:`PulseCache` (any backend; pass a
-            :class:`~repro.control.cache.disk.DiskPulseCache` for
-            persistence or set its ``max_bytes`` for server-side
+            :class:`~repro.control.cache.sharded.ShardedDiskPulseCache`
+            for persistence or set its ``max_bytes`` for server-side
             eviction).  A fresh in-memory store when omitted.
         host / port: Bind address; port 0 picks a free port (read it
             back from :attr:`url` after construction).

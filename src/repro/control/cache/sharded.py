@@ -1,27 +1,33 @@
 """Sharded on-disk pulse store: many processes, one box, no server.
 
-A directory of ``shard-NNN.json``/``.npz`` pairs (the same pair format
-as :class:`~repro.control.cache.disk.DiskPulseCache`, one pair per
-shard) plus a ``locks/`` directory of advisory lock files.  Keys hash
+A directory of ``shard-NNN.json`` files, a ``locks/`` directory of
+advisory lock files and a ``sharding.json`` manifest pinning the shard
+count.  Each shard is one ``repro-ir-v1`` ``cache_delta`` envelope
+(:func:`repro.ir.serialize.cache_delta_to_dict`) — the codec the cache
+server's ``push_delta`` and the process executor speak too.  Keys hash
 into shards by their structural signature, so the latency and pulse
 entries of one control problem co-locate and concurrent writers rarely
-touch the same pair.
+touch the same file.
 
 Safety model:
 
-* **Readers never lock.**  Shard files are only ever replaced
-  atomically, so a reader sees either the old complete pair or the new
-  complete pair, and the ``save_id`` check pairs manifests with arrays.
+* **Readers never lock.**  A shard is one file, only ever replaced
+  atomically (:func:`~repro.control.cache.disk.replace_into`), so a
+  reader sees either the old complete shard or the new complete shard.
 * **Writers merge under the shard lock.**  :meth:`save` re-reads each
   dirty shard from disk, overlays this process's entries, and writes the
   union — two processes flushing interleaved entries cannot lose each
   other's writes.  Last-write-wins on shared keys is safe because keys
   are content-addressed.
-* **Synthesis is single-flighted.**  :meth:`exclusive` takes a per-key
-  lock file; the winner synthesizes, flushes, and releases, and the
-  losers' re-check then reads the published entry from the refreshed
-  shard — each distinct signature is synthesized once per *fleet*, not
-  once per process.
+* **Synthesis is single-flighted.**  :meth:`exclusive` takes the
+  in-process key lock and then a per-key lock file; the winner
+  synthesizes, flushes, and releases, and the losers' re-check then
+  reads the published entry from the refreshed shard — each distinct
+  signature is synthesized once per *fleet*, not once per process or
+  thread.
+* **One budget.**  ``max_bytes`` bounds memory and, split evenly, each
+  shard file: a flush trims the union it writes to
+  ``max_bytes // shards`` in the same entry-size units.
 
 Misses consult the disk: a lookup that misses in memory stats the key's
 shard file and reloads it when another process has replaced it since the
@@ -35,9 +41,8 @@ import hashlib
 import json
 import os
 import threading
-import time
 
-from repro.control.cache.disk import encode_pair, read_pair, write_pair
+from repro.control.cache.disk import replace_into
 from repro.control.cache.locking import FileLock
 from repro.control.cache.store import (
     LATENCY,
@@ -47,33 +52,34 @@ from repro.control.cache.store import (
     PulseKey,
     entry_bytes,
 )
-from repro.errors import ControlError
+from repro.errors import ControlError, SerializationError
 
-SHARDED_FORMAT = "repro-pulse-cache-sharded-v1"
+SHARDED_FORMAT = "repro-pulse-cache-sharded-v2"
 DEFAULT_SHARDS = 8
 
 
 class ShardedDiskPulseCache(PulseCache):
     """A pulse store sharded across per-signature files in one directory.
 
+    Every existing shard loads at construction.
+
     Args:
         path: Cache directory (created on demand).  Holds one
-            ``shard-NNN.json``/``.npz`` pair per shard, a ``locks/``
+            ``shard-NNN.json`` file per shard, a ``locks/``
             subdirectory, and a ``sharding.json`` manifest pinning the
-            shard count.
+            shard count.  A path naming an existing file is refused.
         shards: Shard count for a *new* directory; ``None`` adopts an
             existing directory's count (default ``8`` when creating).
             Opening an existing directory with a conflicting explicit
             count raises — processes disagreeing on the hash ring would
             silently miss each other's entries.
-        max_bytes: In-memory LRU budget (see :class:`PulseCache`).
-            Entries evicted from memory may still live in their shard
-            file and come back on a later miss via the disk read-through.
-        max_shard_bytes: On-disk budget *per shard file*.  When a flush
-            would write a larger shard, entries are trimmed — disk-only
-            entries (least recently seen by anyone here) first, then this
-            process's LRU — and counted as ``disk_evictions``.
-        autoload: Load every existing shard immediately (default).
+        max_bytes: LRU budget of memory (see :class:`PulseCache`) and
+            of the directory: a flush trims each shard file to
+            ``max_bytes // shards`` — disk-only entries (least recently
+            seen by anyone here) first, then this process's LRU — and
+            counts the trimmed entries as ``disk_evictions``.  Entries
+            evicted from memory may still live in their shard file and
+            come back on a later miss via the disk read-through.
     """
 
     def __init__(
@@ -81,12 +87,13 @@ class ShardedDiskPulseCache(PulseCache):
         path: str | os.PathLike,
         shards: int | None = None,
         max_bytes: int | None = None,
-        max_shard_bytes: int | None = None,
-        autoload: bool = True,
     ) -> None:
         super().__init__(max_bytes=max_bytes)
         self.directory = os.fspath(path)
-        self.max_shard_bytes = max_shard_bytes
+        if os.path.isfile(self.directory):
+            raise ControlError(
+                f"{self.directory} is a file; pulse caches are directories"
+            )
         self.shards = self._resolve_shard_count(shards)
         self._dirty: set[int] = set()
         #: (st_mtime_ns, st_size) of each shard manifest at last load;
@@ -97,18 +104,12 @@ class ShardedDiskPulseCache(PulseCache):
         #: do one load, not two (held around disk I/O, so it is separate
         #: from the short-critical-section ``_lock``).
         self._refresh_lock = threading.Lock()
-        #: Pulse keys currently inside :meth:`exclusive`; ``_trim_shard``
-        #: never evicts them, so the publish-before-release contract
-        #: survives a tight ``max_shard_bytes``.  Guarded by ``_lock``.
-        self._exclusive_keys: set = set()
         self.loaded_entries = 0
-        self.pulse_entries_skipped = 0
         self.shard_loads = 0
         self.shard_flushes = 0
         self.disk_evictions = 0
         self.lock_wait_seconds = 0.0
-        if autoload:
-            self.load()
+        self.load()
 
     # -- pickling: locks cannot cross process boundaries -----------------
 
@@ -123,8 +124,8 @@ class ShardedDiskPulseCache(PulseCache):
 
     # -- layout ----------------------------------------------------------
 
-    def shard_stem(self, index: int) -> str:
-        return os.path.join(self.directory, f"shard-{index:03d}")
+    def shard_path(self, index: int) -> str:
+        return os.path.join(self.directory, f"shard-{index:03d}.json")
 
     def _manifest_path(self) -> str:
         return os.path.join(self.directory, "sharding.json")
@@ -216,10 +217,33 @@ class ShardedDiskPulseCache(PulseCache):
 
     def _stat_shard(self, index: int) -> tuple | None:
         try:
-            info = os.stat(self.shard_stem(index) + ".json")
+            info = os.stat(self.shard_path(index))
         except FileNotFoundError:
             return None
         return (info.st_mtime_ns, info.st_size)
+
+    def _read_shard(self, index: int) -> CacheDelta:
+        """One shard file's entries; a missing file is an empty shard."""
+        from repro.ir.serialize import cache_delta_from_dict
+
+        path = self.shard_path(index)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                return cache_delta_from_dict(json.load(handle))
+        except FileNotFoundError:
+            return CacheDelta()
+        except (ValueError, SerializationError) as error:
+            raise ControlError(
+                f"{path}: not a pulse-cache shard ({error})"
+            ) from error
+
+    def _write_shard(self, index: int, delta: CacheDelta) -> None:
+        from repro.ir.serialize import cache_delta_to_dict
+
+        payload = json.dumps(cache_delta_to_dict(delta)).encode("utf-8")
+        replace_into(
+            lambda handle: handle.write(payload), self.shard_path(index), ".tmp"
+        )
 
     def _refresh_shard(self, index: int, loads_seen: int) -> bool:
         """Reload one shard if its file changed since we last read it.
@@ -229,23 +253,12 @@ class ShardedDiskPulseCache(PulseCache):
         caller read ``loads_seen`` off :attr:`shard_loads`, just before
         its in-memory miss.  The stat is taken *before* the read, so a
         replace racing the read at worst causes one redundant reload
-        later.
-
-        A reader racing a writer's two atomic replaces can catch the
-        *old* manifest with the *new* arrays (or vice versa); the
-        ``save_id`` check then reports the pulses as skipped.  That
-        window is transient — the writer finishes both replaces in
-        milliseconds — so a skipped read is retried briefly before the
-        skip is accepted; without the retry, a peer blocked on the
-        single-flight lock could miss the just-published pulse and
-        re-synthesize it, breaking the exactly-once-per-fleet guarantee
-        (the multiprocess stress test catches exactly this).
+        later; the read itself always sees one whole shard file.
 
         Reloads serialize on ``_refresh_lock``: two threads missing on
         one shard do a single disk load (the loser re-checks the
         freshness marker and just retries its in-memory miss), and the
-        ``shard_loads`` / ``pulse_entries_skipped`` counters only ever
-        move under ``_lock``.
+        ``shard_loads`` counter only ever moves under ``_lock``.
         """
         state = self._stat_shard(index)
         with self._lock:
@@ -258,16 +271,10 @@ class ShardedDiskPulseCache(PulseCache):
             with self._lock:
                 if state == self._shard_states.get(index, ()):
                     return True  # a peer thread just loaded this version
-            for attempt in range(5):
-                latencies, pulses, skipped = read_pair(self.shard_stem(index))
-                if not skipped:
-                    break
-                time.sleep(0.002 * (attempt + 1))
-                state = self._stat_shard(index) or state
+            shard = self._read_shard(index)
             with self._lock:
-                self._absorb({LATENCY: latencies, PULSE: pulses})
+                self._absorb({LATENCY: shard.latencies, PULSE: shard.pulses})
                 self._shard_states[index] = state
-                self.pulse_entries_skipped += skipped
                 self.shard_loads += 1
         return True
 
@@ -300,8 +307,7 @@ class ShardedDiskPulseCache(PulseCache):
     def _flush_shard(self, index: int) -> int:
         lock = FileLock(self._lock_path(f"shard-{index:03d}.lock"))
         with lock:
-            disk_lat, disk_pul, _ = read_pair(self.shard_stem(index))
-            merged = {LATENCY: disk_lat, PULSE: disk_pul}
+            merged = self._read_shard(index)
             with self._lock:
                 ours = [
                     (entry, value)
@@ -310,11 +316,10 @@ class ShardedDiskPulseCache(PulseCache):
                 ]
             recency = {}  # our entries' ranks in the recency order, LRU first
             for rank, ((kind, key), value) in enumerate(ours):
-                merged[kind][key] = value
+                (merged.latencies if kind == LATENCY else merged.pulses)[key] = value
                 recency[(kind, key)] = rank
-            self._trim_shard(merged[LATENCY], merged[PULSE], recency)
-            payload, arrays = encode_pair(merged[LATENCY], merged[PULSE])
-            write_pair(self.shard_stem(index), payload, arrays)
+            self._trim_shard(merged, recency)
+            self._write_shard(index, merged)
             # Invalidate (never update) the freshness marker: the file we
             # just wrote contains disk entries merged through from *other*
             # processes that were never loaded into memory.  Marking it
@@ -325,38 +330,39 @@ class ShardedDiskPulseCache(PulseCache):
                 self._shard_states.pop(index, None)
         self.lock_wait_seconds += lock.waited_seconds
         self.shard_flushes += 1
-        return len(merged[LATENCY]) + len(merged[PULSE])
+        return len(merged)
 
-    def _trim_shard(self, latencies, pulses, recency) -> None:
-        """Enforce ``max_shard_bytes`` on the about-to-be-written union.
+    def _trim_shard(self, shard: CacheDelta, recency) -> None:
+        """Trim the about-to-be-written union to ``max_bytes // shards``.
 
         Disk-only entries go first (no one here has used them since the
         last load), then this process's LRU order (``recency`` ranks our
         resident entries, least recently used first); the trim mutates the
-        merged maps in place and counts ``disk_evictions``.  Correct for
+        merged shard in place and counts ``disk_evictions``.  Correct for
         the same reason memory eviction is: content-addressed entries
-        are recomputed on miss, never answered wrong.  Pulses currently
-        inside :meth:`exclusive` are exempt — evicting a pulse in the
-        flush that publishes it would make the peers blocked on its key
-        lock re-synthesize it, silently voiding the
+        are recomputed on miss, never answered wrong.  Pulses a thread
+        holds or awaits :meth:`exclusive` for are exempt — evicting a
+        pulse in the flush that publishes it would make the peers
+        blocked on its key lock re-synthesize it, silently voiding the
         exactly-once-per-fleet guarantee even under a tight budget.
         """
-        if self.max_shard_bytes is None:
+        if self.max_bytes is None:
             return
+        budget = self.max_bytes // self.shards
         with self._lock:
-            protected = set(self._exclusive_keys)
+            protected = set(self._key_locks)
         sized = []  # (rank, size, kind, key) — evict low rank first
-        for kind, entries in ((LATENCY, latencies), (PULSE, pulses)):
+        for kind, entries in ((LATENCY, shard.latencies), (PULSE, shard.pulses)):
             for key, value in entries.items():
                 rank = recency.get((kind, key), -1)  # -1: disk-only
                 sized.append((rank, entry_bytes(kind, key, value), kind, key))
         total = sum(size for _, size, _, _ in sized)
         for _, size, kind, key in sorted(sized, key=lambda x: x[0]):
-            if total <= self.max_shard_bytes or len(sized) == 1:
+            if total <= budget or len(sized) == 1:
                 break
             if kind == PULSE and key in protected:
                 continue
-            del (latencies if kind == LATENCY else pulses)[key]
+            del (shard.latencies if kind == LATENCY else shard.pulses)[key]
             total -= size
             self.disk_evictions += 1
 
@@ -366,7 +372,9 @@ class ShardedDiskPulseCache(PulseCache):
     def exclusive(self, key: PulseKey):
         """Fleet-wide single-flight on one signature via a key lock file.
 
-        While we blocked on the lock, the previous holder synthesized
+        Threads of this process queue on the in-process key lock first
+        (:meth:`PulseCache.exclusive`), then the holder takes the lock
+        file.  While we blocked on it, the previous holder synthesized
         and flushed; the caller's re-check then misses in memory and
         read-throughs to the refreshed shard.  On release, everything
         this process has buffered is flushed so *our* synthesis is
@@ -374,17 +382,11 @@ class ShardedDiskPulseCache(PulseCache):
         """
         digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
         lock = FileLock(self._lock_path(f"key-{digest}.lock"))
-        with lock:
-            with self._lock:
-                self._exclusive_keys.add(key)
+        with super().exclusive(key), lock:
             try:
                 yield
             finally:
-                try:
-                    self.save()
-                finally:
-                    with self._lock:
-                        self._exclusive_keys.discard(key)
+                self.save()
         self.lock_wait_seconds += lock.waited_seconds
 
     # -- metrics ---------------------------------------------------------
@@ -398,6 +400,5 @@ class ShardedDiskPulseCache(PulseCache):
             shard_flushes=self.shard_flushes,
             disk_evictions=self.disk_evictions,
             lock_wait_seconds=self.lock_wait_seconds,
-            max_shard_bytes=self.max_shard_bytes,
         )
         return info

@@ -4,8 +4,8 @@ The base layer of the shared-cache stack (see the package docstring).
 :class:`PulseCache` is the thread-safe store every other backend builds
 on; :class:`CacheSession` is the worker-local buffered view the batch
 engine compiles through; :class:`CacheDelta` is the unit of merge both
-use.  Everything cross-process — disk pairs, shards, the socket server —
-lives in sibling modules and subclasses :class:`PulseCache`.
+use.  Everything cross-process — the sharded directory, the socket
+server — lives in sibling modules and subclasses :class:`PulseCache`.
 
 Eviction
 --------
@@ -36,8 +36,6 @@ import numpy as np
 
 from repro.config import CompilerConfig, DeviceConfig
 from repro.control.grape import GrapeResult
-
-CACHE_FORMAT = "repro-pulse-cache-v1"
 
 #: A latency entry key: (fingerprint, backend tag, structural signature).
 LatencyKey = tuple
@@ -227,6 +225,9 @@ class PulseCache(ByteBudgetLRU):
     def __init__(self, max_bytes: int | None = None) -> None:
         super().__init__(max_bytes)
         self._lock = threading.Lock()
+        #: Pulse key -> [lock, holders] for every key some thread holds
+        #: or awaits :meth:`exclusive` on; guarded by ``_lock``.
+        self._key_locks: dict[PulseKey, list] = {}
         #: Resident entries per kind, so counting never scans the store.
         self._counts = {LATENCY: 0, PULSE: 0}
         self.hits = 0
@@ -238,12 +239,13 @@ class PulseCache(ByteBudgetLRU):
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_lock"]
+        del state["_lock"], state["_key_locks"]
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
+        self._key_locks = {}
 
     # -- lookups ---------------------------------------------------------
 
@@ -266,15 +268,25 @@ class PulseCache(ByteBudgetLRU):
         """Single-flight guard around one expensive synthesis.
 
         The optimal-control unit wraps GRAPE synthesis in
-        ``with cache.exclusive(key): re-check; synthesize; put`` so that
-        backends with cross-process peers (the sharded directory store,
-        the remote client) can serialize fleet-wide synthesis of one
-        signature and publish the result before releasing.  The in-memory
-        base store has no peers, so this is a no-op — in-process thread
-        dedup is the pre-warm planner's job, and keeping the historical
-        behavior bit-identical keeps the PR 7 parity suites meaningful.
+        ``with cache.exclusive(key): re-check; synthesize; put``.  Here
+        that holds a per-key in-process lock, so two threads that miss
+        the same signature synthesize it once: the second blocks until
+        the first has put the pulse, and its re-check then hits.
+        Backends with cross-process peers (the sharded directory store,
+        the remote client) take their fleet-wide guard inside this one
+        and publish the result before releasing.
         """
-        yield
+        with self._lock:
+            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     # -- bulk operations -------------------------------------------------
 
@@ -317,7 +329,7 @@ class PulseCache(ByteBudgetLRU):
     def save(self) -> int:
         """Persist the store where the backend supports it.
 
-        The in-memory base has nothing to persist; disk-backed, sharded
+        The in-memory base has nothing to persist; the sharded directory
         and remote subclasses override.  Always safe to call — drivers
         can ``engine.save_cache()`` without caring which backend is
         mounted.
@@ -395,7 +407,7 @@ class PulseCache(ByteBudgetLRU):
         """Add entries loaded from elsewhere, then evict over budget.
 
         The one fill step of every backend that reads entries in — a
-        disk pair, a shard, the cache server.  ``loaded`` maps a kind
+        shard file, the cache server.  ``loaded`` maps a kind
         (:data:`LATENCY` / :data:`PULSE`) to its entries.  Only keys the
         store lacks are added: a resident entry holds the same value
         under the content-addressed key contract, and its recency is

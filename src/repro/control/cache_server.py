@@ -7,10 +7,10 @@ Typical fleet setup::
     python -m repro.control.cache_server --port 7777 --cache fleet_cache &
     python -m repro.experiments.runner --cache-url 127.0.0.1:7777 ...
 
-The store is persisted (``--cache`` stem or sharded directory) on clean
-shutdown (SIGINT/SIGTERM), after every client connection has closed, so
-no write is acknowledged that the saved store lacks; ``--max-bytes``
-(positive) bounds it with fleet-wide LRU eviction.
+The store is persisted (the ``--cache`` directory) on clean shutdown
+(SIGINT/SIGTERM), after every client connection has closed, so no write
+is acknowledged that the saved store lacks; ``--max-bytes`` (positive)
+bounds it, in memory and on disk, with fleet-wide LRU eviction.
 """
 
 from __future__ import annotations
@@ -36,20 +36,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         metavar="PATH",
-        help="persistent store: a <stem>.json/.npz pair stem, or a sharded "
-        "cache directory (loaded at start, saved on shutdown)",
+        help="persistent store: a cache directory, created on first use "
+        "(loaded at start, saved on shutdown)",
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=None,
-        help="shard count when --cache creates a new sharded directory",
+        help="shard count when --cache creates a new directory",
     )
     parser.add_argument(
         "--max-bytes",
         type=int,
         default=None,
-        help="LRU eviction budget for the served store, in bytes",
+        help="LRU eviction budget for the served store and its --cache "
+        "directory, in bytes",
     )
     parser.add_argument(
         "--lock-ttl",

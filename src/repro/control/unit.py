@@ -252,9 +252,8 @@ class OptimalControlUnit:
         backend) may have synthesized this exact signature and published
         it — content-addressed keys make its result interchangeable with
         ours, so adopting it keeps each signature synthesized once per
-        fleet.  For the in-memory base cache the guard is a no-op and the
-        re-check hits only on the buffered entry it just missed, i.e.
-        never — behavior is bit-identical to the unguarded path.
+        fleet.  Every store's guard starts with a per-key thread lock, so
+        the peer can be another worker thread of this very process.
         """
         cached = self.cache.get_pulse(key)
         if cached is not None:

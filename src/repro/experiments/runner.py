@@ -5,10 +5,10 @@ All compilations go through the batch engine, which fans independent
 cache.  Pass ``--cache PATH`` to persist that cache on disk: the first run
 pays for every optimal-control query, subsequent runs answer them from the
 cache and the whole sweep completes dramatically faster.  The cache can
-also be *shared across processes and machines*: ``--cache DIR
---cache-shards N`` mounts a lock-protected sharded directory store many
-concurrent runners warm together, and ``--cache-url HOST:PORT`` connects
-to a ``python -m repro.control.cache_server`` fleet cache; either way
+also be *shared across processes and machines*: the ``--cache DIR``
+directory is a lock-protected sharded store many concurrent runners warm
+together, and ``--cache-url HOST:PORT`` connects to a ``python -m
+repro.control.cache_server`` fleet cache; either way
 every distinct pulse is synthesized once fleet-wide and the exit bill
 prints a one-line cache summary.
 
@@ -413,9 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         "--cache",
         default=None,
         metavar="PATH",
-        help="persistent pulse cache: a stem (writes PATH.json / PATH.npz) "
-        "or, with --cache-shards or an existing sharded layout, a "
-        "directory many processes can share; warm runs skip recomputing "
+        help="persistent pulse cache: a directory, created on first use, "
+        "that many processes can share; warm runs skip recomputing "
         "cached latencies and pulses",
     )
     parser.add_argument(
@@ -423,9 +422,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="shard --cache PATH into N lock-protected shard files so "
-        "concurrent runner processes share one warm store (default when "
-        "PATH is already a sharded directory: its pinned count)",
+        help="shard count when --cache PATH creates a new directory "
+        "(default 8; an existing directory keeps its pinned count)",
     )
     parser.add_argument(
         "--cache-url",
@@ -439,7 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="LRU eviction budget for the local cache store, in bytes",
+        help="LRU eviction budget for the local cache store and its "
+        "--cache directory, in bytes",
     )
     parser.add_argument(
         "--workers",

@@ -450,15 +450,16 @@ def grape_result_from_dict(payload: dict) -> GrapeResult:
 
 
 # ----------------------------------------------------------------------
-# Cache deltas (process workers ship these back to the batch engine)
+# Cache deltas (process workers, the cache server's push_delta and the
+# disk pulse store's shard files)
 
 
 def cache_delta_to_dict(delta) -> dict:
-    """Wire form of a worker's cache delta.
+    """Wire and disk form of a cache delta.
 
-    Keys follow the disk-cache convention: structural signatures are
-    pure literals serialized with :func:`repr` and parsed back with
-    :func:`ast.literal_eval`, so the round trip is exact.
+    Structural signatures are pure literals serialized with
+    :func:`repr` and parsed back with :func:`ast.literal_eval`, so the
+    round trip is exact.
     """
     return _envelope(
         "cache_delta",

@@ -7,7 +7,7 @@ clients.  Typical deployment::
     python -m repro.experiments.runner --submit-url 127.0.0.1:7788 ...
 
 The cache flag family matches the runner and the cache server: ``--cache``
-mounts a disk stem or sharded directory, ``--cache-url`` mounts a
+mounts a cache directory, ``--cache-url`` mounts a
 ``python -m repro.control.cache_server`` fleet cache instead.  With
 ``--journal DIR`` the server restarts without losing accepted work:
 completed results are re-served from the result cache (``--result-cache
@@ -44,14 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         metavar="PATH",
-        help="persistent pulse cache: a <stem>.json/.npz pair stem, or a "
-        "sharded cache directory (loaded at start, saved on shutdown)",
+        help="persistent pulse cache: a directory, created on first use "
+        "(loaded at start, saved on shutdown)",
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=None,
-        help="shard count when --cache creates a new sharded directory",
+        help="shard count when --cache creates a new directory",
     )
     parser.add_argument(
         "--cache-url",
@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-bytes",
         type=int,
         default=None,
-        help="LRU eviction budget for the local cache store, in bytes",
+        help="LRU eviction budget for the local cache store and its "
+        "--cache directory, in bytes",
     )
     parser.add_argument(
         "--backend",

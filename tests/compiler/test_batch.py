@@ -14,7 +14,7 @@ from repro.compiler.batch import (
 from repro.compiler.pipeline import compile_circuit
 from repro.compiler.strategies import CLS, CLS_AGGREGATION, ISA, all_strategies
 from repro.config import DeviceConfig
-from repro.control.cache import DiskPulseCache, PulseCache
+from repro.control.cache import PulseCache, ShardedDiskPulseCache
 from repro.control.unit import OptimalControlUnit
 from repro.errors import ConfigError
 
@@ -77,14 +77,18 @@ class TestWarmCache:
         assert warm.cache_info["model_evals"] * 5 <= cold.cache_info["model_evals"]
 
     def test_disk_round_trip_warms_new_process_engine(self, tmp_path, suite_jobs):
-        stem = tmp_path / "pulse_cache"
-        engine = BatchCompiler(cache=DiskPulseCache(stem), max_workers=2)
+        directory = tmp_path / "pulse_cache"
+        engine = BatchCompiler(
+            cache=ShardedDiskPulseCache(directory), max_workers=2
+        )
         cold = engine.compile_batch(suite_jobs)
         assert engine.save_cache() > 0
 
         # A brand-new engine over freshly loaded files: simulates a new
         # process picking the cache up from disk.
-        warm_engine = BatchCompiler(cache=DiskPulseCache(stem), max_workers=2)
+        warm_engine = BatchCompiler(
+            cache=ShardedDiskPulseCache(directory), max_workers=2
+        )
         warm = warm_engine.compile_batch(suite_jobs)
         assert warm.cache_info["model_evals"] * 5 <= cold.cache_info["model_evals"]
         for a, b in zip(cold, warm):
@@ -163,9 +167,10 @@ class TestEngineBasics:
         assert engine.cache is ocu.cache
         assert engine.backend == "model"
 
-    def test_with_disk_cache(self, tmp_path):
-        engine = BatchCompiler.with_disk_cache(tmp_path / "store")
-        assert isinstance(engine.cache, DiskPulseCache)
+    def test_path_string_mounts_directory_store(self, tmp_path):
+        engine = BatchCompiler(cache=str(tmp_path / "store"))
+        assert isinstance(engine.cache, ShardedDiskPulseCache)
+        assert engine.cache.directory == str(tmp_path / "store")
 
     def test_resolve_engine_precedence(self):
         explicit = BatchCompiler()

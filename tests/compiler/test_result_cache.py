@@ -289,29 +289,31 @@ class TestDiskRestart:
         assert report.result_cache["hits"] == 1
 
 
-class TestCompileCircuitIntegration:
+class TestOneShotCompile:
     def test_second_call_is_served_from_the_cache(self):
         cache = ResultCache()
-        fresh = compile_circuit(_circuit(), CLS, result_cache=cache)
-        served = compile_circuit(_circuit(), CLS, result_cache=cache)
+        engine = BatchCompiler(result_cache=cache)
+        fresh = engine.compile(_circuit(), CLS)
+        served = engine.compile(_circuit(), CLS)
         assert cache.stats()["hits"] == 1
         assert cache.stats()["stores"] == 1
         assert canonical_result_dict(fresh) == canonical_result_dict(served)
 
     def test_different_strategy_misses(self):
         cache = ResultCache()
-        compile_circuit(_circuit(), CLS, result_cache=cache)
-        compile_circuit(_circuit(), CLS_AGGREGATION, result_cache=cache)
+        engine = BatchCompiler(result_cache=cache)
+        engine.compile(_circuit(), CLS)
+        engine.compile(_circuit(), CLS_AGGREGATION)
         assert cache.stats()["hits"] == 0
         assert cache.stats()["stores"] == 2
 
     def test_cross_layer_parity_with_the_batch_engine(self):
-        """compile_circuit and a default BatchCompiler resolve the same
-        job to the same key, so either layer can serve the other."""
+        """compile() and compile_batch on separate engines resolve the
+        same job to the same key, so either entry point can serve the
+        other."""
         cache = ResultCache()
-        compile_circuit(_circuit(), CLS, result_cache=cache)
-        engine = BatchCompiler(result_cache=cache)
-        report = engine.compile_batch([_job()])
+        BatchCompiler(result_cache=cache).compile(_circuit(), CLS)
+        report = BatchCompiler(result_cache=cache).compile_batch([_job()])
         assert report.result_cache["hits"] == 1
         assert report.cache_info["model_evals"] == 0
 

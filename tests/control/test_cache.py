@@ -1,5 +1,6 @@
 """Tests for the shared pulse/latency cache backends."""
 
+import json
 import os
 import pickle
 
@@ -11,7 +12,6 @@ from repro.config import CompilerConfig, DeviceConfig
 from repro.control.cache import (
     CacheDelta,
     CacheSession,
-    DiskPulseCache,
     PulseCache,
     RemotePulseCache,
     ShardedDiskPulseCache,
@@ -22,6 +22,7 @@ from repro.control.pulse import Pulse
 from repro.control.unit import OptimalControlUnit
 from repro.errors import ControlError
 from repro.gates import library as lib
+from repro.ir.serialize import cache_delta_from_dict
 
 
 def _fingerprint(device=None, compiler=None, **overrides):
@@ -201,18 +202,21 @@ class TestEviction:
         assert cache.stats()["evictions"] == 3
 
     def test_disk_cache_budget_applies_on_load(self, tmp_path):
-        stem = tmp_path / "cache"
-        big = DiskPulseCache(stem)
+        directory = tmp_path / "cache"
+        big = ShardedDiskPulseCache(directory, shards=1)
         keys = [("fp", "model", (i, ())) for i in range(4)]
         for i, key in enumerate(keys):
             big.put_latency(key, float(i))
         big.save()
-        bounded = DiskPulseCache(stem, max_bytes=self._latency_budget(*keys[:2]))
+        bounded = ShardedDiskPulseCache(
+            directory, max_bytes=self._latency_budget(*keys[:2])
+        )
         assert bounded.latency_count == 2
-        # What survives is what the next save writes: the budget governs
-        # the persisted pair too.
+        # The budget governs the persisted shard too: the next flush
+        # writes only what fits in max_bytes // shards.
+        bounded.put_latency(keys[3], 3.0)
         bounded.save()
-        assert DiskPulseCache(stem).loaded_entries == 2
+        assert ShardedDiskPulseCache(directory).loaded_entries == 2
 
 
 class TestBudgetValidation:
@@ -220,7 +224,6 @@ class TestBudgetValidation:
 
     BACKENDS = {
         "memory": lambda path, budget: PulseCache(max_bytes=budget),
-        "disk": lambda path, budget: DiskPulseCache(path, max_bytes=budget),
         "sharded": lambda path, budget: ShardedDiskPulseCache(
             path, max_bytes=budget
         ),
@@ -304,12 +307,15 @@ class TestMergeDeltaProperties:
 
 class TestCrashSafety:
     def test_save_leaves_no_temp_files(self, tmp_path):
-        cache = DiskPulseCache(tmp_path / "cache")
+        cache = ShardedDiskPulseCache(tmp_path / "cache", shards=1)
         cache.put_latency(("fp", "model", (1, ())), 1.0)
         cache.put_pulse(("fp", (1, ())), _grape_result())
         cache.save()
+        cache.put_latency(("fp", "model", (2, ())), 2.0)
         cache.save()  # overwrite path too
-        leftovers = [name for name in os.listdir(tmp_path) if ".tmp" in name]
+        leftovers = [
+            name for name in os.listdir(tmp_path / "cache") if ".tmp" in name
+        ]
         assert leftovers == []
 
     def test_failed_write_preserves_old_file_and_cleans_temp(self, tmp_path):
@@ -387,10 +393,10 @@ class TestCacheSession:
         assert store.pulse_count == 0
 
 
-class TestDiskPulseCache:
+class TestDiskStore:
     def test_round_trip_latencies_and_pulses(self, tmp_path):
-        stem = tmp_path / "cache"
-        cache = DiskPulseCache(stem)
+        directory = tmp_path / "cache"
+        cache = ShardedDiskPulseCache(directory)
         latency_key = ("fp", "model", (2, (("CNOT", (), (0, 1)),)))
         pulse_key = ("fp", (2, (("CNOT", (), (0, 1)),)))
         cache.put_latency(latency_key, 47.1)
@@ -398,7 +404,7 @@ class TestDiskPulseCache:
         cache.put_pulse(pulse_key, original)
         assert cache.save() == 2
 
-        reloaded = DiskPulseCache(stem)
+        reloaded = ShardedDiskPulseCache(directory)
         assert reloaded.loaded_entries == 2
         assert reloaded.get_latency(latency_key) == 47.1
         restored = reloaded.get_pulse(pulse_key)
@@ -416,89 +422,82 @@ class TestDiskPulseCache:
         assert restored.loss_history == pytest.approx(original.loss_history)
 
     def test_missing_files_load_empty(self, tmp_path):
-        cache = DiskPulseCache(tmp_path / "nothing")
+        cache = ShardedDiskPulseCache(tmp_path / "nothing")
         assert cache.loaded_entries == 0
         assert cache.latency_count == 0
 
-    def test_json_suffix_addresses_same_pair(self, tmp_path):
-        cache = DiskPulseCache(tmp_path / "cache")
-        cache.put_latency(("fp", "model", (1, ())), 1.0)
-        cache.save()
-        assert DiskPulseCache(tmp_path / "cache.json").loaded_entries == 1
-
     def test_unknown_format_rejected(self, tmp_path):
-        stem = tmp_path / "cache"
-        (tmp_path / "cache.json").write_text('{"format": "bogus"}')
-        with pytest.raises(ControlError):
-            DiskPulseCache(stem)
+        # A directory from before single-file shards: a v1 manifest.
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "sharding.json").write_text(
+            '{"format": "repro-pulse-cache-sharded-v1", "shards": 8}'
+        )
+        with pytest.raises(ControlError, match="repro-pulse-cache-sharded-v1"):
+            ShardedDiskPulseCache(old)
+        # A shard file that is not a cache_delta envelope.
+        ShardedDiskPulseCache(tmp_path / "cache", shards=1)
+        (tmp_path / "cache" / "shard-000.json").write_text('{"format": "bogus"}')
+        with pytest.raises(ControlError, match="shard-000.json"):
+            ShardedDiskPulseCache(tmp_path / "cache")
 
-    def test_torn_file_pair_drops_pulses_keeps_latencies(self, tmp_path):
-        stem = tmp_path / "cache"
-        cache = DiskPulseCache(stem)
-        latency_key = ("fp", "model", (1, ()))
-        pulse_key = ("fp", (1, ()))
+    def test_shard_is_one_cache_delta_file(self, tmp_path):
+        directory = tmp_path / "cache"
+        cache = ShardedDiskPulseCache(directory, shards=1)
+        latency_key = ("fp", "model", (1, (("H", (), (0,)),)))
+        pulse_key = ("fp", (1, (("H", (), (0,)),)))
         cache.put_latency(latency_key, 5.0)
         cache.put_pulse(pulse_key, _grape_result())
         cache.save()
+        files = sorted(
+            name for name in os.listdir(directory) if os.path.isfile(directory / name)
+        )
+        assert files == ["shard-000.json", "sharding.json"]
+        with open(cache.shard_path(0), encoding="utf-8") as handle:
+            shard = cache_delta_from_dict(json.load(handle))
+        assert shard.latencies == {latency_key: 5.0}
+        assert list(shard.pulses) == [pulse_key]
 
-        # Simulate a crash between the two atomic replaces: the npz on
-        # disk belongs to a different save than the json manifest.
-        other = DiskPulseCache(tmp_path / "other")
-        other.put_pulse(("fp", (9, ())), _grape_result(steps=6))
-        other.save()
-        (tmp_path / "other.npz").rename(tmp_path / "cache.npz")
-
-        reloaded = DiskPulseCache(stem)
-        assert reloaded.get_latency(latency_key) == 5.0
-        assert reloaded.get_pulse(pulse_key) is None  # miss, not mispair
-        assert reloaded.pulse_entries_skipped == 1
-
-    def test_same_keys_different_slot_order_not_mispaired(self, tmp_path):
+    def test_same_keys_different_insertion_order_not_crossed(self, tmp_path):
         """Two saves of the same pulse set in different insertion order
-        assign slots differently; their files must never cross-pair."""
+        must each restore every key to its own pulse."""
         key_a = ("fp", (1, (("H", (), (0,)),)))
         key_b = ("fp", (1, (("X", (), (0,)),)))
         result_a = _grape_result(seed=1)
         result_b = _grape_result(seed=2)
 
-        first = DiskPulseCache(tmp_path / "first")
+        first = ShardedDiskPulseCache(tmp_path / "first", shards=1)
         first.put_pulse(key_a, result_a)
         first.put_pulse(key_b, result_b)
         first.save()
-        second = DiskPulseCache(tmp_path / "second")
+        second = ShardedDiskPulseCache(tmp_path / "second", shards=1)
         second.put_pulse(key_b, result_b)
         second.put_pulse(key_a, result_a)
         second.save()
 
-        # Torn pair: first's manifest with second's arrays.
-        (tmp_path / "second.npz").rename(tmp_path / "first.npz")
-        reloaded = DiskPulseCache(tmp_path / "first")
-        assert reloaded.pulse_count == 0
-        assert reloaded.pulse_entries_skipped == 2
+        for directory in ("first", "second"):
+            reloaded = ShardedDiskPulseCache(tmp_path / directory)
+            for key, result in ((key_a, result_a), (key_b, result_b)):
+                np.testing.assert_array_equal(
+                    reloaded.get_pulse(key).pulse.amplitudes,
+                    result.pulse.amplitudes,
+                )
 
-    def test_missing_npz_drops_pulses_keeps_latencies(self, tmp_path):
-        stem = tmp_path / "cache"
-        cache = DiskPulseCache(stem)
-        cache.put_latency(("fp", "model", (1, ())), 5.0)
-        cache.put_pulse(("fp", (1, ())), _grape_result())
+    def test_missing_shard_file_is_an_empty_shard(self, tmp_path):
+        directory = tmp_path / "cache"
+        cache = ShardedDiskPulseCache(directory, shards=4)
+        keys = [("fp", "model", (1, ((f"G{i}", (), (0,)),))) for i in range(32)]
+        for index, key in enumerate(keys):
+            cache.put_latency(key, float(index))
         cache.save()
-        (tmp_path / "cache.npz").unlink()
-        reloaded = DiskPulseCache(stem)
-        assert reloaded.get_latency(("fp", "model", (1, ()))) == 5.0
-        assert reloaded.pulse_count == 0
-        assert reloaded.pulse_entries_skipped == 1
+        lost = cache.shard_of(keys[0])
+        os.unlink(cache.shard_path(lost))
 
-    def test_save_without_pulses_removes_stale_npz(self, tmp_path):
-        stem = tmp_path / "cache"
-        cache = DiskPulseCache(stem)
-        cache.put_pulse(("fp", (1, ())), _grape_result())
-        cache.save()
-        assert (tmp_path / "cache.npz").exists()
-        empty = DiskPulseCache(tmp_path / "other")
-        empty.stem = str(stem)
-        empty.put_latency(("fp", "model", (1, ())), 1.0)
-        empty.save()
-        assert not (tmp_path / "cache.npz").exists()
+        reloaded = ShardedDiskPulseCache(directory)
+        for index, key in enumerate(keys):
+            expected = None if cache.shard_of(key) == lost else float(index)
+            assert reloaded.get_latency(key) == expected
+        assert 0 < reloaded.loaded_entries < len(keys)
 
 
 class TestSharedCacheAcrossUnits:
@@ -523,29 +522,29 @@ class TestSharedCacheAcrossUnits:
         assert store.latency_count == 2
 
     def test_warm_disk_cache_skips_model(self, tmp_path):
-        stem = tmp_path / "cache"
-        cold_cache = DiskPulseCache(stem)
+        directory = tmp_path / "cache"
+        cold_cache = ShardedDiskPulseCache(directory)
         cold = OptimalControlUnit(cache=cold_cache)
         gates = [lib.CNOT(0, 1), lib.SWAP(1, 2), lib.H(0), lib.RZ(0.3, 2)]
         cold_values = [cold.latency(gate) for gate in gates]
         assert cold.model_evals == len(gates)
         cold_cache.save()
 
-        warm = OptimalControlUnit(cache=DiskPulseCache(stem))
+        warm = OptimalControlUnit(cache=ShardedDiskPulseCache(directory))
         warm_values = [warm.latency(gate) for gate in gates]
         assert warm_values == cold_values  # bit-identical through JSON
         assert warm.model_evals == 0
 
     def test_warm_disk_cache_skips_grape(self, tmp_path):
-        stem = tmp_path / "cache"
-        cold_cache = DiskPulseCache(stem)
+        directory = tmp_path / "cache"
+        cold_cache = ShardedDiskPulseCache(directory)
         cold = OptimalControlUnit(backend="grape", seed=11, cache=cold_cache)
         cold_latency = cold.latency(lib.H(0))
         assert cold.grape_calls == 1
         cold_cache.save()
 
         warm = OptimalControlUnit(
-            backend="grape", seed=11, cache=DiskPulseCache(stem)
+            backend="grape", seed=11, cache=ShardedDiskPulseCache(directory)
         )
         assert warm.latency(lib.H(0)) == cold_latency
         assert warm.grape_calls == 0

@@ -20,9 +20,9 @@ import pytest
 
 from repro.control.cache import (
     CacheServer,
-    DiskPulseCache,
     ProtocolError,
     RemotePulseCache,
+    ShardedDiskPulseCache,
 )
 from repro.control.cache.protocol import (
     PROTOCOL_FORMAT,
@@ -222,10 +222,10 @@ class TestReconnect:
         assert first.op_counts[stack.op] == 1
 
     def test_flush_to_a_stopped_server_fails_and_keeps_its_delta(self, tmp_path):
-        stem = tmp_path / "served"
+        directory = tmp_path / "served"
         key = ("fp", "model", (1, (("G0", (), (0,)),)))
         late = ("fp", "model", (1, (("G1", (), (0,)),)))
-        server = CacheServer(store=DiskPulseCache(stem)).start()
+        server = CacheServer(store=ShardedDiskPulseCache(directory)).start()
         client = RemotePulseCache(server.url, flush_threshold=0)
         client.put_latency(key, 1.0)  # flushed and acknowledged
         assert server.stop() == 1
@@ -236,10 +236,12 @@ class TestReconnect:
         # Nothing reached the stopped server after it saved: an
         # acknowledged write is a persisted one.
         assert server.store.latency_count == 1
-        assert DiskPulseCache(stem).latency_count == 1
+        assert ShardedDiskPulseCache(directory).latency_count == 1
         # A server back on the same port takes the retried flush.
-        restarted = CacheServer(store=DiskPulseCache(stem), port=server.address[1])
+        restarted = CacheServer(
+            store=ShardedDiskPulseCache(directory), port=server.address[1]
+        )
         with restarted:
             assert client.flush() == 1
             client.close()
-        assert DiskPulseCache(stem).get_latency(late) == 2.0
+        assert ShardedDiskPulseCache(directory).get_latency(late) == 2.0

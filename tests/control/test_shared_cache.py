@@ -11,8 +11,11 @@ the real-GRAPE path is covered by the benchmarks.
 
 from __future__ import annotations
 
+import json
 import os
 import socket
+import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -20,9 +23,9 @@ import numpy as np
 import pytest
 
 from repro.control.cache import (
+    DEFAULT_SHARDS,
     CacheDelta,
     CacheServer,
-    DiskPulseCache,
     ProtocolError,
     PulseCache,
     RemotePulseCache,
@@ -39,10 +42,11 @@ from repro.control.cache.protocol import (
     recv_message,
     send_message,
 )
-from repro.control.cache.store import latency_entry_bytes
+from repro.control.cache.store import LATENCY, entry_bytes, latency_entry_bytes
 from repro.control.grape import GrapeResult
 from repro.control.pulse import Pulse
 from repro.errors import ControlError
+from repro.ir.serialize import cache_delta_from_dict
 
 
 def _result(seed: int = 7, steps: int = 4) -> GrapeResult:
@@ -149,17 +153,39 @@ class TestShardedStore:
         # finds the published pulse instead of re-synthesizing.
         assert peer.get_pulse(key) is not None
 
-    def test_max_shard_bytes_trims_on_flush(self, tmp_path):
+    def _fill(self, directory, count: int, shards: int = 1) -> None:
+        """An unbounded peer flushes ``count`` latencies into the store."""
+        writer = ShardedDiskPulseCache(directory, shards=shards)
+        for index in range(count):
+            writer.put_latency(_latency_key(index), float(index))
+        writer.save()
+
+    def test_max_bytes_trims_on_flush(self, tmp_path):
         budget = sum(latency_entry_bytes(_latency_key(i)) for i in range(3))
-        cache = ShardedDiskPulseCache(
-            tmp_path / "cache", shards=1, max_shard_bytes=budget
-        )
-        for index in range(12):
-            cache.put_latency(_latency_key(index), float(index))
+        self._fill(tmp_path / "cache", 12)
+        cache = ShardedDiskPulseCache(tmp_path / "cache", max_bytes=budget)
+        cache.put_latency(_latency_key(0), 0.0)
         cache.save()
         assert cache.disk_evictions > 0
         reloaded = ShardedDiskPulseCache(tmp_path / "cache")
         assert 0 < reloaded.loaded_entries <= 3
+
+    def test_flush_keeps_every_shard_within_its_budget(self, tmp_path):
+        budget = 4 * sum(latency_entry_bytes(_latency_key(i)) for i in range(4))
+        self._fill(tmp_path / "cache", 64, shards=4)
+        cache = ShardedDiskPulseCache(tmp_path / "cache", max_bytes=budget)
+        for index in range(64, 128):
+            cache.put_latency(_latency_key(index), float(index))
+        cache.save()
+        assert cache.disk_evictions > 0
+        for index in range(cache.shards):
+            with open(cache.shard_path(index), encoding="utf-8") as handle:
+                shard = cache_delta_from_dict(json.load(handle))
+            size = sum(
+                entry_bytes(LATENCY, key, value)
+                for key, value in shard.latencies.items()
+            )
+            assert 0 < size <= budget // cache.shards
 
     def test_trim_never_evicts_pulse_mid_exclusive(self, tmp_path):
         # The flush that *publishes* a synthesized pulse must not also
@@ -167,23 +193,47 @@ class TestShardedStore:
         # the exactly-once guarantee silently breaks under tight budgets.
         key = _pulse_key(0)
         budget = latency_entry_bytes(_latency_key(0))  # << one pulse
-        cache = ShardedDiskPulseCache(
-            tmp_path / "cache", shards=1, max_shard_bytes=budget
-        )
+        self._fill(tmp_path / "cache", 8)  # entries the flush must trim
+        cache = ShardedDiskPulseCache(tmp_path / "cache", max_bytes=budget)
         with cache.exclusive(key):
             cache.put_pulse(key, _result())
-            for index in range(8):  # fresher entries than the pulse
-                cache.put_latency(_latency_key(index), float(index))
         assert cache.disk_evictions > 0  # the budget did bite
         peer = ShardedDiskPulseCache(tmp_path / "cache")
         assert peer.get_pulse(key) is not None
 
+    def test_reader_never_sees_a_partial_shard(self, tmp_path):
+        # A reader opening the directory while a writer keeps flushing
+        # pulses sees every pulse flushed before it opened and never
+        # raises: each shard is one file, replaced atomically.
+        writer = ShardedDiskPulseCache(tmp_path / "cache", shards=2)
+        flushed = []
+
+        def keep_flushing():
+            for index in range(40):
+                writer.put_pulse(_pulse_key(index), _result(seed=index))
+                writer.save()
+                flushed.append(index)
+
+        thread = threading.Thread(target=keep_flushing)
+        thread.start()
+        try:
+            while thread.is_alive():
+                expected = len(flushed)
+                reader = ShardedDiskPulseCache(tmp_path / "cache")
+                assert reader.pulse_count >= expected
+                for index in range(expected):
+                    assert reader.get_pulse(_pulse_key(index)) is not None
+        finally:
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert ShardedDiskPulseCache(tmp_path / "cache").pulse_count == 40
+
     def test_threaded_misses_reload_shard_once(self, tmp_path):
         writer = ShardedDiskPulseCache(tmp_path / "cache", shards=1)
+        reader = ShardedDiskPulseCache(tmp_path / "cache")  # before the save
         for index in range(4):
             writer.put_latency(_latency_key(index), float(index))
         writer.save()
-        reader = ShardedDiskPulseCache(tmp_path / "cache", autoload=False)
         with ThreadPoolExecutor(max_workers=4) as pool:
             values = list(
                 pool.map(lambda i: reader.get_latency(_latency_key(i)), range(4))
@@ -198,9 +248,9 @@ class TestShardedStore:
         memory, so the freshness check finds nothing left to load — the
         miss must still be retried against the now-loaded shard."""
         writer = ShardedDiskPulseCache(tmp_path / "cache", shards=1)
+        reader = ShardedDiskPulseCache(tmp_path / "cache")  # before the save
         writer.put_latency(_latency_key(0), 1.0)
         writer.save()
-        reader = ShardedDiskPulseCache(tmp_path / "cache", autoload=False)
         in_memory = PulseCache._get
         overtaken = []
 
@@ -439,12 +489,13 @@ class TestCacheServer:
         assert stats["server_errors"] == 0
 
     def test_disk_backed_server_persists_on_stop(self, tmp_path):
-        stem = tmp_path / "served"
-        server = CacheServer(store=DiskPulseCache(stem)).start()
+        directory = tmp_path / "served"
+        server = CacheServer(store=ShardedDiskPulseCache(directory)).start()
         client = RemotePulseCache(server.url, flush_threshold=0)
         client.put_latency(_latency_key(0), 2.5)
         assert server.stop() == 1
-        assert DiskPulseCache(stem).get_latency(_latency_key(0)) == 2.5
+        restarted = ShardedDiskPulseCache(directory)
+        assert restarted.get_latency(_latency_key(0)) == 2.5
 
     def test_client_pickles_without_socket(self, server):
         import pickle
@@ -464,9 +515,17 @@ class TestResolveCache:
     def test_none_when_nothing_requested(self):
         assert resolve_cache() is None
 
-    def test_stem_mounts_single_pair_cache(self, tmp_path):
+    def test_bare_path_mounts_directory_store(self, tmp_path):
         cache = resolve_cache(path=str(tmp_path / "cache"))
-        assert type(cache) is DiskPulseCache
+        assert type(cache) is ShardedDiskPulseCache
+        assert cache.shards == DEFAULT_SHARDS
+        assert (tmp_path / "cache" / "sharding.json").is_file()
+
+    def test_existing_file_path_rejected(self, tmp_path):
+        # e.g. the <stem>.json of a pre-directory cache
+        (tmp_path / "cache.json").write_text("{}")
+        with pytest.raises(ControlError, match="directories"):
+            resolve_cache(path=str(tmp_path / "cache.json"))
 
     def test_shards_mount_sharded_store(self, tmp_path):
         cache = resolve_cache(path=str(tmp_path / "cache"), shards=4)
@@ -567,6 +626,70 @@ def _server_stress_worker(args) -> int:
         cache.put_latency(_latency_key(index), float(index))
     cache.close()
     return synthesized
+
+
+def _race_one_signature(cache) -> int:
+    """Two threads of one process want one signature; returns syntheses.
+
+    The second thread starts only once the first is inside the guard (an
+    event, not timing luck), so its first lookup always misses.  The
+    first then holds the guard until the second has finished or half a
+    second has passed: a working guard keeps the second out until the
+    first has published, and its re-check hits.
+    """
+    key = _pulse_key(0)
+    inside = threading.Event()
+    second_done = threading.Event()
+
+    def first() -> int:
+        with cache.exclusive(key):
+            inside.set()
+            second_done.wait(timeout=0.5)
+            cache.put_pulse(key, _result(seed=0))
+        return 1
+
+    def second() -> int:
+        assert inside.wait(timeout=30)
+        try:
+            return _stub_synthesize(cache, 0)
+        finally:
+            second_done.set()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = [pool.submit(first), pool.submit(second)]
+        return sum(future.result(timeout=60) for future in results)
+
+
+class TestThreadSingleFlight:
+    def test_threads_sharing_a_store_synthesize_once(self):
+        assert _race_one_signature(PulseCache()) == 1
+
+    def test_threads_sharing_a_remote_client_synthesize_once(self, server):
+        with RemotePulseCache(server.url) as client:
+            assert _race_one_signature(client) == 1
+
+    def test_thread_stress_synthesizes_each_signature_once(self):
+        # More threads than cores, switching often, every thread wanting
+        # every signature: each is synthesized once and no key lock leaks.
+        cache = PulseCache()
+        threads = 2 * STRESS_WORKERS
+        start = threading.Barrier(threads)
+
+        def worker(index: int) -> int:
+            start.wait(timeout=30)
+            return sum(_stub_synthesize(cache, key) for key in _stress_keys(index))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(worker, index) for index in range(threads)]
+                synthesized = sum(future.result(timeout=60) for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert synthesized == STRESS_SIGNATURES
+        assert cache.pulse_count == STRESS_SIGNATURES
+        assert cache._key_locks == {}
 
 
 class TestMultiprocessStress:

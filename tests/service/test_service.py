@@ -4,9 +4,10 @@ Determinism notes: ``workers=0`` keeps submitted jobs queued forever,
 which pins queue states for the backpressure and cancel-while-queued
 tests; the poisoned job (a 5-qubit circuit pinned to a 3-qubit device)
 fails placement identically on every attempt, which drives the breaker
-tests; restart tests share one journal directory and one disk cache
-stem across server generations (an engine without a result cache gets a
-disk one inside the journal directory, so results persist with it).
+tests; restart tests share one journal directory and one pulse cache
+directory across server generations (an engine without a result cache
+gets a disk one inside the journal directory, so results persist with
+it).
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.result_cache import ResultCache
-from repro.control.cache import DiskPulseCache
+from repro.control.cache import ShardedDiskPulseCache
 from repro.errors import ServiceBusyError, ServiceError
 from repro.ir.serialize import result_to_dict
 from repro.service import CompileService, ServiceClient
@@ -223,10 +224,10 @@ class TestCircuitBreaker:
 class TestRestart:
     def test_completed_jobs_survive_a_restart(self, tmp_path):
         journal_dir = str(tmp_path / "journal")
-        stem = str(tmp_path / "cache")
+        cache_dir = str(tmp_path / "cache")
         circuit = _circuit("restart")
         with CompileService(
-            engine=BatchCompiler(cache=DiskPulseCache(stem)),
+            engine=BatchCompiler(cache=ShardedDiskPulseCache(cache_dir)),
             workers=1,
             journal=journal_dir,
         ) as service:
@@ -235,7 +236,7 @@ class TestRestart:
                 first = client.wait(job_id, timeout=120)
 
         with CompileService(
-            engine=BatchCompiler(cache=DiskPulseCache(stem)),
+            engine=BatchCompiler(cache=ShardedDiskPulseCache(cache_dir)),
             workers=1,
             journal=journal_dir,
         ) as reborn:
@@ -259,10 +260,10 @@ class TestRestart:
         and the result a per-job artifact, neither of which is trusted).
         Either way the job is re-keyed and recompiled warm."""
         journal_dir = tmp_path / "journal"
-        stem = str(tmp_path / "cache")
+        cache_dir = str(tmp_path / "cache")
         circuit = _circuit("gone")
         with CompileService(
-            engine=BatchCompiler(cache=DiskPulseCache(stem)),
+            engine=BatchCompiler(cache=ShardedDiskPulseCache(cache_dir)),
             workers=1,
             journal=str(journal_dir),
         ) as service:
@@ -286,7 +287,7 @@ class TestRestart:
                 json.dumps(result_to_dict(first, include_source=True))
             )
 
-        engine = BatchCompiler(cache=DiskPulseCache(stem))
+        engine = BatchCompiler(cache=ShardedDiskPulseCache(cache_dir))
         with CompileService(
             engine=engine, workers=1, journal=str(journal_dir)
         ) as reborn:
@@ -367,12 +368,12 @@ class TestRestart:
 
     def test_interrupted_jobs_resume_warm(self, tmp_path):
         journal_dir = str(tmp_path / "journal")
-        stem = str(tmp_path / "cache")
+        cache_dir = str(tmp_path / "cache")
         circuit = _circuit("resume")
         # Generation 1: one job completes, warming the disk cache for
         # this circuit/strategy.
         with CompileService(
-            engine=BatchCompiler(cache=DiskPulseCache(stem)),
+            engine=BatchCompiler(cache=ShardedDiskPulseCache(cache_dir)),
             workers=1,
             journal=journal_dir,
         ) as service:
@@ -387,7 +388,7 @@ class TestRestart:
         # store instead of queueing).
         queued_circuits = [_circuit(f"resume-q{i}") for i in range(2)]
         with CompileService(
-            engine=BatchCompiler(cache=DiskPulseCache(stem)),
+            engine=BatchCompiler(cache=ShardedDiskPulseCache(cache_dir)),
             workers=0,
             journal=journal_dir,
         ) as service:
@@ -400,7 +401,7 @@ class TestRestart:
 
         # Generation 3 over the same journal and cache resumes them.
         with CompileService(
-            engine=BatchCompiler(cache=DiskPulseCache(stem)),
+            engine=BatchCompiler(cache=ShardedDiskPulseCache(cache_dir)),
             workers=1,
             journal=journal_dir,
         ) as reborn:
