@@ -21,7 +21,7 @@ def _benchmarks_for(scale: str) -> dict[str, str]:
     }
 
 
-def test_figure10(benchmark, bench_scale, shared_ocu, capsys):
+def test_figure10(benchmark, bench_scale, batch_engine, capsys):
     widths = range(2, 11) if bench_scale == "paper" else range(2, 7)
     series = benchmark.pedantic(
         run_figure10,
@@ -29,7 +29,7 @@ def test_figure10(benchmark, bench_scale, shared_ocu, capsys):
             "benchmarks": _benchmarks_for(bench_scale),
             "widths": widths,
             "scale": bench_scale,
-            "ocu": shared_ocu,
+            "engine": batch_engine,
         },
         rounds=1,
         iterations=1,

@@ -3,10 +3,10 @@
 from repro.experiments.figure11 import format_figure11, run_figure11
 
 
-def test_figure11(benchmark, bench_scale, shared_ocu, capsys):
+def test_figure11(benchmark, bench_scale, batch_engine, capsys):
     rows = benchmark.pedantic(
         run_figure11,
-        kwargs={"scale": bench_scale, "ocu": shared_ocu},
+        kwargs={"scale": bench_scale, "engine": batch_engine},
         rounds=1,
         iterations=1,
     )

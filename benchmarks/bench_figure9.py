@@ -14,10 +14,10 @@ from repro.experiments.figure9 import (
 )
 
 
-def test_figure9(benchmark, bench_scale, shared_ocu, capsys):
+def test_figure9(benchmark, bench_scale, batch_engine, capsys):
     rows = benchmark.pedantic(
         run_figure9,
-        kwargs={"scale": bench_scale, "ocu": shared_ocu},
+        kwargs={"scale": bench_scale, "engine": batch_engine},
         rounds=1,
         iterations=1,
     )

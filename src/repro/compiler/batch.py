@@ -237,8 +237,9 @@ class BatchCompiler:
             any :class:`~repro.control.cache.PulseCache` backend (the
             :class:`~repro.control.cache.ShardedDiskPulseCache`
             directory for persistence across processes, the remote
-            client), or a string spec — ``"tcp://host:port"`` mounts a
-            cache server, any other string is a cache directory.
+            client), or a spec — the string ``"tcp://host:port"`` mounts
+            a cache server, any other string or :class:`os.PathLike` is a
+            cache directory.
         backend: OCU backend, ``"model"`` or ``"grape"``.
         max_workers: Worker-thread count; ``None`` picks
             ``min(cpu_count, job count)``.
@@ -262,7 +263,7 @@ class BatchCompiler:
             of the engine configuration payload.
         result_cache: Content-addressed store of whole compiled results
             (:class:`~repro.compiler.result_cache.ResultCache`, or a
-            string path mounting a
+            ``str``/:class:`os.PathLike` path mounting a
             :class:`~repro.compiler.result_cache.DiskResultCache`
             directory).  Batches dedupe byte-identical jobs within a
             run (compile once, fan the result out) and serve repeats —
@@ -275,7 +276,7 @@ class BatchCompiler:
         self,
         device: Device | DeviceConfig | str = DEFAULT_DEVICE,
         compiler_config: CompilerConfig = DEFAULT_COMPILER,
-        cache: PulseCache | None = None,
+        cache: PulseCache | str | os.PathLike | None = None,
         backend: str = "model",
         max_workers: int | None = None,
         grape_qubit_limit: int = 3,
@@ -288,7 +289,7 @@ class BatchCompiler:
         grape_kernel: str = "vectorized",
         grape_warm_start: bool = True,
         grape_plateau_iterations: int | None = 60,
-        result_cache: ResultCache | str | None = None,
+        result_cache: ResultCache | str | os.PathLike | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigError("max_workers must be at least 1")
@@ -309,13 +310,12 @@ class BatchCompiler:
             device = device_by_key(device)
         self.device = device
         self.compiler_config = compiler_config
-        if isinstance(cache, str):
-            # A string selects a shared backend: "tcp://host:port" mounts
-            # the cache server, anything else is a cache directory.
-            if cache.startswith("tcp://"):
-                cache = resolve_cache(url=cache)
-            else:
-                cache = resolve_cache(path=cache)
+        # A string selects a shared backend: "tcp://host:port" mounts the
+        # cache server, any other string or path is a cache directory.
+        if isinstance(cache, str) and cache.startswith("tcp://"):
+            cache = resolve_cache(url=cache)
+        elif isinstance(cache, (str, os.PathLike)):
+            cache = resolve_cache(path=os.fspath(cache))
         self.cache = cache if cache is not None else PulseCache()
         self.backend = backend
         self.max_workers = max_workers
@@ -329,13 +329,13 @@ class BatchCompiler:
         self.grape_kernel = grape_kernel
         self.grape_warm_start = grape_warm_start
         self.grape_plateau_iterations = grape_plateau_iterations
-        if isinstance(result_cache, str):
+        if isinstance(result_cache, (str, os.PathLike)):
             result_cache = DiskResultCache(result_cache)
         #: Optional content-addressed store of whole compiled results;
         #: when set, byte-identical jobs (same canonical envelope, same
         #: engine settings) are served from it instead of recompiling,
         #: both within one batch and across batches/engines sharing the
-        #: store.  A string mounts a :class:`DiskResultCache` directory.
+        #: store.  A path mounts a :class:`DiskResultCache` directory.
         self.result_cache = result_cache
         # Memoized engine-component strings keyed by the target's
         # canonical JSON: jobs deserialized from envelopes carry fresh
@@ -349,30 +349,6 @@ class BatchCompiler:
         #: bill here.
         self.lifetime_info: dict[str, float] = dict.fromkeys(
             COUNTER_KEYS + ("prewarm_synthesized",), 0
-        )
-
-    @classmethod
-    def from_ocu(
-        cls,
-        ocu: OptimalControlUnit,
-        max_workers: int | None = None,
-    ) -> BatchCompiler:
-        """An engine sharing an existing unit's cache and configuration."""
-        cache = ocu.cache
-        if isinstance(cache, CacheSession):
-            cache = cache.store
-        return cls(
-            device=ocu.target if ocu.target is not None else ocu.device,
-            compiler_config=ocu.compiler,
-            cache=cache,
-            backend=ocu.backend,
-            max_workers=max_workers,
-            grape_qubit_limit=ocu.grape_qubit_limit,
-            grape_dt=ocu.grape_dt,
-            seed=ocu.seed,
-            grape_kernel=ocu.grape_kernel,
-            grape_warm_start=ocu.grape_warm_start,
-            grape_plateau_iterations=ocu.grape_plateau_iterations,
         )
 
     # ------------------------------------------------------------------
@@ -1089,24 +1065,6 @@ def _as_job(job) -> BatchJob:
             circuit=circuit, strategy=strategy, width_limit=width_limit
         )
     raise ConfigError(f"cannot interpret batch job {job!r}")
-
-
-def resolve_engine(
-    engine: BatchCompiler | None = None,
-    ocu: OptimalControlUnit | None = None,
-    max_workers: int | None = None,
-) -> BatchCompiler:
-    """The engine a driver should use.
-
-    An explicit ``engine`` wins; otherwise one is wrapped around ``ocu``
-    (sharing its cache, so pre-batch-era call sites keep their warm
-    caches); otherwise a fresh default engine.
-    """
-    if engine is not None:
-        return engine
-    if ocu is not None:
-        return BatchCompiler.from_ocu(ocu, max_workers=max_workers)
-    return BatchCompiler(max_workers=max_workers)
 
 
 def compile_batch(

@@ -1,11 +1,12 @@
-"""Crash-safe file replacement, the one durable-write step on disk.
+"""Crash-safe file replacement, the durable-write step of whole files.
 
-Every store that persists files — the pulse cache's shards, the
-compiled-result cache's entries and the service journal — writes through
+Every store that persists whole files — the pulse cache's shards and
+the compiled-result cache's entries — writes through
 :func:`replace_into`: a unique temporary file in the same directory,
 fsynced, then :func:`os.replace`'d over the final path.  A killed writer
 can truncate only its own temp file, and a reader always sees a whole
-file, the old one or the new one.
+file, the old one or the new one.  (The service journal appends fsynced
+lines instead; see :mod:`repro.service.journal`.)
 """
 
 from __future__ import annotations

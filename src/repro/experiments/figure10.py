@@ -14,9 +14,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.benchmarks.registry import benchmark_by_key
-from repro.compiler.batch import BatchCompiler, BatchJob, resolve_engine
+from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.strategies import CLS_AGGREGATION, ISA
-from repro.control.unit import OptimalControlUnit
 
 PARALLEL_BENCHMARKS = ("maxcut-line-20", "maxcut-reg4-30", "ising-30")
 SERIAL_BENCHMARKS = ("sqrt-17", "uccsd-4", "uccsd-6-b")
@@ -53,9 +52,7 @@ def run_figure10(
     benchmarks: dict[str, str] | None = None,
     widths: range | None = None,
     scale: str = "paper",
-    ocu: OptimalControlUnit | None = None,
     engine: BatchCompiler | None = None,
-    max_workers: int | None = None,
 ) -> list[Figure10Series]:
     """Sweep the allowed instruction width per benchmark (batched).
 
@@ -68,16 +65,15 @@ def run_figure10(
             the paper's six applications.
         widths: Width settings to sweep; default the paper's 2..10.
         scale: Suite scale.
-        ocu: Shared latency oracle (wrapped by the engine when given).
-        engine: Batch engine (shared, possibly disk-persistent cache).
-        max_workers: Worker threads when no engine is passed.
+        engine: Batch engine (shared, possibly disk-persistent cache);
+            a default one when omitted.
     """
     if widths is None:
         widths = range(2, 11)
     if benchmarks is None:
         benchmarks = {key: "parallel" for key in PARALLEL_BENCHMARKS}
         benchmarks.update({key: "serial" for key in SERIAL_BENCHMARKS})
-    engine = resolve_engine(engine, ocu, max_workers)
+    engine = engine if engine is not None else BatchCompiler()
     widths = list(widths)
     jobs: list[BatchJob] = []
     for key in benchmarks:

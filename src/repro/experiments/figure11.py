@@ -12,9 +12,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.benchmarks.registry import benchmark_by_key
-from repro.compiler.batch import BatchCompiler, BatchJob, resolve_engine
+from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.strategies import CLS, CLS_AGGREGATION
-from repro.control.unit import OptimalControlUnit
 
 MAXCUT_INSTANCES = ("maxcut-line-20", "maxcut-reg4-30", "maxcut-cluster-30")
 MAXCUT_INSTANCES_SMALL = ("maxcut-line-6", "maxcut-reg4-8", "maxcut-cluster-8")
@@ -37,12 +36,10 @@ class Figure11Row:
 
 def run_figure11(
     scale: str = "paper",
-    ocu: OptimalControlUnit | None = None,
     engine: BatchCompiler | None = None,
-    max_workers: int | None = None,
 ) -> list[Figure11Row]:
     """Measure the three MAXCUT instances (one batch of six jobs)."""
-    engine = resolve_engine(engine, ocu, max_workers)
+    engine = engine if engine is not None else BatchCompiler()
     keys = MAXCUT_INSTANCES if scale == "paper" else MAXCUT_INSTANCES_SMALL
     locality_labels = ("high", "medium", "low")
     jobs: list[BatchJob] = []

@@ -11,9 +11,8 @@ import dataclasses
 import math
 
 from repro.benchmarks.registry import table3_suite
-from repro.compiler.batch import BatchCompiler, BatchJob, resolve_engine
+from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.strategies import Strategy, all_strategies, strategy_by_key
-from repro.control.unit import OptimalControlUnit
 from repro.device.device import Device
 from repro.device.presets import device_by_key
 from repro.errors import ConfigError
@@ -68,10 +67,8 @@ class Figure9Row:
 def run_figure9(
     scale: str = "paper",
     strategies: list[Strategy | str] | None = None,
-    ocu: OptimalControlUnit | None = None,
     benchmark_keys: list[str] | None = None,
     engine: BatchCompiler | None = None,
-    max_workers: int | None = None,
     device: Device | str | None = None,
 ) -> list[Figure9Row]:
     """Compile the suite under every strategy through the batch engine.
@@ -82,11 +79,9 @@ def run_figure9(
             may be :class:`Strategy` objects or registered keys, so
             custom strategies added via ``register_strategy`` sweep
             alongside (or instead of) the paper's five.
-        ocu: Shared latency oracle; when given (and no ``engine``), the
-            batch engine wraps its cache so warm runs stay warm.
         benchmark_keys: Restrict to a subset of the suite.
-        engine: Batch engine (shared, possibly disk-persistent cache).
-        max_workers: Worker threads when no engine is passed.
+        engine: Batch engine (shared, possibly disk-persistent cache);
+            a default one when omitted.
         device: Compilation target for every job — a
             :class:`~repro.device.device.Device` or a preset key such as
             ``"ring-6"``.  Benchmarks wider than the device are skipped
@@ -99,7 +94,7 @@ def run_figure9(
     ]
     if isinstance(device, str):
         device = device_by_key(device)
-    engine = resolve_engine(engine, ocu, max_workers)
+    engine = engine if engine is not None else BatchCompiler()
     suite = table3_suite(scale)
     if benchmark_keys:
         known = {spec.key for spec in suite}

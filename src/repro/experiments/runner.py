@@ -54,10 +54,9 @@ import threading
 import time
 from collections import defaultdict
 
-from repro.compiler.batch import BatchCompiler, resolve_engine
+from repro.compiler.batch import BatchCompiler
 from repro.compiler.result import CompilationResult
 from repro.control.cache import cache_summary, resolve_cache
-from repro.control.unit import OptimalControlUnit
 from repro.experiments.figure4 import format_figure4, run_figure4
 from repro.experiments.figure9 import Figure9Row, format_figure9, run_figure9
 from repro.experiments.figure10 import format_figure10, run_figure10
@@ -113,7 +112,6 @@ class PassProfiler:
 def run_experiment(
     name: str,
     scale: str,
-    ocu: OptimalControlUnit | None = None,
     engine: BatchCompiler | None = None,
     strategies: list[str] | None = None,
     devices: list[str] | None = None,
@@ -128,9 +126,9 @@ def run_experiment(
     device preset; ``artifact_dir`` saves every Figure 9 compilation
     result there as a JSON artifact.  Other experiments ignore all four.
     """
-    engine = resolve_engine(engine, ocu)
+    engine = engine if engine is not None else BatchCompiler()
     if name == "table1":
-        return format_table1(run_table1(engine=engine))
+        return format_table1(run_table1(ocu=engine.make_ocu()))
     if name == "table3":
         return format_table3(run_table3(scale=scale))
     if name == "figure4":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.benchmarks.qaoa import PAPER_BETA, PAPER_GAMMA
-from repro.compiler.batch import BatchCompiler
 from repro.control.unit import OptimalControlUnit
 from repro.gates import library as lib
 from repro.aggregation.instruction import AggregatedInstruction
@@ -60,24 +59,16 @@ def _rows_spec():
     ]
 
 
-def run_table1(
-    ocu: OptimalControlUnit | None = None,
-    engine: BatchCompiler | None = None,
-) -> list[Table1Row]:
+def run_table1(ocu: OptimalControlUnit | None = None) -> list[Table1Row]:
     """Measure every Table 1 entry with the optimal-control unit.
 
     Pass a ``backend="grape"`` unit to reproduce the table with real
     pulse optimization (slower); the default analytic model is the
-    calibrated stand-in.  When ``engine`` is given (and no ``ocu``), the
-    unit is bound to the engine's shared cache, so a warm persistent
-    cache answers every row without recomputation.
+    calibrated stand-in.  A unit from an engine's ``make_ocu()`` is bound
+    to its shared cache, so a warm persistent cache answers every row
+    without recomputation.
     """
-    if ocu is None:
-        ocu = (
-            engine.make_ocu()
-            if engine is not None
-            else OptimalControlUnit(backend="model")
-        )
+    ocu = ocu or OptimalControlUnit(backend="model")
     rows = []
     for label, paper_ns, gates in _rows_spec():
         if len(gates) == 1:

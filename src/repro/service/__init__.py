@@ -20,7 +20,7 @@ Pieces:
 * :mod:`~repro.service.protocol` — op vocabulary and response shapes.
 * :mod:`~repro.service.queue` — bounded reject-not-block job queue.
 * :mod:`~repro.service.breaker` — per-signature circuit breaker.
-* :mod:`~repro.service.journal` — atomic job manifest.
+* :mod:`~repro.service.journal` — append-only job log.
 * :mod:`~repro.service.server` — :class:`CompileService` itself.
 * :mod:`~repro.service.client` — :class:`ServiceClient`.
 

@@ -25,12 +25,14 @@ engine's result cache.  Robustness features:
   sends the stored entry as is.  An engine without a result cache gets
   one: a :class:`~repro.compiler.result_cache.DiskResultCache` under
   ``<journal>/result-cache/``, else an in-memory store.
-* **Crash-safe journal** — every accepted job and state transition is
-  journaled atomically (:mod:`repro.service.journal`).  A restarted
-  server re-keys every job under its current engine, keeps done jobs
-  whose key is stored, and re-runs the rest of its unfinished or
-  unstored jobs against the still-warm cache (zero re-synthesis for
-  cached pulses).
+* **Crash-safe journal** — every accepted job and state transition
+  appends one fsynced line to an append-only log
+  (:mod:`repro.service.journal`): the job's status, plus its envelope on
+  its first line.  A restarted server replays the log once, re-keys
+  every job under its current engine, keeps done jobs whose key is
+  stored (with their timings and counters), and re-runs the rest of its
+  unfinished or unstored jobs against the still-warm cache (zero
+  re-synthesis for cached pulses).
 
 Embed it (tests, examples)::
 
@@ -169,21 +171,6 @@ class _JobRecord:
         self.seconds = 0.0
         self.counters = dict.fromkeys(COUNTER_KEYS, 0)
 
-    def journal_record(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "serial": self.serial,
-            "state": self.state,
-            "job": self.envelope,
-            "signature": self.signature,
-            "label": self.label,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "attempts": self.attempts,
-            "error": self.error,
-        }
-
 
 class CompileService(FramedServer):
     """The compile server: engine + queue + breaker + journal + wire.
@@ -207,8 +194,9 @@ class CompileService(FramedServer):
         breaker_threshold / breaker_cooldown: Circuit-breaker tuning
             (consecutive failures to quarantine a signature; quarantine
             seconds before a probe).
-        journal: A :class:`JobJournal` (or a directory path for one) for
-            crash-safe restarts; ``None`` keeps state in memory only.
+        journal: A :class:`JobJournal` (or a ``str`` or
+            :class:`os.PathLike` directory for one) for crash-safe
+            restarts; ``None`` keeps state in memory only.
             Results survive a restart only when the engine's result
             cache is on disk — as it is when mounted here.
     """
@@ -226,7 +214,7 @@ class CompileService(FramedServer):
         job_timeout: float | None = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
-        journal: JobJournal | str | None = None,
+        journal: JobJournal | str | os.PathLike | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -244,9 +232,9 @@ class CompileService(FramedServer):
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown=breaker_cooldown
         )
-        self.journal = (
-            JobJournal(journal) if isinstance(journal, str) else journal
-        )
+        if isinstance(journal, (str, os.PathLike)):
+            journal = JobJournal(journal)
+        self.journal = journal
         if self.engine.result_cache is None:
             self.engine.result_cache = (
                 DiskResultCache(
@@ -328,44 +316,48 @@ class CompileService(FramedServer):
     # -- restart recovery ------------------------------------------------
 
     def _recover(self) -> None:
-        """Rebuild the record table from the journal; re-enqueue work.
+        """Rebuild the record table from one journal replay; re-enqueue.
 
-        Every job's key is recomputed under the current engine, so a
-        restart with another engine configuration never serves results
-        compiled under the old one.  Done jobs whose key is in the
-        result store come back ``done``.  Queued/running jobs (the
-        previous process died holding them), and done jobs whose result
-        is not in the store, are re-enqueued — ``force=True`` so a
-        backlog larger than the queue limit is never stranded — with
-        ``running`` ones charged one attempt for the run that died.
+        A job without its envelope line is dropped: a worker's line can
+        land before the submit path's first one, and a crash between the
+        two means the submit never answered.  Every job's key is
+        recomputed under the current engine, so a restart with another
+        engine configuration never serves results compiled under the old
+        one.  Done jobs whose key is in the result store come back
+        ``done``.  Queued/running jobs (the previous process died holding
+        them), and done jobs whose result is not in the store, are
+        re-enqueued — ``force=True`` so a backlog larger than the queue
+        limit is never stranded — with ``running`` ones charged one
+        attempt for the run that died.
         """
         from repro.ir.serialize import batch_job_from_dict
 
-        resumable_ids = {r["job_id"] for r in self.journal.resumable()}
-        for stored in sorted(
-            self.journal.records(), key=lambda r: r.get("serial", 0)
-        ):
+        for stored in self.journal.replay():
+            self._next_serial = max(self._next_serial, stored["serial"] + 1)
+            if "job" not in stored:
+                continue
             try:
                 key = self.engine.result_key(batch_job_from_dict(stored["job"]))
             except ReproError:
-                key = stored.get("signature")  # a worker will fail it
+                key = stored["signature"]  # a worker will fail it
             record = _JobRecord(
-                stored["job_id"], stored.get("serial", 0), stored["job"], key
+                stored["job_id"], stored["serial"], stored["job"], key
             )
-            record.state = stored["state"]
-            record.submitted_at = stored.get("submitted_at", record.submitted_at)
-            record.started_at = stored.get("started_at")
-            record.finished_at = stored.get("finished_at")
-            record.attempts = stored.get("attempts", 0)
-            record.error = stored.get("error")
-            if record.job_id in resumable_ids or (
+            # A journal line is a status(): take its fields back, but
+            # keep the key just computed under the current engine.
+            for name, value in stored.items():
+                if name in _JobRecord.__slots__ and name != "signature":
+                    setattr(record, name, value)
+            if record.state in ("queued", "running") or (
                 record.state == "done" and key not in self.engine.result_cache
             ):
                 if record.state == "running":
                     record.attempts += 1
+                # Queued afresh: the outputs of the run that died (or of
+                # the one whose result is gone) no longer describe it.
                 record.state = "queued"
-                record.started_at = None
-                record.error = None
+                record.started_at = record.finished_at = record.error = None
+                record.seconds = record.pass_seconds = record.counters = None
                 self._journal(record)
                 self.queue.offer(record.job_id, force=True)
                 self.resumed += 1
@@ -375,7 +367,6 @@ class CompileService(FramedServer):
                     record.signature, record.job_id
                 )
             self._records[record.job_id] = record
-            self._next_serial = max(self._next_serial, record.serial + 1)
 
     # -- workers ---------------------------------------------------------
 
@@ -550,9 +541,17 @@ class CompileService(FramedServer):
             del self._inflight_by_signature[record.signature]
         return self._followers.pop(record.job_id, [])
 
-    def _journal(self, record: _JobRecord) -> None:
+    def _journal(self, record: _JobRecord, first: bool = False) -> None:
+        """Append the job's status; its first line carries the envelope."""
         if self.journal is not None:
-            self.journal.record(record.journal_record())
+            entry = {**record.status(), "serial": record.serial}
+            # Explicit nulls for the fields status() omits while unset,
+            # so a re-run's line overwrites the ones of the run before.
+            entry.setdefault("pass_seconds", None)
+            entry.setdefault("counters", None)
+            if first:
+                entry["job"] = record.envelope
+            self.journal.record(entry)
 
     # -- request dispatch ------------------------------------------------
 
@@ -617,12 +616,12 @@ class CompileService(FramedServer):
         if served:
             with self._counter_lock:
                 self.result_cache_hits += 1
-            self._journal(record)
+            self._journal(record, first=True)
             return self._accepted(record)
         if coalesced_onto is not None:
             with self._counter_lock:
                 self.coalesced += 1
-            self._journal(record)
+            self._journal(record, first=True)
             return {**self._accepted(record), "coalesced_with": coalesced_onto}
         with self._lock:
             self._records[job_id] = record
@@ -643,7 +642,7 @@ class CompileService(FramedServer):
             self._inflight_by_signature[signature] = job_id
         with self._counter_lock:
             self.result_cache_misses += 1
-        self._journal(record)
+        self._journal(record, first=True)
         return self._accepted(record)
 
     def _accepted(self, record: _JobRecord) -> dict:
@@ -762,7 +761,7 @@ class CompileService(FramedServer):
             "requests": requests,
             "request_errors": errors,
             "breaker": self.breaker.stats(),
-            "journal_jobs": len(self.journal) if self.journal else 0,
+            "journal_jobs": len(self._records) if self.journal is not None else 0,
             "cache": self.engine.cache_stats(),
             "coalesced_submissions": coalesced,
             # Submissions served at submit time vs queued, plus the

@@ -5,17 +5,11 @@ import pytest
 from repro.benchmarks.grover import grover_sqrt_circuit
 from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
-from repro.compiler.batch import (
-    BatchCompiler,
-    BatchJob,
-    compile_batch,
-    resolve_engine,
-)
+from repro.compiler.batch import BatchCompiler, BatchJob, compile_batch
 from repro.compiler.pipeline import compile_circuit
 from repro.compiler.strategies import CLS, CLS_AGGREGATION, ISA, all_strategies
 from repro.config import DeviceConfig
 from repro.control.cache import PulseCache, ShardedDiskPulseCache
-from repro.control.unit import OptimalControlUnit
 from repro.errors import ConfigError
 
 
@@ -160,25 +154,10 @@ class TestEngineBasics:
         reference = compile_circuit(circuit, CLS_AGGREGATION)
         assert first.latency_ns == reference.latency_ns
 
-    def test_from_ocu_shares_cache(self):
-        ocu = OptimalControlUnit(backend="model")
-        ocu.latency(maxcut_qaoa_circuit(line_graph(4)).gates[0])
-        engine = BatchCompiler.from_ocu(ocu, max_workers=2)
-        assert engine.cache is ocu.cache
-        assert engine.backend == "model"
-
     def test_path_string_mounts_directory_store(self, tmp_path):
         engine = BatchCompiler(cache=str(tmp_path / "store"))
         assert isinstance(engine.cache, ShardedDiskPulseCache)
         assert engine.cache.directory == str(tmp_path / "store")
-
-    def test_resolve_engine_precedence(self):
-        explicit = BatchCompiler()
-        ocu = OptimalControlUnit()
-        assert resolve_engine(explicit, ocu) is explicit
-        wrapped = resolve_engine(None, ocu)
-        assert wrapped.cache is ocu.cache
-        assert resolve_engine(None, None).cache is not ocu.cache
 
     def test_report_total_latency(self, suite_jobs):
         report = BatchCompiler(max_workers=2).compile_batch(suite_jobs[:3])

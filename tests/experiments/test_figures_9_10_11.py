@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control.unit import OptimalControlUnit
+from repro.compiler.batch import BatchCompiler
 from repro.experiments.figure9 import (
     format_figure9,
     geometric_mean_speedups,
@@ -18,14 +18,14 @@ from repro.experiments.table3 import format_table3, run_table3
 
 
 @pytest.fixture(scope="module")
-def ocu():
-    return OptimalControlUnit(backend="model")
+def engine():
+    return BatchCompiler()
 
 
 @pytest.fixture(scope="module")
-def figure9_rows(ocu):
+def figure9_rows(engine):
     keys = ["maxcut-line-6", "maxcut-cluster-8", "ising-6", "uccsd-4"]
-    return run_figure9(scale="small", ocu=ocu, benchmark_keys=keys)
+    return run_figure9(scale="small", engine=engine, benchmark_keys=keys)
 
 
 class TestFigure9:
@@ -65,13 +65,13 @@ class TestFigure9:
 
 class TestFigure10:
     @pytest.fixture(scope="class")
-    def series(self, ocu):
+    def series(self, engine):
         benchmarks = {"maxcut-line-6": "parallel", "sqrt-9": "serial"}
         return run_figure10(
             benchmarks=benchmarks,
             widths=range(2, 7),
             scale="small",
-            ocu=ocu,
+            engine=engine,
         )
 
     def test_one_series_per_benchmark(self, series):
@@ -101,8 +101,8 @@ class TestFigure10:
 
 class TestFigure11:
     @pytest.fixture(scope="class")
-    def rows(self, ocu):
-        return run_figure11(scale="small", ocu=ocu)
+    def rows(self, engine):
+        return run_figure11(scale="small", engine=engine)
 
     def test_three_instances(self, rows):
         assert [row.locality for row in rows] == ["high", "medium", "low"]

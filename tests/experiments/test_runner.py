@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.compiler.result import CompilationResult
-from repro.control.unit import OptimalControlUnit
+from repro.compiler.batch import BatchCompiler
 from repro.experiments.runner import (
     artifact_filename,
     load_artifacts_report,
@@ -15,22 +15,22 @@ from repro.experiments.runner import (
 
 
 @pytest.fixture(scope="module")
-def ocu():
-    return OptimalControlUnit(backend="model")
+def engine():
+    return BatchCompiler()
 
 
 class TestRunExperiment:
     @pytest.mark.parametrize(
         "name", ["table1", "table3", "figure4", "figure11"]
     )
-    def test_fast_experiments_produce_reports(self, name, ocu):
-        report = run_experiment(name, scale="small", ocu=ocu)
+    def test_fast_experiments_produce_reports(self, name, engine):
+        report = run_experiment(name, scale="small", engine=engine)
         assert isinstance(report, str)
         assert len(report.splitlines()) >= 3
 
-    def test_unknown_experiment(self, ocu):
+    def test_unknown_experiment(self, engine):
         with pytest.raises(ValueError):
-            run_experiment("figure99", scale="small", ocu=ocu)
+            run_experiment("figure99", scale="small", engine=engine)
 
 
 class TestCli:

@@ -10,7 +10,6 @@ gets a disk one inside the journal directory, so results persist with
 it).
 """
 
-import hashlib
 import json
 import os
 import shutil
@@ -20,11 +19,10 @@ import pytest
 
 from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
-from repro.compiler.batch import BatchCompiler, BatchJob
+from repro.compiler.batch import COUNTER_KEYS, BatchCompiler, BatchJob
 from repro.compiler.result_cache import ResultCache
 from repro.control.cache import ShardedDiskPulseCache
 from repro.errors import ServiceBusyError, ServiceError
-from repro.ir.serialize import result_to_dict
 from repro.service import CompileService, ServiceClient
 from repro.service.protocol import (
     REJECT_QUARANTINED,
@@ -189,15 +187,17 @@ class TestCircuitBreaker:
                 client.wait(good, timeout=120)
 
     def test_half_open_admits_one_probe_whose_failure_reopens(self):
+        # The cooldown outlasts wait()'s 0.1 s poll, so the re-opened
+        # breaker is still open when the failed probe is noticed.
         with CompileService(
-            workers=1, breaker_threshold=1, breaker_cooldown=0.05
+            workers=1, breaker_threshold=1, breaker_cooldown=0.5
         ) as service:
             with ServiceClient(service.url) as client:
                 job_id = client.submit_job(_poisoned_job())
                 with pytest.raises(ServiceError):
                     client.wait(job_id, timeout=120)
                 # Quarantined; after the cooldown one probe is admitted.
-                time.sleep(0.1)
+                time.sleep(0.6)
                 probe_id = client.submit_job(_poisoned_job())
                 with pytest.raises(ServiceError):
                     client.wait(probe_id, timeout=120)
@@ -251,14 +251,9 @@ class TestRestart:
             # Serving the stored result costs zero compilation.
             assert reborn.engine.lifetime_info["model_evals"] == 0
 
-    @pytest.mark.parametrize("legacy", [False, True], ids=["gone", "legacy"])
-    def test_done_job_without_a_stored_result_recompiles_warm(
-        self, tmp_path, legacy
-    ):
-        """Its result was deleted ("gone"), or its journal predates the
-        one store ("legacy": the signature is the bare envelope digest
-        and the result a per-job artifact, neither of which is trusted).
-        Either way the job is re-keyed and recompiled warm."""
+    def test_done_job_without_a_stored_result_recompiles_warm(self, tmp_path):
+        """Its result was deleted: the job is re-keyed and recompiled
+        warm."""
         journal_dir = tmp_path / "journal"
         cache_dir = str(tmp_path / "cache")
         circuit = _circuit("gone")
@@ -271,21 +266,6 @@ class TestRestart:
                 job_id = client.submit(circuit)
                 first = client.wait(job_id, timeout=120)
         shutil.rmtree(journal_dir / RESULT_CACHE_DIR)
-        if legacy:
-            manifest = json.loads((journal_dir / "journal.json").read_text())
-            (record,) = manifest["jobs"]
-            envelope = {k: v for k, v in record["job"].items() if k != "label"}
-            record["signature"] = hashlib.sha256(
-                json.dumps(
-                    envelope, sort_keys=True, separators=(",", ":")
-                ).encode()
-            ).hexdigest()
-            manifest["next_serial"] = 2
-            (journal_dir / "journal.json").write_text(json.dumps(manifest))
-            (journal_dir / "results").mkdir()
-            (journal_dir / "results" / f"{job_id}.json").write_text(
-                json.dumps(result_to_dict(first, include_source=True))
-            )
 
         engine = BatchCompiler(cache=ShardedDiskPulseCache(cache_dir))
         with CompileService(
@@ -301,6 +281,82 @@ class TestRestart:
                     BatchJob(circuit=circuit)
                 )
             assert engine.lifetime_info["model_evals"] == 0
+
+    def test_done_job_keeps_its_timings_across_a_restart(self, tmp_path):
+        journal_dir = str(tmp_path / "journal")
+        circuit = _circuit("timings", nodes=3)
+        with CompileService(workers=1, journal=journal_dir) as service:
+            with ServiceClient(service.url) as client:
+                job_id = client.submit(circuit)
+                client.wait(job_id, timeout=120)
+                before = client.status(job_id)
+
+        with CompileService(workers=1, journal=journal_dir) as reborn:
+            assert reborn.resumed == 0
+            with ServiceClient(reborn.url) as client:
+                after = client.status(job_id)
+        assert after["seconds"] is not None
+        assert after["pass_seconds"]
+        assert set(after["counters"]) == set(COUNTER_KEYS)
+        for field in ("seconds", "pass_seconds", "counters", "finished_at"):
+            assert after[field] == before[field], field
+
+    def test_job_without_its_envelope_line_is_dropped(self, tmp_path):
+        """A worker's ``running`` line can land before the submit path
+        writes the job's envelope; a crash between the two leaves a job
+        whose submit never answered its client, and a restart drops it."""
+        journal_dir = tmp_path / "journal"
+        with CompileService(workers=0, journal=str(journal_dir)) as service:
+            with ServiceClient(service.url) as client:
+                kept = client.submit(_circuit("kept", nodes=3))
+        orphan = {
+            "job_id": "job-2-orphan",
+            "state": "running",
+            "signature": "0" * 64,
+            "attempts": 1,
+            "serial": 2,
+        }
+        with open(journal_dir / "journal.jsonl", "a") as log:
+            log.write(json.dumps(orphan) + "\n")
+
+        with CompileService(workers=0, journal=str(journal_dir)) as reborn:
+            assert reborn.resumed == 1
+            with ServiceClient(reborn.url) as client:
+                assert [job["job_id"] for job in client.jobs()] == [kept]
+                # Its serial is still spent: job ids are never reused.
+                fresh = client.submit(_circuit("fresh", nodes=3))
+                assert fresh.startswith("job-3-")
+                assert client.stats()["journal_jobs"] == 2
+
+    def test_failed_and_cancelled_jobs_never_resume(self, tmp_path):
+        """Only queued and running jobs re-run after a restart; a failed
+        or cancelled one comes back exactly as it was."""
+        journal_dir = str(tmp_path / "journal")
+        with CompileService(workers=1, journal=journal_dir) as service:
+            with ServiceClient(service.url) as client:
+                failed = client.submit_job(_poisoned_job())
+                with pytest.raises(ServiceError):
+                    client.wait(failed, timeout=120)
+                before = {failed: client.status(failed)}
+        with CompileService(workers=0, journal=journal_dir) as service:
+            with ServiceClient(service.url) as client:
+                cancelled = client.submit(_circuit("cancelled", nodes=3))
+                assert client.cancel(cancelled) == "cancelled"
+                before[cancelled] = client.status(cancelled)
+        assert [status["state"] for status in before.values()] == [
+            "failed",
+            "cancelled",
+        ]
+
+        with CompileService(workers=1, journal=journal_dir) as reborn:
+            assert reborn.resumed == 0
+            with ServiceClient(reborn.url) as client:
+                for job_id, status in before.items():
+                    assert client.status(job_id) == status
+                stats = client.stats()
+                assert stats["queue"]["depth"] == 0
+                assert stats["completed"] == stats["failed"] == 0
+            assert reborn.engine.lifetime_info["model_evals"] == 0
 
     def test_resumed_job_is_rekeyed_under_the_new_engine(self, tmp_path):
         """Its re-run stores the result under the new engine's key, so
@@ -331,9 +387,11 @@ class TestRestart:
         with CompileService(workers=0, journal=str(journal_dir)) as service:
             with ServiceClient(service.url) as client:
                 job_id = client.submit(_circuit("orphan", nodes=3))
-        manifest = json.loads((journal_dir / "journal.json").read_text())
-        manifest["jobs"][0]["job"]["strategy_key"] = "since-unregistered"
-        (journal_dir / "journal.json").write_text(json.dumps(manifest))
+        log = journal_dir / "journal.jsonl"
+        header, first, *rest = log.read_text().splitlines()
+        entry = json.loads(first)
+        entry["job"]["strategy_key"] = "since-unregistered"
+        log.write_text("\n".join([header, json.dumps(entry), *rest]) + "\n")
 
         with CompileService(workers=1, journal=str(journal_dir)) as reborn:
             assert reborn.resumed == 1
@@ -496,7 +554,30 @@ class TestOneStore:
         assert stats["completed"] == 3
         assert stats["result_cache"]["hits"] == 2
         assert len(list(results_dir.glob("*.json"))) == 3
-        assert os.listdir(journal_dir) == ["journal.json"]
+        assert os.listdir(journal_dir) == ["journal.jsonl"]
+
+
+class TestPathArguments:
+    @pytest.mark.parametrize("argument", ["cache", "result_cache", "journal"])
+    def test_path_object_names_a_directory(self, tmp_path, argument):
+        """A :class:`pathlib.Path` mounts a store there, exactly like the
+        ``str`` spelling, instead of being taken for a store object."""
+        directory = tmp_path / argument
+        if argument == "journal":
+            engine, journal = BatchCompiler(), directory
+        else:
+            engine, journal = BatchCompiler(**{argument: directory}), None
+        with CompileService(engine=engine, workers=1, journal=journal) as service:
+            with ServiceClient(service.url) as client:
+                circuit = _circuit("path", nodes=3)
+                client.wait(client.submit(circuit), timeout=120)
+        store = {
+            "cache": engine.cache,
+            "result_cache": engine.result_cache,
+            "journal": service.journal,
+        }[argument]
+        assert store.directory == str(directory)
+        assert os.listdir(directory)
 
 
 class TestCoalescing:
