@@ -28,10 +28,10 @@ def candidate_actions(dag, width_limit: int) -> list[tuple]:
     # per-qubit group-index and position tables serves every pair.
     lookups = [dag.group_lookup(q) for q in range(dag.num_qubits)]
     positions = [
-        {id(node): index for index, node in enumerate(dag.qubit_sequence(q))}
+        {node: index for index, node in enumerate(dag.qubit_sequence(q))}
         for q in range(dag.num_qubits)
     ]
-    seen: set[frozenset[int]] = set()
+    seen: set[frozenset] = set()
     actions: list[tuple] = []
     for qubit in range(dag.num_qubits):
         groups = dag.group_view(qubit)
@@ -47,8 +47,7 @@ def candidate_actions(dag, width_limit: int) -> list[tuple]:
                 else (),
             )
             for a, b in pair_iter:
-                a_id, b_id = id(a), id(b)
-                key = frozenset((a_id, b_id))
+                key = frozenset((a, b))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -59,7 +58,7 @@ def candidate_actions(dag, width_limit: int) -> list[tuple]:
                 mergeable = True
                 for q in shared:
                     lookup = lookups[q]
-                    if abs(lookup[a_id] - lookup[b_id]) > 1:
+                    if abs(lookup[a] - lookup[b]) > 1:
                         mergeable = False
                         break
                 if not mergeable:
@@ -69,7 +68,7 @@ def candidate_actions(dag, width_limit: int) -> list[tuple]:
                 # _oriented helper — set iteration order is stable for
                 # equal contents).
                 pos = positions[next(iter(shared))]
-                if pos[a_id] < pos[b_id]:
+                if pos[a] < pos[b]:
                     actions.append((a, b))
                 else:
                     actions.append((b, a))

@@ -16,6 +16,11 @@ that touch qubits already modified this round, so the incremental timing
 data stays valid); merged instructions get their real latency from the
 OCU, and rounds repeat until no profitable monotonic action remains —
 the "iterate until the GDG converges" loop of the paper.
+
+Every per-node map here (the latency memo, est/finish/tails, positions,
+the alive and skip sets) is keyed by the node itself, like the GDG's
+own maps: an entry holds its node alive, so a node merged away can
+never lend its entry to an instruction created later.
 """
 
 from __future__ import annotations
@@ -74,7 +79,13 @@ def aggregate(
     Returns:
         An :class:`AggregationReport`.
     """
-    latency = _NodeLatencyMemo(ocu)
+    latencies: dict = {}
+
+    def latency(node) -> float:
+        value = latencies.get(node)
+        if value is None:
+            value = latencies[node] = ocu.latency(node)
+        return value
 
     initial_makespan = dag.makespan(latency)
     merges = 0
@@ -103,11 +114,10 @@ def aggregate(
         scored.sort(key=lambda item: item[0], reverse=True)
 
         executed = 0
+        # A node merged this round has all its qubits touched, so this
+        # check also skips every later action on a merged-away node.
         touched_qubits: set[int] = set()
-        merged_ids: set[int] = set()
         for _reward, earlier, later in scored:
-            if id(earlier) in merged_ids or id(later) in merged_ids:
-                continue
             qubits = set(earlier.qubits) | set(later.qubits)
             if touched_qubits & qubits:
                 continue
@@ -123,9 +133,6 @@ def aggregate(
                 dag.merge(earlier, later, merged, check_cycles=True)
             except SchedulingError:
                 continue
-            merged_ids.update((id(earlier), id(later)))
-            latency.forget(earlier)
-            latency.forget(later)
             touched_qubits.update(qubits)
             executed += 1
             merges += 1
@@ -141,33 +148,6 @@ def aggregate(
     )
 
 
-class _NodeLatencyMemo:
-    """Aggregation-local latency memo keyed by node identity.
-
-    Keying a plain dict by ``id(node)`` is unsound here: once a
-    merged-away node is garbage collected, CPython can hand its id to a
-    newly allocated :class:`AggregatedInstruction`, which would silently
-    inherit the dead node's latency.  The memo therefore pins a strong
-    reference to every node it caches (ids of *live* objects are unique)
-    and re-checks identity on lookup; :meth:`forget` releases merged-away
-    nodes so the pins do not accumulate over long runs.
-    """
-
-    def __init__(self, ocu) -> None:
-        self._ocu = ocu
-        self._entries: dict[int, tuple[object, float]] = {}
-
-    def __call__(self, node) -> float:
-        entry = self._entries.get(id(node))
-        if entry is None or entry[0] is not node:
-            entry = (node, self._ocu.latency(node))
-            self._entries[id(node)] = entry
-        return entry[1]
-
-    def forget(self, node) -> None:
-        self._entries.pop(id(node), None)
-
-
 def _series_prepass(dag, ocu, latency, width_limit: int) -> int:
     """Chain-merge pure series pairs in amortized linear time.
 
@@ -180,7 +160,7 @@ def _series_prepass(dag, ocu, latency, width_limit: int) -> int:
     """
     merges = 0
     worklist = list(dag.nodes)
-    alive = {id(node) for node in dag.nodes}
+    alive = set(dag.nodes)
     # The outer _prev/_next dicts are stable across merges (relinking
     # swaps the per-qubit inner maps in place), so one fetch serves the
     # whole pass while staying live.
@@ -188,13 +168,13 @@ def _series_prepass(dag, ocu, latency, width_limit: int) -> int:
     next_maps = dag._next
     while worklist:
         node = worklist.pop()
-        if id(node) not in alive:
+        if node not in alive:
             continue
         while True:
             follower = None
             branched = False
             for q in node.qubits:
-                successor = next_maps[q].get(id(node))
+                successor = next_maps[q].get(node)
                 if successor is None:
                     continue
                 if follower is None:
@@ -209,7 +189,7 @@ def _series_prepass(dag, ocu, latency, width_limit: int) -> int:
             # least one does).
             sole = True
             for q in follower.qubits:
-                predecessor = prev_maps[q].get(id(follower))
+                predecessor = prev_maps[q].get(follower)
                 if predecessor is not None and predecessor is not node:
                     sole = False
                     break
@@ -232,11 +212,9 @@ def _series_prepass(dag, ocu, latency, width_limit: int) -> int:
                 )
             except SchedulingError:
                 break
-            alive.discard(id(node))
-            alive.discard(id(follower))
-            alive.add(id(merged))
-            latency.forget(node)
-            latency.forget(follower)
+            alive.discard(node)
+            alive.discard(follower)
+            alive.add(merged)
             merges += 1
             node = merged
     return merges
@@ -249,9 +227,7 @@ class _RoundTiming:
         self.dag = dag
         self.latency = latency
         self.est = dag.asap_times(latency)
-        self.finish = {
-            id(node): self.est[id(node)] + latency(node) for node in dag.nodes
-        }
+        self.finish = {node: self.est[node] + latency(node) for node in dag.nodes}
         self.makespan = max(self.finish.values(), default=0.0)
         self.tails = self._compute_tails()
         # One qubit_sequence copy per qubit serves both the round-start
@@ -261,23 +237,20 @@ class _RoundTiming:
         for q in range(dag.num_qubits):
             sequence = dag.qubit_sequence(q)
             self.sequences[q] = sequence
-            self.positions[q] = {
-                id(node): index for index, node in enumerate(sequence)
-            }
+            self.positions[q] = {node: index for index, node in enumerate(sequence)}
 
-    def _compute_tails(self) -> dict[int, float]:
-        tails: dict[int, float] = {}
+    def _compute_tails(self) -> dict:
+        tails: dict = {}
         next_maps = self.dag._next
         for node in reversed(self.dag.topological_order()):
-            nid = id(node)
             best = 0.0
             for q in node.qubits:
-                successor = next_maps[q].get(nid)
+                successor = next_maps[q].get(node)
                 if successor is not None:
-                    tail = tails[id(successor)]
+                    tail = tails[successor]
                     if tail > best:
                         best = tail
-            tails[nid] = self.latency(node) + best
+            tails[node] = self.latency(node) + best
         return tails
 
     def is_monotonic(self, earlier, later) -> bool:
@@ -292,27 +265,25 @@ class _RoundTiming:
         snapshot the times were computed from.
         """
         finish = self.finish
-        earlier_id = id(earlier)
-        later_id = id(later)
         pessimistic = self.latency(earlier) + self.latency(later)
-        start = self.est[earlier_id]
+        start = self.est[earlier]
         for q in earlier.qubits:
             pos = self.positions[q]
-            ib = pos.get(later_id)
+            ib = pos.get(later)
             if ib is None:
                 continue  # not a shared qubit
-            ia = pos[earlier_id]
+            ia = pos[earlier]
             low, high = (ia, ib) if ia < ib else (ib, ia)
             sequence = self.sequences[q]
             for index in range(low + 1, high):
-                member_finish = finish[id(sequence[index])]
+                member_finish = finish[sequence[index]]
                 if member_finish > start:
                     start = member_finish
         prev_maps = self.dag._prev
         for q in later.qubits:
-            predecessor = prev_maps[q].get(later_id)
+            predecessor = prev_maps[q].get(later)
             if predecessor is not None and predecessor is not earlier:
-                predecessor_finish = finish[id(predecessor)]
+                predecessor_finish = finish[predecessor]
                 if predecessor_finish > start:
                     start = predecessor_finish
         merged_finish = start + pessimistic
@@ -320,16 +291,15 @@ class _RoundTiming:
         tails = self.tails
         next_maps = self.dag._next
         for node in (earlier, later):
-            nid = id(node)
             for q in node.qubits:
-                successor = next_maps[q].get(nid)
+                successor = next_maps[q].get(node)
                 if (
                     successor is None
                     or successor is earlier
                     or successor is later
                 ):
                     continue
-                candidate = merged_finish + tails[id(successor)]
+                candidate = merged_finish + tails[successor]
                 if candidate > worst:
                     worst = candidate
         return worst <= self.makespan + _EPSILON
@@ -350,29 +320,25 @@ class _RoundTiming:
         to ``later`` still cycles.  ``merge(check_cycles=True)`` is the
         exact, transactional backstop.
         """
-        earlier_id = id(earlier)
-        later_id = id(later)
-        skip: set[int] = {earlier_id, later_id}
+        skip = {earlier, later}
         # In-between group members are not themselves obstacles (the
         # chain hop through them is rewired by the splice); exclude the
         # direct hop.
         for q in earlier.qubits:
             pos = self.positions[q]
-            ib = pos.get(later_id)
+            ib = pos.get(later)
             if ib is None:
                 continue  # not a shared qubit
-            ia = pos[earlier_id]
+            ia = pos[earlier]
             low, high = (ia, ib) if ia < ib else (ib, ia)
-            sequence = self.sequences[q]
-            for index in range(low + 1, high):
-                skip.add(id(sequence[index]))
-        limit = self.est.get(later_id, float("inf")) + _EPSILON
+            skip.update(self.sequences[q][low + 1 : high])
+        limit = self.est.get(later, float("inf")) + _EPSILON
 
         def prunable(candidate) -> bool:
             # Nodes merged earlier this round are unknown to the
             # round-start times: never prune them (the transactional
             # cycle check in merge() is the backstop anyway).
-            start = self.est.get(id(candidate))
+            start = self.est.get(candidate)
             if start is None:
                 return False
             return start + self.latency(candidate) > limit
@@ -381,30 +347,27 @@ class _RoundTiming:
         # links are fetched live through the dag's outer map.
         next_maps = self.dag._next
         frontier: list = []
-        visited: set[int] = set()
+        visited: set = set()
         for q in earlier.qubits:
-            successor = next_maps[q].get(earlier_id)
+            successor = next_maps[q].get(earlier)
             if successor is None:
                 continue
-            key = id(successor)
-            if key in skip or key in visited or prunable(successor):
+            if successor in skip or successor in visited or prunable(successor):
                 continue
-            visited.add(key)
+            visited.add(successor)
             frontier.append(successor)
         while frontier:
             node = frontier.pop()
-            nid = id(node)
             for q in node.qubits:
-                successor = next_maps[q].get(nid)
+                successor = next_maps[q].get(node)
                 if successor is None:
                     continue
                 if successor is later:
                     return True
-                key = id(successor)
-                if key in visited or key in skip:
+                if successor in visited or successor in skip:
                     continue
                 if prunable(successor):
                     continue
-                visited.add(key)
+                visited.add(successor)
                 frontier.append(successor)
         return False

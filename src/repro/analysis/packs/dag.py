@@ -19,25 +19,24 @@ def _acyclic(rule_obj, dag, options):
     # GDG is trivially acyclic (every qubit chain orders nodes the same
     # way the global list does); a cycle means two qubit chains order a
     # pair of nodes inconsistently.
-    indegree: dict[int, int] = {id(node): 0 for node in dag.nodes}
-    successors: dict[int, list] = {id(node): [] for node in dag.nodes}
-    by_id = {id(node): node for node in dag.nodes}
+    indegree: dict = {node: 0 for node in dag.nodes}
+    successors: dict = {node: [] for node in dag.nodes}
     for qubit in range(dag.num_qubits):
         chain = dag._qubit_order[qubit]
         for first, second in zip(chain, chain[1:]):
-            successors[id(first)].append(second)
-            indegree[id(second)] += 1
-    ready = [node for node in dag.nodes if indegree[id(node)] == 0]
+            successors[first].append(second)
+            indegree[second] += 1
+    ready = [node for node in dag.nodes if indegree[node] == 0]
     visited = 0
     while ready:
         node = ready.pop()
         visited += 1
-        for successor in successors[id(node)]:
-            indegree[id(successor)] -= 1
-            if indegree[id(successor)] == 0:
+        for successor in successors[node]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
                 ready.append(successor)
     if visited != len(dag.nodes):
-        stuck = [by_id[i] for i, d in indegree.items() if d > 0]
+        stuck = [node for node, d in indegree.items() if d > 0]
         yield rule_obj.violation(
             f"dependence edges form a cycle through {len(stuck)} node(s): "
             f"{', '.join(repr(node) for node in stuck[:4])}"
@@ -60,7 +59,7 @@ def _groups_consistent(rule_obj, dag, options):
         if qubit in dag._groups_dirty:
             continue
         flattened = [node for group in groups for node in group]
-        if [id(n) for n in flattened] != [id(n) for n in dag._qubit_order[qubit]]:
+        if flattened != dag._qubit_order[qubit]:
             yield rule_obj.violation(
                 f"cached groups on qubit {qubit} do not partition the "
                 f"qubit's node order",
@@ -79,7 +78,7 @@ def _groups_consistent(rule_obj, dag, options):
         mapping = dag._group_of.get(qubit, {})
         for index, group in enumerate(groups):
             for node in group:
-                recorded = mapping.get(id(node))
+                recorded = mapping.get(node)
                 if recorded != index:
                     yield rule_obj.violation(
                         f"{node!r} sits in group {index} on qubit {qubit} "
@@ -101,19 +100,16 @@ def _order_consistent(rule_obj, dag, options):
     # linearization), so each chain must hold exactly the global nodes
     # touching its qubit — once each — without prescribing their
     # position in the global list.
-    node_ids = {id(node) for node in dag.nodes}
+    nodes = set(dag.nodes)
     for qubit in range(dag.num_qubits):
         chain = dag._qubit_order[qubit]
-        chain_ids = [id(n) for n in chain]
-        if len(chain_ids) != len(set(chain_ids)):
+        if len(chain) != len(set(chain)):
             yield rule_obj.violation(
                 f"qubit {qubit} order list repeats a node",
                 location=f"qubit {qubit}",
             )
-        expected = {
-            id(node) for node in dag.nodes if qubit in node.qubits
-        }
-        missing = expected - set(chain_ids)
+        expected = {node for node in dag.nodes if qubit in node.qubits}
+        missing = expected.difference(chain)
         if missing:
             yield rule_obj.violation(
                 f"qubit {qubit} order list is missing {len(missing)} "
@@ -121,15 +117,15 @@ def _order_consistent(rule_obj, dag, options):
                 location=f"qubit {qubit}",
             )
         for node in chain:
-            if id(node) not in node_ids:
+            if node not in nodes:
                 yield rule_obj.violation(
                     f"qubit {qubit} order list holds {node!r}, which is "
                     f"not in the node list",
                     location=f"qubit {qubit}",
                 )
         for first, second in zip(chain, chain[1:]):
-            if dag._next[qubit].get(id(first)) is not second or (
-                dag._prev[qubit].get(id(second)) is not first
+            if dag._next[qubit].get(first) is not second or (
+                dag._prev[qubit].get(second) is not first
             ):
                 yield rule_obj.violation(
                     f"chain links on qubit {qubit} disagree with the order "

@@ -35,10 +35,10 @@ def _dependences_respected(rule_obj, schedule, options):
         return
     finish = {op.node: op.end for op in schedule.operations}
     start = {op.node: op.start for op in schedule.operations}
-    dag_nodes = {id(node) for node in dag.nodes}
+    dag_nodes = set(dag.nodes)
     commute = getattr(dag, "commute_fn", None)
     for operation in schedule.operations:
-        if id(operation.node) not in dag_nodes:
+        if operation.node not in dag_nodes:
             continue  # node outside the DAG: nothing to order against
         for predecessor in dag.predecessors(operation.node):
             if predecessor not in finish:

@@ -59,7 +59,7 @@ class IRSnapshot:
         num_qubits: Register width of the domain.
         nodes: The node list at snapshot time (gates or blocks).
         gates: Flattened plain gates, global program order.
-        owner: ``id(gate) -> owning node`` at snapshot time.
+        owner: ``gate -> owning node`` at snapshot time.
         qubit_gates: Per-qubit flattened gate sequences.
     """
 
@@ -67,17 +67,17 @@ class IRSnapshot:
     num_qubits: int
     nodes: list
     gates: list
-    owner: dict[int, object]
+    owner: dict
     qubit_gates: dict[int, list]
 
     @classmethod
     def of_nodes(cls, domain: str, num_qubits: int, nodes: list) -> IRSnapshot:
         gates: list = []
-        owner: dict[int, object] = {}
+        owner: dict = {}
         for node in nodes:
             for gate in _flatten(node):
                 gates.append(gate)
-                owner[id(gate)] = node
+                owner[gate] = node
         qubit_gates: dict[int, list] = {q: [] for q in range(num_qubits)}
         for gate in gates:
             for q in gate.qubits:
@@ -162,22 +162,17 @@ def _reorders_justified(rule_obj, subject, options):
 
     suspects: list[tuple[int, object, object]] = []
     for qubit in range(before.num_qubits):
-        pre_seq = [
-            g for g in before.qubit_gates[qubit] if id(g) in after.owner
-        ]
-        position = {
-            id(g): i for i, g in enumerate(after.qubit_gates[qubit])
-        }
-        pre_seq = [g for g in pre_seq if id(g) in position]
+        position = {g: i for i, g in enumerate(after.qubit_gates[qubit])}
+        pre_seq = [g for g in before.qubit_gates[qubit] if g in position]
         for i, first in enumerate(pre_seq):
             for second in pre_seq[i + 1 :]:
-                if position[id(first)] <= position[id(second)]:
+                if position[first] <= position[second]:
                     continue
                 # Flipped on this qubit.  Justified iff the *pre-pass
                 # owning blocks* were distinct and commute (block-level
                 # reorder), or the gates themselves commute.
-                owner_a = before.owner[id(first)]
-                owner_b = before.owner[id(second)]
+                owner_a = before.owner[first]
+                owner_b = before.owner[second]
                 if (
                     owner_a is not owner_b
                     and checker is not None
@@ -229,10 +224,10 @@ def _gates_preserved(rule_obj, subject, options):
         return
     before, after = pair
     pass_name = options.get("pass_name", "pass")
-    ids_before = {id(g) for g in before.gates}
-    ids_after = {id(g) for g in after.gates}
-    dropped = [g for g in before.gates if id(g) not in ids_after]
-    invented = [g for g in after.gates if id(g) not in ids_before]
+    gates_before = set(before.gates)
+    gates_after = set(after.gates)
+    dropped = [g for g in before.gates if g not in gates_after]
+    invented = [g for g in after.gates if g not in gates_before]
     if dropped:
         yield rule_obj.violation(
             f"{pass_name} dropped {len(dropped)} gate(s): "
@@ -245,7 +240,7 @@ def _gates_preserved(rule_obj, subject, options):
             f"{', '.join(repr(g) for g in invented[:4])}"
             f"{', ...' if len(invented) > 4 else ''}",
         )
-    if len(after.gates) != len(ids_after):
+    if len(after.gates) != len(gates_after):
         yield rule_obj.violation(
             f"{pass_name} duplicated gate objects in the node list",
         )

@@ -1,7 +1,7 @@
 """The :class:`Circuit`: an ordered gate list on a fixed-width register.
 
-This is the flattened logical assembly the compiler frontend produces
-(after loop unrolling and module flattening); the gate-dependence graph is
+This is the flat logical assembly the compiler takes as input (the
+benchmark generators build one directly); the gate-dependence graph is
 derived from it.  Builder methods are chainable::
 
     circuit = Circuit(3).h(0).cnot(0, 1).rz(0.5, 1).cnot(0, 1)

@@ -7,6 +7,11 @@ checked once per session.  For wide operands (aggregated instructions whose
 joint support exceeds :attr:`exact_qubits`) the checker falls back to the
 conservative sound rules: disjoint supports always commute, and diagonal
 operators always commute with each other.
+
+In front of that cache sits a per-checker pair memo keyed by the two
+nodes themselves, in both orders.  Nodes hash by identity, and a key
+holds its nodes alive, so a verdict can never be handed to a node
+created later.
 """
 
 from __future__ import annotations
@@ -59,23 +64,20 @@ class CommutationChecker:
         self.exact_qubits = exact_qubits
         self.atol = atol
         self._cache: dict[tuple, bool] = {}
-        # Identity-pair memo: schedulers re-query the same live node pairs
-        # thousands of times.  Nodes are stored in the values to keep them
-        # alive, so CPython cannot recycle their ids.
-        self._pair_memo: dict[tuple[int, int], tuple] = {}
+        # Schedulers re-query the same node pairs thousands of times.
+        self._pair_memo: dict[tuple, bool] = {}
         self.exact_checks = 0
         self.cache_hits = 0
         self.shared_hits = 0
 
     def commute(self, a, b) -> bool:
         """True when the two operations can be reordered."""
-        pair_key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
-        memo = self._pair_memo.get(pair_key)
-        if memo is not None:
+        verdict = self._pair_memo.get((a, b))
+        if verdict is not None:
             self.cache_hits += 1
-            return memo[2]
+            return verdict
         verdict = self._commute_uncached(a, b)
-        self._pair_memo[pair_key] = (a, b, verdict)
+        self._pair_memo[(a, b)] = self._pair_memo[(b, a)] = verdict
         return verdict
 
     def _commute_uncached(self, a, b) -> bool:

@@ -23,7 +23,12 @@ updated locally on merges; commutation groups are recomputed lazily per
 qubit (the aggregator executes hundreds of merges between group queries).
 Nodes are any objects exposing ``qubits``, ``is_diagonal`` and
 ``signature`` and hashable by identity (:class:`~repro.gates.gate.Gate`
-and aggregated instructions both qualify).
+and aggregated instructions both qualify).  Every per-node map — chain
+links, group lookups, in-degrees, ASAP times — is keyed by the node
+itself, so an entry holds its node alive and can never be handed to a
+node created later.  Being its own key, a node object can sit at only
+one position in the graph (lowering gives a gate instance that a
+circuit repeats one node per occurrence).
 """
 
 from __future__ import annotations
@@ -55,12 +60,12 @@ class GateDependenceGraph:
         for node in self.nodes:
             for q in node.qubits:
                 self._qubit_order[q].append(node)
-        self._prev: dict[int, dict[int, object]] = {}
-        self._next: dict[int, dict[int, object]] = {}
+        self._prev: dict[int, dict] = {}
+        self._next: dict[int, dict] = {}
         for q in range(self.num_qubits):
             self._relink(q)
         self._groups: dict[int, list[list]] = {}
-        self._group_of: dict[int, dict[int, int]] = {}
+        self._group_of: dict[int, dict] = {}
         self._groups_dirty: set[int] = set(range(self.num_qubits))
 
     @classmethod
@@ -91,7 +96,7 @@ class GateDependenceGraph:
         """Index of the commutation group containing ``node`` on ``qubit``."""
         self._groups_for(qubit)
         try:
-            return self._group_of[qubit][id(node)]
+            return self._group_of[qubit][node]
         except KeyError:
             raise SchedulingError(
                 f"{node} does not act on qubit {qubit}"
@@ -112,22 +117,18 @@ class GateDependenceGraph:
     def predecessors(self, node) -> list:
         """Immediate timing predecessors (previous node on each qubit)."""
         result: list = []
-        seen: set[int] = set()
         for q in node.qubits:
-            predecessor = self._prev[q].get(id(node))
-            if predecessor is not None and id(predecessor) not in seen:
-                seen.add(id(predecessor))
+            predecessor = self._prev[q].get(node)
+            if predecessor is not None and predecessor not in result:
                 result.append(predecessor)
         return result
 
     def successors(self, node) -> list:
         """Immediate timing successors (next node on each qubit)."""
         result: list = []
-        seen: set[int] = set()
         for q in node.qubits:
-            successor = self._next[q].get(id(node))
-            if successor is not None and id(successor) not in seen:
-                seen.add(id(successor))
+            successor = self._next[q].get(node)
+            if successor is not None and successor not in result:
                 result.append(successor)
         return result
 
@@ -137,26 +138,11 @@ class GateDependenceGraph:
         return [
             node
             for node in self.nodes
-            if not any(id(node) in prev_maps[q] for q in node.qubits)
+            if not any(node in prev_maps[q] for q in node.qubits)
         ]
 
-    def chain_prev(self, qubit: int) -> dict[int, object]:
-        """Read-only chain links: ``id(node)`` -> previous node on ``qubit``.
-
-        The live link map, *not* a copy — hot paths (aggregation timing,
-        schedulers) walk it without allocating per-node predecessor
-        lists.  Callers must not mutate it, and must re-fetch after any
-        ``merge``/``reorder`` (both relink the chains).
-        """
-        return self._prev[qubit]
-
-    def chain_next(self, qubit: int) -> dict[int, object]:
-        """Read-only chain links: ``id(node)`` -> next node on ``qubit``
-        (same contract as :meth:`chain_prev`)."""
-        return self._next[qubit]
-
-    def group_lookup(self, qubit: int) -> dict[int, int]:
-        """Read-only map ``id(node)`` -> commutation-group index on
+    def group_lookup(self, qubit: int) -> dict:
+        """Read-only map node -> commutation-group index on
         ``qubit`` — the no-copy bulk form of :meth:`group_index`.  Stale
         after the next merge/reorder; re-fetch per round."""
         self._groups_for(qubit)
@@ -168,8 +154,8 @@ class GateDependenceGraph:
     # ------------------------------------------------------------------
     # Timing
 
-    def _chain_in_degrees(self) -> dict[int, int]:
-        """Per-node incoming chain-edge counts (keyed by ``id(node)``).
+    def _chain_in_degrees(self) -> dict:
+        """Per-node incoming chain-edge counts.
 
         Every dependence edge is a per-qubit chain edge, so in-degrees
         are edge counts: a predecessor shared across several qubits is
@@ -178,32 +164,29 @@ class GateDependenceGraph:
         no per-node predecessor list is ever allocated.
         """
         prev_maps = self._prev
-        in_degree: dict[int, int] = {}
+        in_degree: dict = {}
         for node in self.nodes:
-            nid = id(node)
             count = 0
             for q in node.qubits:
-                if nid in prev_maps[q]:
+                if node in prev_maps[q]:
                     count += 1
-            in_degree[nid] = count
+            in_degree[node] = count
         return in_degree
 
     def topological_order(self) -> list:
         """Kahn topological sort; raises SchedulingError on a cycle."""
         next_maps = self._next
         in_degree = self._chain_in_degrees()
-        ready = [node for node in self.nodes if in_degree[id(node)] == 0]
+        ready = [node for node in self.nodes if in_degree[node] == 0]
         order: list = []
         while ready:
             node = ready.pop()
             order.append(node)
-            nid = id(node)
             for q in node.qubits:
-                successor = next_maps[q].get(nid)
+                successor = next_maps[q].get(node)
                 if successor is not None:
-                    sid = id(successor)
-                    in_degree[sid] -= 1
-                    if in_degree[sid] == 0:
+                    in_degree[successor] -= 1
+                    if in_degree[successor] == 0:
                         ready.append(successor)
         if len(order) != len(self.nodes):
             raise SchedulingError("dependence graph contains a cycle")
@@ -216,47 +199,41 @@ class GateDependenceGraph:
         the current node list, so the result is deterministic and stays as
         close to program order as the dependencies allow.
         """
-        position = {id(node): index for index, node in enumerate(self.nodes)}
+        nodes = self.nodes
+        position = {node: index for index, node in enumerate(nodes)}
         next_maps = self._next
         in_degree = self._chain_in_degrees()
-        heap = [
-            (position[id(node)], id(node), node)
-            for node in self.nodes
-            if in_degree[id(node)] == 0
-        ]
-        heapq.heapify(heap)
+        # Positions are unique, so the heap holds just them.
+        heap = [index for index, node in enumerate(nodes) if in_degree[node] == 0]
         order: list = []
         while heap:
-            _, _, node = heapq.heappop(heap)
+            node = nodes[heapq.heappop(heap)]
             order.append(node)
-            nid = id(node)
             for q in node.qubits:
-                successor = next_maps[q].get(nid)
+                successor = next_maps[q].get(node)
                 if successor is not None:
-                    sid = id(successor)
-                    in_degree[sid] -= 1
-                    if in_degree[sid] == 0:
-                        heapq.heappush(heap, (position[sid], sid, successor))
+                    in_degree[successor] -= 1
+                    if in_degree[successor] == 0:
+                        heapq.heappush(heap, position[successor])
         if len(order) != len(self.nodes):
             raise SchedulingError("dependence graph contains a cycle")
         return order
 
-    def asap_times(self, latency_fn: Callable[[object], float]) -> dict[int, float]:
-        """Earliest start time of every node (keyed by ``id(node)``)."""
-        starts: dict[int, float] = {}
-        finishes: dict[int, float] = {}
+    def asap_times(self, latency_fn: Callable[[object], float]) -> dict:
+        """Earliest start time of every node (keyed by node)."""
+        starts: dict = {}
+        finishes: dict = {}
         prev_maps = self._prev
         for node in self.topological_order():
-            nid = id(node)
             start = 0.0
             for q in node.qubits:
-                predecessor = prev_maps[q].get(nid)
+                predecessor = prev_maps[q].get(node)
                 if predecessor is not None:
-                    finish = finishes[id(predecessor)]
+                    finish = finishes[predecessor]
                     if finish > start:
                         start = finish
-            starts[nid] = start
-            finishes[nid] = start + latency_fn(node)
+            starts[node] = start
+            finishes[node] = start + latency_fn(node)
         return starts
 
     def makespan(self, latency_fn: Callable[[object], float]) -> float:
@@ -264,25 +241,21 @@ class GateDependenceGraph:
         if not self.nodes:
             return 0.0
         starts = self.asap_times(latency_fn)
-        return max(
-            starts[id(node)] + latency_fn(node) for node in self.nodes
-        )
+        return max(starts[node] + latency_fn(node) for node in self.nodes)
 
     def critical_path(self, latency_fn: Callable[[object], float]) -> list:
         """One longest path (as a node list) through the chain DAG."""
         if not self.nodes:
             return []
         starts = self.asap_times(latency_fn)
-        finish = {
-            id(node): starts[id(node)] + latency_fn(node) for node in self.nodes
-        }
-        node = max(self.nodes, key=lambda n: finish[id(n)])
+        finish = {node: starts[node] + latency_fn(node) for node in self.nodes}
+        node = max(self.nodes, key=finish.__getitem__)
         path = [node]
         while True:
             candidates = [
                 p
                 for p in self.predecessors(node)
-                if abs(finish[id(p)] - starts[id(node)]) < 1e-9
+                if abs(finish[p] - starts[node]) < 1e-9
             ]
             if not candidates:
                 break
@@ -302,9 +275,7 @@ class GateDependenceGraph:
         boundary (group indices must be non-decreasing along each qubit's
         new sequence).
         """
-        if len(new_order) != len(self.nodes) or {id(n) for n in new_order} != {
-            id(n) for n in self.nodes
-        }:
+        if len(new_order) != len(self.nodes) or set(new_order) != set(self.nodes):
             raise SchedulingError("reorder must permute the existing nodes")
         new_qubit_order: dict[int, list] = {
             q: [] for q in range(self.num_qubits)
@@ -461,13 +432,13 @@ class GateDependenceGraph:
     def _relink(self, qubit: int) -> None:
         """Rebuild the prev/next chain links of one qubit."""
         sequence = self._qubit_order[qubit]
-        prev_map: dict[int, object] = {}
-        next_map: dict[int, object] = {}
+        prev_map: dict = {}
+        next_map: dict = {}
         previous = None
         for node in sequence:
             if previous is not None:
-                prev_map[id(node)] = previous
-                next_map[id(previous)] = node
+                prev_map[node] = previous
+                next_map[previous] = node
             previous = node
         self._prev[qubit] = prev_map
         self._next[qubit] = next_map
@@ -476,10 +447,10 @@ class GateDependenceGraph:
         if qubit in self._groups_dirty or qubit not in self._groups:
             groups = self._compute_groups(self._qubit_order[qubit])
             self._groups[qubit] = groups
-            lookup: dict[int, int] = {}
+            lookup: dict = {}
             for index, group in enumerate(groups):
                 for member in group:
-                    lookup[id(member)] = index
+                    lookup[member] = index
             self._group_of[qubit] = lookup
             self._groups_dirty.discard(qubit)
         return self._groups[qubit]

@@ -27,6 +27,7 @@ metrics via ``context.record_metrics``.  See ``examples/custom_pass.py``.
 from __future__ import annotations
 
 import abc
+import copy
 
 from repro.aggregation.aggregator import aggregate
 from repro.aggregation.diagonal import detect_diagonal_blocks
@@ -89,7 +90,18 @@ class LowerPass(Pass):
 
     def run(self, context: CompilationContext) -> None:
         lowered = lower_to_standard_set(context.circuit.gates)
-        context.nodes = list(lowered)
+        # Standard gates pass through lowering as the same objects, and
+        # the dependence graph tracks each occurrence by node identity:
+        # a Gate instance the circuit holds twice gets its own node per
+        # repeat (the copy keeps the matrix and the cached signature).
+        seen: set = set()
+        nodes: list = []
+        for gate in lowered:
+            if gate in seen:
+                gate = copy.copy(gate)
+            seen.add(gate)
+            nodes.append(gate)
+        context.nodes = nodes
         context.lowered_gate_count = len(lowered)
         context.record_metrics(self.name, lowered_gates=len(lowered))
 

@@ -124,19 +124,23 @@ class CompilationResult:
         (or on another machine) rebuilds a result whose fingerprints and
         signatures match this one's and which still passes
         :meth:`verify_equivalence` against its embedded source circuit.
+        The write goes through
+        :func:`~repro.control.cache.disk.replace_into`, so a failed save
+        leaves any previous artifact whole and no temp file behind.
         """
         import json
         import os
+
+        from repro.control.cache.disk import replace_into
 
         path = os.fspath(path)
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        payload = self.to_dict(include_source=include_source)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        payload = json.dumps(self.to_dict(include_source=include_source))
+        replace_into(
+            lambda handle: handle.write(payload.encode("utf-8")), path, ".tmp"
+        )
         return path
 
     @classmethod

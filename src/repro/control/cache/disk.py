@@ -1,12 +1,14 @@
 """Crash-safe file replacement, the durable-write step of whole files.
 
-Every store that persists whole files — the pulse cache's shards and
-the compiled-result cache's entries — writes through
-:func:`replace_into`: a unique temporary file in the same directory,
-fsynced, then :func:`os.replace`'d over the final path.  A killed writer
-can truncate only its own temp file, and a reader always sees a whole
-file, the old one or the new one.  (The service journal appends fsynced
-lines instead; see :mod:`repro.service.journal`.)
+Every writer of whole files goes through :func:`replace_into`: the
+pulse cache's shards and its ``sharding.json`` manifest, the
+compiled-result cache's entries, and the artifacts
+``CompilationResult.save`` writes.  It writes a unique temporary file in
+the same directory, fsyncs it, then :func:`os.replace`'s it over the
+final path.  A killed writer can truncate only its own temp file, and a
+reader always sees a whole file, the old one or the new one.  (The
+service journal appends fsynced lines instead; see
+:mod:`repro.service.journal`.)
 """
 
 from __future__ import annotations

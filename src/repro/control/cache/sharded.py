@@ -133,21 +133,43 @@ class ShardedDiskPulseCache(PulseCache):
     def _lock_path(self, name: str) -> str:
         return os.path.join(self.directory, "locks", name)
 
-    def _resolve_shard_count(self, requested: int | None) -> int:
-        """Pin the shard count in ``sharding.json`` (first writer wins)."""
+    def _read_manifest(self) -> int | None:
+        """The shard count ``sharding.json`` pins; None when it is absent.
+
+        Raises ControlError naming the file when it does not parse,
+        names another format, or lacks a positive integer ``shards``.
+        """
         manifest = self._manifest_path()
-        existing = None
         try:
             with open(manifest, encoding="utf-8") as handle:
                 payload = json.load(handle)
-            if payload.get("format") != SHARDED_FORMAT:
-                raise ControlError(
-                    f"{manifest}: unknown sharded-cache format "
-                    f"{payload.get('format')!r} (expected {SHARDED_FORMAT!r})"
-                )
-            existing = int(payload["shards"])
         except FileNotFoundError:
-            pass
+            return None
+        except ValueError as error:
+            raise ControlError(
+                f"{manifest}: not a sharding manifest ({error})"
+            ) from error
+        if not isinstance(payload, dict):
+            raise ControlError(
+                f"{manifest}: not a sharding manifest (expected a JSON "
+                f"object, got {type(payload).__name__})"
+            )
+        if payload.get("format") != SHARDED_FORMAT:
+            raise ControlError(
+                f"{manifest}: unknown sharded-cache format "
+                f"{payload.get('format')!r} (expected {SHARDED_FORMAT!r})"
+            )
+        shards = payload.get("shards")
+        if type(shards) is not int or shards < 1:
+            raise ControlError(
+                f"{manifest}: 'shards' must be a positive integer, "
+                f"got {shards!r}"
+            )
+        return shards
+
+    def _resolve_shard_count(self, requested: int | None) -> int:
+        """Pin the shard count in ``sharding.json`` (first writer wins)."""
+        existing = self._read_manifest()
         if existing is not None:
             if requested is not None and requested != existing:
                 raise ControlError(
@@ -162,21 +184,20 @@ class ShardedDiskPulseCache(PulseCache):
         os.makedirs(self.directory, exist_ok=True)
         with FileLock(self._lock_path("sharding.lock")):
             # Re-check under the lock: another process may have won.
-            try:
-                with open(manifest, encoding="utf-8") as handle:
-                    winner = int(json.load(handle)["shards"])
+            winner = self._read_manifest()
+            if winner is not None:
                 if requested is not None and winner != requested:
                     raise ControlError(
                         f"{self.directory} was concurrently sharded "
                         f"{winner} ways (requested {requested})"
                     )
                 return winner
-            except FileNotFoundError:
-                pass
-            tmp = manifest + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump({"format": SHARDED_FORMAT, "shards": count}, handle)
-            os.replace(tmp, manifest)
+            payload = json.dumps({"format": SHARDED_FORMAT, "shards": count})
+            replace_into(
+                lambda handle: handle.write(payload.encode("utf-8")),
+                self._manifest_path(),
+                ".tmp",
+            )
         return count
 
     def shard_of(self, key: tuple) -> int:

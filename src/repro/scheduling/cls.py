@@ -49,24 +49,22 @@ def cls_schedule(
     # member is scheduled, so each node's not-yet-current qubit count
     # (``waiting``) decrements monotonically to zero and stays there:
     # the candidate check reduces to ``waiting == 0``.
-    waiting: dict[int, int] = {}
+    waiting: dict = {}
     for qubit, groups in group_lists.items():
         for index, group in enumerate(groups):
             if index == 0:
                 for member in group:
-                    waiting.setdefault(id(member), 0)
+                    waiting.setdefault(member, 0)
             else:
                 for member in group:
-                    waiting[id(member)] = waiting.get(id(member), 0) + 1
+                    waiting[member] = waiting.get(member, 0) + 1
 
-    unscheduled = {id(node): node for node in dag.nodes}
+    unscheduled = dict.fromkeys(dag.nodes)
     qubit_free = [0.0] * dag.num_qubits
     now = 0.0
 
     while unscheduled:
-        ready = [
-            node for node in unscheduled.values() if waiting[id(node)] == 0
-        ]
+        ready = [node for node in unscheduled if waiting[node] == 0]
         if not ready:
             raise SchedulingError("CLS deadlock: no group-current candidate")
         schedulable = [
@@ -81,7 +79,7 @@ def cls_schedule(
                 schedule.add(node, now, duration)
                 for q in node.qubits:
                     qubit_free[q] = now + duration
-                del unscheduled[id(node)]
+                del unscheduled[node]
                 _advance_pointers(
                     node, group_lists, pointer, remaining_in_group, waiting,
                 )
@@ -96,13 +94,11 @@ def cls_schedule(
     return schedule
 
 
-def _select(
-    schedulable: list, tails: dict[int, float], use_matching: bool = True
-) -> list:
+def _select(schedulable: list, tails: dict, use_matching: bool = True) -> list:
     """Pick a conflict-free subset, matching-based when possible."""
     if not schedulable:
         return []
-    priority = lambda node: tails[id(node)]  # noqa: E731 - tiny closure
+    priority = tails.__getitem__
     if use_matching and all(len(node.qubits) <= 2 for node in schedulable):
         return resolve_conflicts(schedulable, priority)
     # Wide (aggregated) nodes present: greedy by priority.
@@ -123,27 +119,26 @@ def _advance_pointers(node, group_lists, pointer, remaining, waiting) -> None:
             group = group_lists[q][pointer[q]]
             remaining[q] = len(group)
             for member in group:
-                waiting[id(member)] -= 1
+                waiting[member] -= 1
 
 
-def _critical_tails(dag, group_lists, latency_fn) -> dict[int, float]:
+def _critical_tails(dag, group_lists, latency_fn) -> dict:
     """Longest dependence path from each node to a sink.
 
     Uses the *group-level* dependence edges (every member of group ``i``
     precedes every member of group ``i+1`` on a qubit), which captures the
     true ordering freedom rather than the current arbitrary chain order.
     """
-    successors: dict[int, set[int]] = {id(node): set() for node in dag.nodes}
+    successors: dict = {node: set() for node in dag.nodes}
     for groups in group_lists.values():
         for earlier, later in zip(groups, groups[1:]):
             for a in earlier:
-                for b in later:
-                    successors[id(a)].add(id(b))
-    tails: dict[int, float] = {}
+                successors[a].update(later)
+    tails: dict = {}
     for node in reversed(dag.topological_order()):
         best_successor = max(
-            (tails[s] for s in successors[id(node)]),
+            (tails[s] for s in successors[node]),
             default=0.0,
         )
-        tails[id(node)] = latency_fn(node) + best_successor
+        tails[node] = latency_fn(node) + best_successor
     return tails

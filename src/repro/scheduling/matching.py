@@ -55,8 +55,5 @@ def resolve_conflicts(
     for (vertex_a, vertex_b), node in best_for_slot.items():
         graph.add_edge(vertex_a, vertex_b, node=node, weight=priority_fn(node))
     matching = nx.max_weight_matching(graph, maxcardinality=True)
-    chosen_ids = set()
-    for vertex_a, vertex_b in matching:
-        edge = graph.edges[vertex_a, vertex_b]
-        chosen_ids.add(id(edge["node"]))
-    return [node for node in candidates if id(node) in chosen_ids]
+    chosen = {graph.edges[edge]["node"] for edge in matching}
+    return [node for node in candidates if node in chosen]

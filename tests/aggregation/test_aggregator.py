@@ -1,5 +1,8 @@
 """Tests for the action space and the monotonic aggregator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -207,79 +210,10 @@ class TestAggregationReportImprovement:
         assert self._report(0.0, 0.0).improvement == 1.0
 
 
-class TestLatencyMemoIdReuse:
-    """Regression tests: the round-local latency cache used to key by
-    ``id(node)`` without holding the node, so a merged-away node's id
-    could be recycled onto a new instruction that then inherited the dead
-    node's latency."""
-
-    class _StructuralOcu:
-        """Latency oracle whose answer depends on the gate count."""
-
-        def latency(self, node):
-            return 10.0 * len(getattr(node, "gates", [node]))
-
-    def test_stale_id_entry_is_not_inherited(self):
-        from repro.aggregation.aggregator import _NodeLatencyMemo
-        from repro.gates import library as lib
-
-        memo = _NodeLatencyMemo(self._StructuralOcu())
-        ghost = AggregatedInstruction([lib.CNOT(0, 1)], name="ghost")
-        ghost_latency = memo(ghost)
-        newcomer = AggregatedInstruction(
-            [lib.CNOT(0, 1), lib.RZ(0.3, 1), lib.CNOT(0, 1)], name="new"
-        )
-        # Simulate CPython recycling the ghost's id for the newcomer: the
-        # memo finds an entry under the newcomer's id that belongs to a
-        # different node, and must not return it.
-        memo._entries[id(newcomer)] = memo._entries.pop(id(ghost))
-        assert memo(newcomer) == 30.0
-        assert memo(newcomer) != ghost_latency
-
-    def test_forced_id_reuse_after_forget(self):
-        import gc
-
-        from repro.aggregation.aggregator import _NodeLatencyMemo
-        from repro.gates import library as lib
-
-        memo = _NodeLatencyMemo(self._StructuralOcu())
-        ghost = AggregatedInstruction([lib.CNOT(0, 1)], name="ghost")
-        assert memo(ghost) == 10.0
-        stale_id = id(ghost)
-        memo.forget(ghost)  # what the aggregator does on every merge
-        del ghost
-        gc.collect()
-        # Hunt for genuine id reuse: allocate structurally different
-        # instructions until one lands on the recycled address.
-        newcomer = None
-        for _ in range(10_000):
-            candidate = AggregatedInstruction(
-                [lib.CNOT(0, 1), lib.RZ(0.3, 1)], name="new"
-            )
-            if id(candidate) == stale_id:
-                newcomer = candidate
-                break
-            del candidate
-        if newcomer is None:
-            pytest.skip("allocator never recycled the id")
-        assert memo(newcomer) == 20.0
-
-    def test_memo_pins_cached_nodes(self):
-        import weakref
-
-        from repro.aggregation.aggregator import _NodeLatencyMemo
-        from repro.gates import library as lib
-
-        memo = _NodeLatencyMemo(self._StructuralOcu())
-        node = AggregatedInstruction([lib.CNOT(0, 1)], name="pinned")
-        memo(node)
-        ref = weakref.ref(node)
-        del node
-        # The memo holds the node alive, so its id cannot be recycled
-        # while the cache entry exists; forgetting releases it.
-        assert ref() is not None
-        memo.forget(ref())
-        assert ref() is None
+class TestFinalMakespan:
+    """Every node is priced with its own latency: re-pricing the final
+    graph with a fresh oracle reproduces the reported makespan, so no
+    merged instruction inherited another node's latency."""
 
     def test_aggregate_final_makespan_consistent_with_fresh_oracle(self, ocu):
         circuit = Circuit(4)
@@ -293,3 +227,43 @@ class TestLatencyMemoIdReuse:
         assert dag.makespan(fresh.latency) == pytest.approx(
             report.final_makespan
         )
+
+
+class TestLatencyMemoLifetime:
+    """The latency memo is a plain dict local to ``aggregate()``: it holds
+    the instructions it priced only until the call returns."""
+
+    class _RecordingOcu:
+        def __init__(self, ocu):
+            self.ocu = ocu
+            self.priced = []
+
+        def latency(self, node):
+            if isinstance(node, AggregatedInstruction):
+                self.priced.append(weakref.ref(node))
+            return self.ocu.latency(node)
+
+        def model_latency(self, node):
+            return self.ocu.model_latency(node)
+
+    def test_merged_away_instructions_are_freed(self, ocu):
+        circuit = Circuit(4)
+        for i in range(3):
+            circuit.cnot(i, i + 1)
+            circuit.rz(0.4, i + 1)
+            circuit.cnot(i, i + 1)
+        # One checker per query: a shared checker's pair memo would pin
+        # every node it compared for as long as the graph lives.
+        dag = GateDependenceGraph(
+            circuit.num_qubits,
+            detect_diagonal_blocks(circuit.gates),
+            lambda a, b: CommutationChecker().commute(a, b),
+        )
+        recording = self._RecordingOcu(ocu)
+        report = aggregate(dag, recording)
+        assert report.merges > 1
+        gc.collect()
+        alive = [ref() for ref in recording.priced if ref() is not None]
+        assert alive
+        assert all(any(node is live for live in dag.nodes) for node in alive)
+        assert len(alive) < len(recording.priced)

@@ -95,7 +95,7 @@ class TestDagMutations:
         # A buggy pass merges the groups without marking the qubit
         # dirty; H and RZ do not commute, so the cache now lies.
         dag._groups[0] = [[h, rz]]
-        dag._group_of[0] = {id(h): 0, id(rz): 0}
+        dag._group_of[0] = {h: 0, rz: 0}
         report = analyze_dag(dag)
         assert "REP112" in report.fired_rule_ids()
 
@@ -106,6 +106,15 @@ class TestDagMutations:
         dag._relink(0)
         report = analyze_dag(dag)
         assert "REP113" in report.fired_rule_ids()
+
+    def test_one_instance_at_two_positions_fires_rep111_and_rep113(self):
+        # What lowering would hand over without its per-occurrence copy:
+        # one node object twice, which chains to itself.
+        h = lib.H(0)
+        dag = build_dag([h, lib.RZ(0.4, 0), h], 1)
+        fired = analyze_dag(dag).fired_rule_ids()
+        assert "REP111" in fired
+        assert "REP113" in fired
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +206,23 @@ class TestScheduleMutations:
         schedule.add(h, 10.0, 10.0)
         report = analyze_schedule(schedule, dag=dag)
         assert "REP142" in report.fired_rule_ids()
+
+    def test_equal_looking_nodes_checked_separately_for_rep142(self):
+        first_h, t, second_h = lib.H(0), lib.T(0), lib.H(0)
+        dag = build_dag([first_h, t, second_h], 1)
+        in_order = Schedule(1)
+        in_order.add(first_h, 0.0, 10.0)
+        in_order.add(t, 10.0, 10.0)
+        in_order.add(second_h, 20.0, 10.0)
+        assert analyze_schedule(in_order, dag=dag).ok
+        # Swap the two look-alike H gates: T now starts before its
+        # predecessor finishes.
+        swapped = Schedule(1)
+        swapped.add(second_h, 0.0, 10.0)
+        swapped.add(t, 10.0, 10.0)
+        swapped.add(first_h, 20.0, 10.0)
+        report = analyze_schedule(swapped, dag=dag)
+        assert report.fired_rule_ids() == ("REP142",)
 
     def test_commuting_reorder_is_legal_for_rep142(self):
         # CLS may flip commuting ops without touching the DAG's chains.

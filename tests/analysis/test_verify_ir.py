@@ -51,6 +51,17 @@ class EvilDropPass(Pass):
         context.nodes = context.nodes[:-1]
 
 
+class EvilRepeatPass(Pass):
+    """Claims to preserve gates but lists the first gate object twice."""
+
+    requires = ("nodes",)
+    produces = ("nodes",)
+    preserves_gates = True
+
+    def run(self, context):
+        context.nodes = context.nodes + context.nodes[:1]
+
+
 def evil_pipeline(evil):
     return [
         LowerPass(),
@@ -92,6 +103,17 @@ class TestVerifyIrMode:
         assert error.pass_name == "EvilDropPass"
         assert "REP134" in error.rule_ids
         assert "dropped" in str(error)
+
+    def test_repeated_gate_object_attributed_to_pass(self):
+        with pytest.raises(IRVerificationError) as excinfo:
+            compile_with_pipeline(
+                probe_circuit(), evil_pipeline(EvilRepeatPass()),
+                verify_ir=True,
+            )
+        error = excinfo.value
+        assert error.pass_name == "EvilRepeatPass"
+        assert "REP134" in error.rule_ids
+        assert "duplicated gate objects" in str(error)
 
     def test_verification_off_by_default(self):
         # Without verify_ir the corrupt pipeline runs to completion —

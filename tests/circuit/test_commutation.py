@@ -175,3 +175,48 @@ class TestConservativeFallback:
     def test_disjoint_always_commutes_even_when_wide(self):
         checker = CommutationChecker(exact_qubits=2)
         assert checker.commute(lib.TOFFOLI(0, 1, 2), lib.TOFFOLI(3, 4, 5))
+
+
+class TestPairMemo:
+    """The per-checker memo keyed by the two nodes themselves."""
+
+    def _cold(self, checker):
+        # Empty both structural caches so only the pair memo can answer.
+        checker._cache.clear()
+        clear_shared_verdicts()
+
+    def test_reversed_query_is_answered_by_the_memo(self, checker):
+        rz, cnot = lib.RZ(0.7, 1), lib.CNOT(0, 1)
+        assert not checker.commute(rz, cnot)
+        self._cold(checker)
+        checks, hits = checker.exact_checks, checker.cache_hits
+        assert not checker.commute(cnot, rz)
+        assert checker.exact_checks == checks
+        assert checker.shared_hits == 0
+        assert checker.cache_hits == hits + 1
+
+    def test_equal_looking_node_is_a_new_pair(self, checker):
+        rz, cnot = lib.RZ(0.7, 1), lib.CNOT(0, 1)
+        twin = lib.CNOT(0, 1)
+        assert twin.signature == cnot.signature
+        checker.commute(rz, cnot)
+        self._cold(checker)
+        checks = checker.exact_checks
+        assert not checker.commute(rz, twin)
+        assert checker.exact_checks == checks + 1
+
+    def test_memo_keys_keep_their_nodes_alive(self):
+        import gc
+        import weakref
+
+        checker = CommutationChecker()
+        rz, cnot = lib.RZ(0.7, 1), lib.CNOT(0, 1)
+        checker.commute(rz, cnot)
+        ref = weakref.ref(rz)
+        del rz
+        gc.collect()
+        # A live key cannot be recycled onto a node created later.
+        assert ref() is not None
+        del checker
+        gc.collect()
+        assert ref() is None

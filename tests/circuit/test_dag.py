@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aggregation.instruction import AggregatedInstruction
 from repro.circuit.circuit import Circuit
 from repro.circuit.commutation import CommutationChecker
 from repro.circuit.dag import GateDependenceGraph
@@ -244,3 +245,59 @@ class TestMerge:
         assert dag.predecessors(c) == [a]
         assert set(map(id, dag.predecessors(b))) == {id(a), id(c)}
         dag.topological_order()  # still acyclic and consistent
+
+
+class TestNodeIdentity:
+    """Every per-node map is keyed by the node object itself: nodes that
+    look alike (same name, qubits and signature) are still distinct
+    nodes, and a node object sits at exactly one position."""
+
+    def test_equal_looking_gates_are_distinct_nodes(self):
+        circuit = Circuit(2).cnot(0, 1).rz(0.5, 1).cnot(0, 1)
+        dag = build_dag(circuit)
+        cnot_a, rz, cnot_b = circuit.gates
+        assert cnot_a.signature == cnot_b.signature
+        lookup = dag.group_lookup(1)
+        assert len(lookup) == 3
+        assert (lookup[cnot_a], lookup[rz], lookup[cnot_b]) == (0, 1, 2)
+        assert dag.predecessors(cnot_b) == [cnot_a, rz]
+        assert dag.successors(cnot_a) == [cnot_b, rz]
+
+    def test_asap_times_keep_one_entry_per_node(self):
+        circuit = Circuit(1).h(0).t(0).h(0)
+        dag = build_dag(circuit)
+        first_h, t, second_h = circuit.gates
+        starts = dag.asap_times(unit_latency)
+        assert len(starts) == 3
+        assert (starts[first_h], starts[t], starts[second_h]) == (0.0, 1.0, 2.0)
+
+    def test_retired_nodes_leave_the_group_lookups(self):
+        circuit = Circuit(3).cnot(0, 1).rz(0.5, 1).cnot(1, 2)
+        dag = build_dag(circuit)
+        cnot_a, rz, cnot_b = circuit.gates
+        merged = AggregatedInstruction([cnot_a, rz])
+        dag.merge(cnot_a, rz, merged)
+        for retired in (cnot_a, rz):
+            with pytest.raises(SchedulingError, match="does not act"):
+                dag.group_index(retired, 1)
+        assert dag.group_lookup(1) == {merged: 0, cnot_b: 1}
+        assert dag.group_lookup(0) == {merged: 0}
+
+    def test_one_instance_twice_is_a_cycle(self):
+        # A node is its own key, so one object cannot hold two positions:
+        # its chain link points at itself.  Lowering therefore gives a
+        # repeated gate instance one node per occurrence.
+        gate = lib.H(0)
+        dag = GateDependenceGraph(1, [gate, gate], lambda a, b: False)
+        with pytest.raises(SchedulingError, match="cycle"):
+            dag.topological_order()
+        with pytest.raises(SchedulingError, match="cycle"):
+            dag.stable_topological_order()
+
+    def test_stable_topological_order_follows_the_node_list(self):
+        circuit = Circuit(3).h(2).h(0).cnot(0, 1).h(1).h(2)
+        dag = build_dag(circuit)
+        assert dag.stable_topological_order() == circuit.gates
+        h2, h0, cnot, h1, h2_again = circuit.gates
+        dag.reorder([h0, h2, cnot, h2_again, h1])
+        assert dag.stable_topological_order() == [h0, h2, cnot, h2_again, h1]

@@ -3,6 +3,7 @@ instrumentation, and custom pass/strategy registration."""
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.aggregation.aggregator import aggregate
@@ -49,7 +50,9 @@ from repro.errors import (
     PassOrderingError,
     ReproError,
 )
+from repro.gates import library as lib
 from repro.gates.decompositions import lower_to_standard_set
+from repro.ir.serialize import canonical_result_dict
 from repro.mapping.placement import initial_placement
 from repro.mapping.router import route
 from repro.device.topology import grid_for
@@ -723,3 +726,61 @@ class TestAggregationRoundsConfig:
         )
         reference = compile_circuit(circuit, CLS_AGGREGATION, ocu=ocu)
         assert result.aggregation_merges <= reference.aggregation_merges
+
+
+def _trotter_layer() -> list:
+    return [lib.H(0), lib.CNOT(0, 1), lib.RZ(0.3, 1), lib.CNOT(1, 2)]
+
+
+class TestRepeatedGateInstances:
+    """Regression: a circuit holding one Gate instance twice — extending
+    by one layer list twice, the natural way to repeat a Trotter step —
+    failed every strategy with a dependence-graph cycle, because
+    lowering passed both occurrences through as one node."""
+
+    @pytest.mark.parametrize(
+        "strategy", registered_strategies(), ids=lambda s: s.key
+    )
+    def test_repeated_layer_compiles_like_fresh_gates(self, ocu, strategy):
+        layer = _trotter_layer()
+        repeated = Circuit(3, name="trotter").extend(layer).extend(layer)
+        fresh = (
+            Circuit(3, name="trotter")
+            .extend(_trotter_layer())
+            .extend(_trotter_layer())
+        )
+        result = compile_circuit(repeated, strategy, ocu=ocu, verify_ir=True)
+        assert result.verify_equivalence().equivalent
+        assert canonical_result_dict(result) == canonical_result_dict(
+            compile_circuit(fresh, strategy, ocu=ocu)
+        )
+
+    @pytest.mark.parametrize(
+        "strategy", registered_strategies(), ids=lambda s: s.key
+    )
+    def test_back_to_back_repeat_compiles(self, ocu, strategy):
+        rz, cnot = lib.RZ(0.3, 1), lib.CNOT(0, 1)
+        circuit = Circuit(2, name="repeat").extend([cnot, rz, rz, rz, cnot])
+        result = compile_circuit(circuit, strategy, ocu=ocu, verify_ir=True)
+        assert result.verify_equivalence().equivalent
+
+    def _lowered(self, circuit) -> list:
+        context = CompilationContext.create(circuit, strategy_key="custom")
+        LowerPass().run(context)
+        return context.nodes
+
+    def test_lowering_gives_each_repeat_its_own_node(self):
+        layer = _trotter_layer()
+        nodes = self._lowered(Circuit(3).extend(layer).extend(layer))
+        assert len(nodes) == 8
+        assert all(node is gate for node, gate in zip(nodes, layer))
+        for copy, gate in zip(nodes[4:], layer):
+            assert copy is not gate
+            assert copy.signature == gate.signature
+            assert np.array_equal(copy.matrix, gate.matrix)
+        assert len(set(nodes)) == 8
+
+    def test_lowering_keeps_unrepeated_gates(self):
+        circuit = Circuit(3).extend(_trotter_layer()).extend(_trotter_layer())
+        nodes = self._lowered(circuit)
+        assert all(node is gate for node, gate in zip(nodes, circuit.gates))

@@ -441,6 +441,53 @@ class TestDiskStore:
         with pytest.raises(ControlError, match="shard-000.json"):
             ShardedDiskPulseCache(tmp_path / "cache")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            '{"format": "repro-pulse-cache-sharded-v2", "sha',
+            "[8]",
+            '{"format": "repro-pulse-cache-sharded-v2"}',
+            '{"format": "repro-pulse-cache-sharded-v2", "shards": 0}',
+            '{"format": "repro-pulse-cache-sharded-v2", "shards": "8"}',
+            '{"format": "repro-pulse-cache-sharded-v2", "shards": 8.0}',
+            '{"format": "repro-pulse-cache-sharded-v2", "shards": true}',
+        ],
+        ids=[
+            "empty",
+            "truncated",
+            "list",
+            "no-shards",
+            "zero-shards",
+            "string-shards",
+            "float-shards",
+            "bool-shards",
+        ],
+    )
+    def test_damaged_manifest_rejected(self, tmp_path, text):
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        (directory / "sharding.json").write_text(text)
+        with pytest.raises(ControlError, match="sharding.json"):
+            ShardedDiskPulseCache(directory)
+
+    def test_failed_manifest_write_leaves_nothing_behind(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "cache"
+
+        def fail(fd):
+            raise OSError("injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="injected"):
+            ShardedDiskPulseCache(directory, shards=2)
+        monkeypatch.undo()
+        files = [name for name in os.listdir(directory) if name != "locks"]
+        assert files == []
+        assert ShardedDiskPulseCache(directory, shards=2).shards == 2
+        assert ShardedDiskPulseCache(directory).shards == 2
+
     def test_shard_is_one_cache_delta_file(self, tmp_path):
         directory = tmp_path / "cache"
         cache = ShardedDiskPulseCache(directory, shards=1)

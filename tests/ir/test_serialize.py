@@ -114,6 +114,14 @@ class TestCircuitRoundTrip:
         for a, b in zip(circuit.gates, rebuilt.gates):
             assert np.array_equal(a.matrix, b.matrix)
 
+    def test_repeated_instance_loads_as_separate_gates(self):
+        layer = [lib.H(0), lib.CNOT(0, 1), lib.RZ(0.3, 1)]
+        circuit = Circuit(2, name="repeat").extend(layer).extend(layer)
+        text = circuit.to_json()
+        rebuilt = Circuit.from_json(text)
+        assert len(set(rebuilt.gates)) == len(rebuilt.gates) == 6
+        assert rebuilt.to_json() == text
+
     def test_circuit_dict_rejects_wrong_kind(self):
         with pytest.raises(SerializationError, match="kind"):
             circuit_from_dict(gate_to_dict(lib.H(0)))
@@ -279,6 +287,25 @@ class TestResultArtifacts:
         assert loaded.initial_mapping == result.initial_mapping
         assert loaded.stage_seconds == result.stage_seconds
         assert loaded.verify_equivalence()
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_save_keeps_previous_artifact(
+        self, tmp_path, monkeypatch, result, step
+    ):
+        import os
+
+        path = result.save(tmp_path / "a.json")
+        previous = (tmp_path / "a.json").read_bytes()
+
+        def fail(*args):
+            raise OSError(f"injected {step} failure")
+
+        monkeypatch.setattr(os, step, fail)
+        with pytest.raises(OSError, match="injected"):
+            result.save(path)
+        monkeypatch.undo()
+        assert (tmp_path / "a.json").read_bytes() == previous
+        assert os.listdir(tmp_path) == ["a.json"]
 
     def test_save_without_source_cannot_self_verify(self, tmp_path, result):
         from repro.errors import VerificationError

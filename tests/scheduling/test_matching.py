@@ -73,3 +73,11 @@ class TestResolveConflicts:
     def test_wide_node_rejected(self):
         with pytest.raises(SchedulingError):
             resolve_conflicts([lib.TOFFOLI(0, 1, 2)])
+
+    def test_equal_looking_candidates_still_conflict(self):
+        first, second = lib.RZ(0.1, 0), lib.RZ(0.1, 0)
+        assert first.signature == second.signature
+        priorities = {first: 1.0, second: 5.0}
+        selected = resolve_conflicts([first, second], priorities.__getitem__)
+        assert len(selected) == 1
+        assert selected[0] is second

@@ -164,3 +164,17 @@ class TestClsScheduler:
             # Makespan is bounded by the serial sum and at least the depth.
             assert schedule.makespan <= len(circuit)
             assert schedule.makespan >= circuit.depth / 2
+
+
+class TestEqualLookingNodes:
+    """Schedulers key their per-node state by the node object, so gates
+    that look alike are still scheduled once each, in dependence order."""
+
+    def test_cls_schedules_each_equal_looking_node_once(self):
+        circuit = Circuit(2).cnot(0, 1).rz(0.5, 1).cnot(0, 1)
+        dag = build_dag(circuit)
+        cnot_a, rz, cnot_b = circuit.gates
+        schedule = cls_schedule(dag, unit_latency)
+        schedule.validate()
+        assert schedule.ordered_nodes() == [cnot_a, rz, cnot_b]
+        assert schedule.makespan == pytest.approx(3.0)
