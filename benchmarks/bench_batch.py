@@ -2,7 +2,8 @@
 
 Tracks the batch engine's headline numbers and writes them to a
 machine-readable ``BENCH_batch.json`` (path overridable via the
-``BENCH_BATCH_JSON`` environment variable):
+``BENCH_BATCH_JSON`` environment variable), stamped with the CPU count,
+Python, numpy and BLAS versions and git sha that produced them:
 
 * **Model sweep** — the standard 20-job Figure 9 strategy sweep under
   the analytic backend, thread vs process executors.  This workload is
@@ -38,6 +39,8 @@ a single-core machine, where only serialization overhead remains).
 
 import json
 import os
+import platform
+import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -79,12 +82,39 @@ def _baseline_model_evals():
         return None
 
 
+def _provenance() -> dict:
+    """What produced the numbers: the fields ``perfbench`` stamps too."""
+    import numpy
+
+    stamp = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        stamp["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError, AttributeError):  # older numpy: no dict mode
+        pass
+    try:
+        stamp["git_sha"] = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(_BASELINE_PATH),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        stamp["git_sha"] = "unknown"
+    return stamp
+
+
 def _write_payload():
     _PAYLOAD.update(
         {
             "format": "repro-bench-batch-v2",
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "cpu_count": os.cpu_count(),
+            **_provenance(),
         }
     )
     with open(_JSON_PATH, "w", encoding="utf-8") as handle:

@@ -10,13 +10,13 @@ SWAP and diagonal-block structures appear in every job.
 :class:`BatchCompiler` exploits that.  It owns one shared
 :class:`~repro.control.cache.PulseCache` (optionally a disk-persistent
 one).  Every unit of work — a job, a pre-warm planner dry-run, a
-pre-warm synthesis — takes one path: a fresh
-:class:`~repro.control.cache.CacheSession` (a private read-through view
-of the shared store, so workers never contend on the store lock for
-writes), a unit built from the engine's one set of settings, the work,
-and a merge of the session's delta of newly computed latencies/pulses
-into the store, even when the work raises.  A job opens its session
-when it starts, so it sees every delta merged before then.
+pre-warm synthesis — takes one path: a fresh optimal-control unit built
+from the engine's one set of settings over the shared store, then the
+work.  Units write straight through, so concurrent jobs see each
+other's entries at once, and their misses are single-flighted
+(:meth:`~repro.control.cache.PulseCache.single_flight`): the threads
+sharing the store compute each latency once, so the work counters
+depend on the batch alone, not on the worker count.
 
 Both executors fan units out with ``Executor.map``: outcomes come back
 in input order, and a failed unit surfaces once the units before it
@@ -30,13 +30,14 @@ finish, after which units not yet started never run.
   start with a snapshot of the shared store and a twin engine rebuilt
   from this engine's settings.  Jobs ship as :mod:`repro.ir` envelopes
   (pre-warm problems as serialized nodes; nothing process-local crosses
-  the boundary), run through the twin's same session path, and return
-  serialized results plus their :class:`~repro.control.cache.CacheDelta`,
-  which the parent merges into the shared store.  This sidesteps the
-  GIL — the speedup on many-core machines is what
-  ``benchmarks/bench_batch.py`` records — at the cost of per-job
-  serialization and no *cross-worker* cache sharing during one batch
-  (the merged store carries everything forward to the next batch).
+  the boundary), run through the twin's same unit path, and return
+  serialized results plus the :class:`~repro.control.cache.CacheDelta`
+  of entries their unit computed, which the parent merges into the
+  shared store.  This sidesteps the GIL — the speedup on many-core
+  machines is what ``benchmarks/bench_batch.py`` records — at the cost
+  of per-job serialization and no *cross-worker* cache sharing during
+  one batch (the merged store carries everything forward to the next
+  batch).
   Jobs carrying in-memory pass objects (``BatchJob.passes``) or engines
   with ``pass_callbacks`` cannot cross a process boundary and are
   rejected with a :class:`~repro.errors.ConfigError`; strategies ship
@@ -72,12 +73,7 @@ from repro.config import (
     DEFAULT_DEVICE,
     DeviceConfig,
 )
-from repro.control.cache import (
-    CacheDelta,
-    CacheSession,
-    PulseCache,
-    resolve_cache,
-)
+from repro.control.cache import CacheDelta, PulseCache, resolve_cache
 from repro.compiler.result_cache import (
     DiskResultCache,
     ResultCache,
@@ -369,10 +365,10 @@ class BatchCompiler:
 
     def make_ocu(
         self,
-        cache: PulseCache | CacheSession | None = None,
+        cache: PulseCache | None = None,
         device: Device | DeviceConfig | None = None,
     ) -> OptimalControlUnit:
-        """A fresh OCU bound to the shared store (or a session view).
+        """A fresh OCU writing straight through to the shared store.
 
         ``device`` overrides the engine's default target, so per-edge
         limits and cache fingerprints match that machine.
@@ -590,35 +586,32 @@ class BatchCompiler:
             verify_ir=self.verify_ir if verify_ir is None else verify_ir,
         )
 
-    def _in_session(
+    def _with_unit(
         self,
         target: Device | DeviceConfig,
         work: Callable[[OptimalControlUnit], object],
         unit: Callable[..., OptimalControlUnit] = OptimalControlUnit,
     ) -> tuple[object, CacheDelta, dict]:
-        """Run ``work(unit)`` over a fresh session of the shared store.
+        """Run ``work(unit)`` on a fresh unit over the shared store.
 
         The one path every unit of work takes — jobs, planner dry-runs
         and pre-warm syntheses, here and on a process worker's twin
         engine alike.  ``unit`` (the OCU class, or a factory taking its
         keywords) is built for ``target`` from :meth:`_unit_settings`
-        over the session.  The session delta is merged into the shared
-        store even when ``work`` raises — optimal-control work already
-        finished stays warm, so a retry (or the next job sharing blocks
-        with this one) never re-synthesizes it.
+        over :attr:`cache`.  The unit writes straight through, so
+        concurrent units see each other's entries at once, and work that
+        raises has already stored what it finished.
 
         Returns:
-            ``(value, delta, counters)`` — what ``work`` returned, the
-            session's delta, and the unit's :data:`COUNTER_KEYS`.
+            ``(value, written, counters)`` — what ``work`` returned, the
+            entries the unit computed (:attr:`OptimalControlUnit.written`;
+            process workers ship them to the parent), and the unit's
+            :data:`COUNTER_KEYS`.
         """
-        session = CacheSession(self.cache)
-        ocu = unit(device=target, cache=session, **self._unit_settings())
-        try:
-            value = work(ocu)
-        finally:
-            self.cache.merge_delta(session.delta)
+        ocu = unit(device=target, cache=self.cache, **self._unit_settings())
+        value = work(ocu)
         used = {key: getattr(ocu, key) for key in COUNTER_KEYS}
-        return value, session.delta, used
+        return value, ocu.written, used
 
     def _run_job(
         self,
@@ -626,12 +619,12 @@ class BatchCompiler:
         cancel: Callable[[], str | None] | None = None,
         extra_callbacks: Sequence[PassCallback] = (),
     ) -> tuple[CompilationResult, float, dict[str, int]]:
-        """Compile one job in a session; ``(result, seconds, counters)``.
+        """Compile one job on its own unit; ``(result, seconds, counters)``.
 
         ``cancel`` is an optional cooperative probe polled at every pass
         boundary; returning a non-empty string aborts the job with a
         :class:`~repro.errors.JobCancelledError` carrying that reason
-        (the session delta still merges).
+        (the entries it computed are already in the store).
         """
         callbacks = list(extra_callbacks)
         if cancel is not None:
@@ -645,7 +638,7 @@ class BatchCompiler:
 
             callbacks.append(_abort_if_cancelled)
         job_started = time.perf_counter()
-        result, _, used = self._in_session(
+        result, _, used = self._with_unit(
             self._job_target(job),
             lambda unit: self._compile_job(job, unit, extra_callbacks=callbacks),
         )
@@ -791,7 +784,7 @@ class BatchCompiler:
             # Result discarded: only the recorded worklist and the
             # model-latency cache entries matter.  IR verification (if
             # configured) runs on the real compilation, not twice.
-            self._in_session(
+            self._with_unit(
                 self._job_target(job),
                 lambda unit: self._compile_job(job, unit, verify_ir=False),
                 unit=functools.partial(_PlanningUnit, recorded),
@@ -811,8 +804,8 @@ class BatchCompiler:
         """Run the planner, then solve each distinct problem exactly once.
 
         The synthesis stage fans the worklist across workers (threads,
-        or a dedicated process pool in process mode) and merges every
-        delta into the shared store *before* any job is dispatched, so
+        or a dedicated process pool in process mode) and every solution
+        is in the shared store *before* any job is dispatched, so
         no two workers — and in process mode, no two worker-resident
         caches — ever solve the same control problem.
         """
@@ -866,9 +859,9 @@ class BatchCompiler:
 
     def _synthesize(self, problem: tuple) -> tuple:
         """Price one pre-warm problem ``(node, positional, target)``
-        through the engine's backend; :meth:`_in_session`'s triple."""
+        through the engine's backend; :meth:`_with_unit`'s triple."""
         node, positional, target = problem
-        return self._in_session(
+        return self._with_unit(
             target, lambda unit: unit.latency(node, positional)
         )
 
@@ -988,7 +981,7 @@ def _compile_in_worker(envelope: dict) -> tuple:
 
     started = time.perf_counter()
     job = batch_job_from_dict(envelope)
-    result, delta, used = _TWIN._in_session(
+    result, delta, used = _TWIN._with_unit(
         _TWIN._job_target(job), lambda unit: _TWIN._compile_job(job, unit)
     )
     payload = result_to_dict(result)

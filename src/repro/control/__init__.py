@@ -2,7 +2,6 @@
 
 from repro.control.cache import (
     CacheDelta,
-    CacheSession,
     PulseCache,
     ShardedDiskPulseCache,
     config_fingerprint,
@@ -17,7 +16,6 @@ from repro.control.unit import OptimalControlUnit
 __all__ = [
     "AnalyticLatencyModel",
     "CacheDelta",
-    "CacheSession",
     "ControlHamiltonian",
     "ControlTerm",
     "GrapeOptimizer",

@@ -5,8 +5,9 @@ Layering (each module builds on the previous):
 * :mod:`.store` — :class:`~.store.ByteBudgetLRU` (the one recency order
   and byte budget of every store here and of the compiled-result cache),
   in-memory :class:`PulseCache` (thread-safe, latencies and pulses in
-  one LRU), :class:`CacheSession` (worker-local buffered view),
-  :class:`CacheDelta` (the merge unit), :func:`config_fingerprint`.
+  one LRU, units write straight through and single-flight their
+  misses), :class:`CacheDelta` (the transfer unit between stores),
+  :func:`config_fingerprint`.
 * :mod:`.disk` — :func:`~.disk.replace_into`, the crash-safe file
   write every on-disk store uses.
 * :mod:`.locking` — advisory ``flock`` file locks.
@@ -35,7 +36,6 @@ from repro.control.cache.server import CacheServer
 from repro.control.cache.sharded import DEFAULT_SHARDS, ShardedDiskPulseCache
 from repro.control.cache.store import (
     CacheDelta,
-    CacheSession,
     PulseCache,
     config_fingerprint,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "PROTOCOL_FORMAT",
     "CacheDelta",
     "CacheServer",
-    "CacheSession",
     "FileLock",
     "ProtocolError",
     "PulseCache",

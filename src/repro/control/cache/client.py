@@ -247,10 +247,11 @@ class RemotePulseCache(PulseCache):
     def merge_delta(self, delta: CacheDelta) -> int:
         """Merge locally and forward the whole delta upstream.
 
-        The batch engine merges each finished job's session delta here;
-        forwarding it (rather than only the locally-new slice) is safe —
-        the server's own ``merge_delta`` is idempotent — and keeps the
-        server warm even for entries this client learned remotely.
+        Only the process executor merges deltas (each worker's computed
+        entries); forwarding the whole delta rather than its locally-new
+        slice is safe — the server's own ``merge_delta`` is idempotent —
+        and keeps the server warm even for entries this client learned
+        remotely.
         """
         added = super().merge_delta(delta)
         with self._io_lock:

@@ -104,6 +104,8 @@ class ShardedDiskPulseCache(PulseCache):
         #: do one load, not two (held around disk I/O, so it is separate
         #: from the short-critical-section ``_lock``).
         self._refresh_lock = threading.Lock()
+        #: Serializes :meth:`save` (see there).
+        self._save_lock = threading.Lock()
         self.loaded_entries = 0
         self.shard_loads = 0
         self.shard_flushes = 0
@@ -115,12 +117,13 @@ class ShardedDiskPulseCache(PulseCache):
 
     def __getstate__(self):
         state = super().__getstate__()
-        del state["_refresh_lock"]
+        del state["_refresh_lock"], state["_save_lock"]
         return state
 
     def __setstate__(self, state) -> None:
         super().__setstate__(state)
         self._refresh_lock = threading.Lock()
+        self._save_lock = threading.Lock()
 
     # -- layout ----------------------------------------------------------
 
@@ -313,28 +316,35 @@ class ShardedDiskPulseCache(PulseCache):
         """Flush every dirty shard: lock, merge with disk, atomic replace.
 
         Returns the total entry count of the shards written (union of
-        disk and memory, post-trim).  Concurrent flushers of one shard
-        serialize on its lock and each write the union, so no entry is
-        ever lost to an interleaved flush.
+        disk and memory, post-trim).  Saves serialize, so one returns only
+        once every entry dirty at its call is on disk, even when a peer
+        thread's save took that entry's shard.  Flushers of one shard in
+        other processes serialize on its lock and each write the union,
+        so no entry is ever lost to an interleaved flush.
         """
-        with self._lock:
-            dirty = sorted(self._dirty)
-            self._dirty.clear()
-        written = 0
-        for index in dirty:
-            written += self._flush_shard(index)
-        return written
+        with self._save_lock:
+            with self._lock:
+                if not self._dirty:
+                    return 0
+                ours: dict[int, list] = {index: [] for index in sorted(self._dirty)}
+                self._dirty.clear()
+                # Bucket the resident entries once, under the same hold
+                # that clears the dirty set: an entry written after this
+                # snapshot marks its shard dirty again for the next save.
+                for entry, (value, _) in self._entries.items():
+                    bucket = ours.get(self.shard_of(entry[1]))
+                    if bucket is not None:
+                        bucket.append((entry, value))
+            return sum(
+                self._flush_shard(index, entries) for index, entries in ours.items()
+            )
 
-    def _flush_shard(self, index: int) -> int:
+    def _flush_shard(self, index: int, ours: list) -> int:
+        """Write our entries of one shard (``ours``: resident entries,
+        least recently used first) merged with its file on disk."""
         lock = FileLock(self._lock_path(f"shard-{index:03d}.lock"))
         with lock:
             merged = self._read_shard(index)
-            with self._lock:
-                ours = [
-                    (entry, value)
-                    for entry, (value, _) in self._entries.items()
-                    if self.shard_of(entry[1]) == index
-                ]
             recency = {}  # our entries' ranks in the recency order, LRU first
             for rank, ((kind, key), value) in enumerate(ours):
                 (merged.latencies if kind == LATENCY else merged.pulses)[key] = value

@@ -2,10 +2,10 @@
 
 The base layer of the shared-cache stack (see the package docstring).
 :class:`PulseCache` is the thread-safe store every other backend builds
-on; :class:`CacheSession` is the worker-local buffered view the batch
-engine compiles through; :class:`CacheDelta` is the unit of merge both
-use.  Everything cross-process — the sharded directory, the socket
-server — lives in sibling modules and subclasses :class:`PulseCache`.
+on; units write straight into it and single-flight their misses.
+:class:`CacheDelta` carries entries between stores.  Everything
+cross-process — the sharded directory, the socket server — lives in
+sibling modules and subclasses :class:`PulseCache`.
 
 Eviction
 --------
@@ -122,7 +122,7 @@ def pulse_entry_bytes(key: PulseKey, result: GrapeResult) -> int:
 
 @dataclasses.dataclass
 class CacheDelta:
-    """Entries a worker added on top of a shared store."""
+    """Entries in transit: a unit's new work, a snapshot, a shard file."""
 
     latencies: dict[LatencyKey, float] = dataclasses.field(default_factory=dict)
     pulses: dict[PulseKey, GrapeResult] = dataclasses.field(default_factory=dict)
@@ -215,7 +215,8 @@ class PulseCache(ByteBudgetLRU):
     """Thread-safe in-memory latency/pulse store.
 
     The same store may back many optimal-control units at once (the batch
-    engine's workers); all mutation happens under one lock.
+    engine's workers, each writing straight through); all mutation
+    happens under one lock.
 
     Args:
         max_bytes: Optional LRU eviction budget (see the module
@@ -225,9 +226,10 @@ class PulseCache(ByteBudgetLRU):
     def __init__(self, max_bytes: int | None = None) -> None:
         super().__init__(max_bytes)
         self._lock = threading.Lock()
-        #: Pulse key -> [lock, holders] for every key some thread holds
-        #: or awaits :meth:`exclusive` on; guarded by ``_lock``.
-        self._key_locks: dict[PulseKey, list] = {}
+        #: Key -> [lock, holders] for every key some thread holds or
+        #: awaits :meth:`single_flight` on, guarded by ``_lock``; latency
+        #: keys (three items) never equal pulse keys (two items).
+        self._key_locks: dict[tuple, list] = {}
         #: Resident entries per kind, so counting never scans the store.
         self._counts = {LATENCY: 0, PULSE: 0}
         self.hits = 0
@@ -264,29 +266,47 @@ class PulseCache(ByteBudgetLRU):
     # -- single-flight ----------------------------------------------------
 
     @contextlib.contextmanager
-    def exclusive(self, key: PulseKey):
-        """Single-flight guard around one expensive synthesis.
+    def single_flight(self, kind: str, key: tuple):
+        """Per-key in-process lock around computing one missed entry.
 
-        The optimal-control unit wraps GRAPE synthesis in
-        ``with cache.exclusive(key): re-check; synthesize; put``.  Here
-        that holds a per-key in-process lock, so two threads that miss
-        the same signature synthesize it once: the second blocks until
-        the first has put the pulse, and its re-check then hits.
-        Backends with cross-process peers (the sharded directory store,
-        the remote client) take their fleet-wide guard inside this one
-        and publish the result before releasing.
+        ``with cache.single_flight(kind, key) as cached:`` blocks while
+        another thread of this process holds the same key, then yields
+        the entry resident in memory — the value that thread wrote while
+        this one waited — or None, when the caller computes and puts it.
+        Threads sharing the store therefore compute each missed entry
+        once.  The check reads memory only: a peer thread's write always
+        lands there first, so it needs no disk ``stat`` or server round
+        trip.
         """
         with self._lock:
             entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
             entry[1] += 1
         try:
             with entry[0]:
-                yield
+                with self._lock:
+                    cached = self._lookup((kind, key))
+                yield cached
         finally:
             with self._lock:
                 entry[1] -= 1
                 if not entry[1]:
                     del self._key_locks[key]
+
+    @contextlib.contextmanager
+    def exclusive(self, key: PulseKey):
+        """Single-flight guard around one expensive synthesis.
+
+        The optimal-control unit wraps GRAPE synthesis in
+        ``with cache.exclusive(key): re-check; synthesize; put``.  Here
+        that holds :meth:`single_flight` on the pulse key, so two threads
+        that miss the same signature synthesize it once: the second
+        blocks until the first has put the pulse, and its re-check then
+        hits.  Backends with cross-process peers (the sharded directory
+        store, the remote client) take their fleet-wide guard inside this
+        one and publish the result before releasing.
+        """
+        with self.single_flight(PULSE, key):
+            yield
 
     # -- bulk operations -------------------------------------------------
 
@@ -297,7 +317,7 @@ class PulseCache(ByteBudgetLRU):
         content-addressed, so both sides hold the same value (modulo
         recomputation of bit-identical results).  The count covers keys
         the store had never seen: merging the same delta twice reports
-        the second merge as 0, and interleaved merges from two sessions
+        the second merge as 0, and interleaved merges from two workers
         commute (``tests/control/test_cache.py`` pins both properties).
         """
         added = 0
@@ -420,86 +440,3 @@ class PulseCache(ByteBudgetLRU):
                     self._set(kind, key, value)
         self._evict_over_budget(protect)
 
-
-class CacheSession:
-    """Worker-local cache view: read-through, buffered writes.
-
-    Exposes the same interface as :class:`PulseCache`, so an
-    :class:`~repro.control.unit.OptimalControlUnit` can be constructed
-    directly on top of it.  All writes land in :attr:`delta`; the batch
-    engine merges the delta into the shared store when the job finishes,
-    which keeps workers from contending on the store's lock for every
-    query while still letting later jobs reuse earlier jobs' work.
-
-    The session keeps its own :attr:`hits`/:attr:`misses` counters — a
-    hit is answered by either layer (the buffered delta or the shared
-    store), a miss by neither — so per-worker hit rates stay observable
-    even when many sessions share one store.
-    """
-
-    def __init__(self, store: PulseCache) -> None:
-        self.store = store
-        self.delta = CacheDelta()
-        self.hits = 0
-        self.misses = 0
-
-    def get_latency(self, key: LatencyKey) -> float | None:
-        value = self.delta.latencies.get(key)
-        if value is None:
-            value = self.store.get_latency(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put_latency(self, key: LatencyKey, value: float) -> None:
-        self.delta.latencies[key] = float(value)
-
-    def get_pulse(self, key: PulseKey) -> GrapeResult | None:
-        result = self.delta.pulses.get(key)
-        if result is None:
-            result = self.store.get_pulse(key)
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
-
-    def put_pulse(self, key: PulseKey, result: GrapeResult) -> None:
-        self.delta.pulses[key] = result
-
-    @contextlib.contextmanager
-    def exclusive(self, key: PulseKey):
-        """Delegate single-flight to the store, publishing through it.
-
-        A pulse synthesized inside the guard is buffered in the session
-        delta as usual, but is *also* written through to the store before
-        the store's guard releases — cross-process backends flush to
-        their shared medium on release, so a peer that was blocked on
-        the same signature finds the finished pulse instead of
-        re-synthesizing it.  (The later ``merge_delta`` of the full
-        session delta then reports it as not-new, which is exactly the
-        idempotence ``merge_delta`` guarantees.)
-        """
-        with self.store.exclusive(key):
-            yield
-            result = self.delta.pulses.get(key)
-            if result is not None:
-                self.store.put_pulse(key, result)
-
-    @property
-    def latency_count(self) -> int:
-        return self.store.latency_count + len(self.delta.latencies)
-
-    @property
-    def pulse_count(self) -> int:
-        return self.store.pulse_count + len(self.delta.pulses)
-
-    def stats(self) -> dict:
-        """Session hit/miss counters over the backing store's stats."""
-        info = self.store.stats()
-        info["session_hits"] = self.hits
-        info["session_misses"] = self.misses
-        info["session_buffered"] = len(self.delta)
-        return info

@@ -30,7 +30,8 @@ from repro.config import (
     DEFAULT_DEVICE,
     DeviceConfig,
 )
-from repro.control.cache import CacheSession, PulseCache, config_fingerprint
+from repro.control.cache import CacheDelta, PulseCache, config_fingerprint
+from repro.control.cache.store import LATENCY
 from repro.control.grape import GrapeResult
 from repro.control.hamiltonian import xy_hamiltonian
 from repro.control.latency_model import AnalyticLatencyModel
@@ -65,12 +66,16 @@ class OptimalControlUnit:
         grape_qubit_limit: int = 3,
         grape_dt: float | None = None,
         seed: int = 20190413,
-        cache: PulseCache | CacheSession | None = None,
+        cache: PulseCache | None = None,
         grape_kernel: str = "vectorized",
         grape_warm_start: bool = True,
         grape_plateau_iterations: int | None = 60,
     ) -> None:
-        """``grape_kernel`` / ``grape_warm_start`` /
+        """``cache`` is the store the unit reads and writes straight
+        through (a fresh in-memory one when omitted); share one store
+        across units to share their work.
+
+        ``grape_kernel`` / ``grape_warm_start`` /
         ``grape_plateau_iterations`` select the optimal-control fast
         path (the defaults) or the legacy behavior (``"reference"`` /
         ``False`` / ``None``) — ``benchmarks/bench_batch.py`` measures
@@ -123,6 +128,9 @@ class OptimalControlUnit:
         self.model_evals = 0
         self.grape_evals = 0
         self.grape_wall_seconds = 0.0
+        #: Every entry this unit computed and wrote to :attr:`cache` — a
+        #: process worker ships it back for the parent's store to merge.
+        self.written = CacheDelta()
 
     def _node_signature(self, node, positional: bool = True) -> tuple:
         """Cache signature: structural, plus absolute support when the
@@ -175,21 +183,7 @@ class OptimalControlUnit:
             self.backend,
             self._node_signature(node, positional),
         )
-        cached = self.cache.get_latency(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        gates = gates_of(node)
-        if self.backend == "grape" and len(support_of(node)) <= self.grape_qubit_limit:
-            value = self._grape_latency(node, gates, positional)
-        else:
-            if self.backend == "grape":
-                self.grape_fallbacks += 1
-            self.model_evals += 1
-            model = self.model if positional else self._homogeneous_model
-            value = model.sequence_latency(gates)
-        self.cache.put_latency(key, value)
-        return value
+        return self._cached_latency(key, self._price, node, positional)
 
     def model_latency(self, node) -> float:
         """Analytic-model latency regardless of the configured backend.
@@ -198,20 +192,46 @@ class OptimalControlUnit:
         candidate-pair structures across rounds.
         """
         key = (self.fingerprint, "model", self._node_signature(node))
-        cached = self.cache.get_latency(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.model_evals += 1
-        value = self.model.sequence_latency(gates_of(node))
-        self.cache.put_latency(key, value)
-        return value
+        return self._cached_latency(key, self._evaluate_model, node, self.model)
 
-    def _grape_latency(self, node, gates, positional: bool = True) -> float:
+    def _cached_latency(self, key, compute, *args) -> float:
+        """The latency under ``key``; on a miss, ``compute(*args)`` once.
+
+        The one miss path of :meth:`latency` and :meth:`model_latency`.
+        A miss takes the store's single-flight guard, so the threads
+        sharing the store compute each key once: a thread that waited
+        adopts the value its peer wrote.  A computed value goes straight
+        into the store and into :attr:`written`.
+        """
+        cached = self.cache.get_latency(key)
+        if cached is None:
+            with self.cache.single_flight(LATENCY, key) as cached:
+                if cached is None:
+                    value = compute(*args)
+                    self.cache.put_latency(key, value)
+                    self.written.latencies[key] = float(value)
+                    return value
+        self.cache_hits += 1
+        return cached
+
+    def _price(self, node, positional: bool) -> float:
+        """Price a missed node through the configured backend."""
+        if self.grape_eligible(node):
+            return self._grape_latency(node, positional)
+        if self.backend == "grape":
+            self.grape_fallbacks += 1
+        model = self.model if positional else self._homogeneous_model
+        return self._evaluate_model(node, model)
+
+    def _evaluate_model(self, node, model: AnalyticLatencyModel) -> float:
+        self.model_evals += 1
+        return model.sequence_latency(gates_of(node))
+
+    def _grape_latency(self, node, positional: bool) -> float:
         result = self.synthesize_pulse(node, positional)
         # GRAPE busy time plus the same fixed setup overhead the model
         # charges (ramp-up is not simulated by the piecewise model).
-        uses_coupling = any(len(g.qubits) >= 2 for g in gates)
+        uses_coupling = any(len(g.qubits) >= 2 for g in gates_of(node))
         setup = (
             self.device.setup_time_2q_ns
             if uses_coupling
@@ -231,34 +251,30 @@ class OptimalControlUnit:
         """
         key = (self.fingerprint, self._node_signature(node, positional))
         cached = self.cache.get_pulse(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        support = support_of(node)
-        if len(support) > self.grape_qubit_limit:
-            raise ControlError(
-                f"instruction width {len(support)} exceeds the GRAPE limit "
-                f"{self.grape_qubit_limit}"
-            )
-        with self.cache.exclusive(key):
-            return self._synthesize_locked(key, node, support, positional)
+        if cached is None:
+            support = support_of(node)
+            if len(support) > self.grape_qubit_limit:
+                raise ControlError(
+                    f"instruction width {len(support)} exceeds the GRAPE "
+                    f"limit {self.grape_qubit_limit}"
+                )
+            with self.cache.exclusive(key):
+                # The re-check is the point of the guard: while we
+                # blocked on it, a peer (thread, process or another
+                # machine, depending on the store) may have synthesized
+                # this signature and published it, and content-addressed
+                # keys make its pulse interchangeable with ours.
+                cached = self.cache.get_pulse(key)
+                if cached is None:
+                    return self._synthesize(key, node, support, positional)
+        self.cache_hits += 1
+        return cached
 
-    def _synthesize_locked(self, key, node, support, positional) -> GrapeResult:
-        """The expensive half of :meth:`synthesize_pulse`, run under the
-        cache's single-flight guard.
-
-        The re-check is the point of the guard: while we blocked on it, a
-        peer (thread, process, or another machine, depending on the cache
-        backend) may have synthesized this exact signature and published
-        it — content-addressed keys make its result interchangeable with
-        ours, so adopting it keeps each signature synthesized once per
-        fleet.  Every store's guard starts with a per-key thread lock, so
-        the peer can be another worker thread of this very process.
+    def _synthesize(self, key, node, support, positional) -> GrapeResult:
+        """Solve one missed pulse under the store's single-flight guard,
+        putting it before the guard releases, so the store holds it (and
+        the fleet-wide stores publish it) before a blocked peer re-checks.
         """
-        cached = self.cache.get_pulse(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
         gates = gates_of(node)
         target, hamiltonian = self._local_problem(support, gates, positional)
         self.model_evals += 1
@@ -286,6 +302,7 @@ class OptimalControlUnit:
         self.grape_wall_seconds += time.perf_counter() - started
         self.grape_evals += search.evaluations
         self.cache.put_pulse(key, search.grape)
+        self.written.pulses[key] = search.grape
         return search.grape
 
     def _local_problem(self, support, gates, positional: bool = True):

@@ -1,11 +1,13 @@
 """Tests for the batch engine's one path for a unit of work.
 
-Jobs, pre-warm planner dry-runs and pre-warm syntheses all run through
-one session helper, fanned out by one map per executor.  These tests pin
-what that path promises beyond the executor suites: the single-job entry
-bills and caches like a batch, a failed job stops the batch, process-mode
-pre-warm matches thread mode across pinned devices, and an engine whose
-default device cannot serialize compiles its jobs uncached.
+Jobs, pre-warm planner dry-runs and pre-warm syntheses all run on a
+fresh unit writing straight through to the shared store, fanned out by
+one map per executor.  These tests pin what that path promises beyond
+the executor suites: the single-job entry bills and caches like a batch,
+a running job's latencies are already in the store, the work bill does
+not depend on the worker count, a failed job stops the batch,
+process-mode pre-warm matches thread mode across pinned devices, and an
+engine whose default device cannot serialize compiles its jobs uncached.
 """
 
 import threading
@@ -16,6 +18,7 @@ from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.result_cache import ResultCache
+from repro.compiler.strategies import all_strategies
 from repro.device.device import Device
 from repro.device.topology import LineTopology, Topology
 from repro.errors import ConfigError
@@ -38,6 +41,37 @@ class TestSingleJobPath:
         assert engine.lifetime_info["model_evals"] == billed
         assert engine.result_cache.stats()["hits"] == 1
         assert _canon([again]) == _canon([first])
+
+
+class TestWriteThrough:
+    def test_a_running_job_has_stored_its_latencies(self):
+        counts = {}
+
+        def record(pass_, context, elapsed):
+            counts.setdefault(pass_.name, engine.cache.latency_count)
+
+        engine = BatchCompiler(pass_callbacks=[record])
+        engine.compile(maxcut_qaoa_circuit(line_graph(4), name="line4"), "cls")
+        # CLS priced the logical nodes; the job is still running.
+        assert counts["LogicalSchedulePass"] > 0
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_each_latency_is_evaluated_once(self, workers):
+        circuits = [
+            maxcut_qaoa_circuit(line_graph(4), name="line4"),
+            ising_model_circuit(4, name="ising4"),
+        ]
+        jobs = [
+            BatchJob(circuit=circuit, strategy=strategy)
+            for circuit in circuits
+            for strategy in all_strategies()
+        ]
+        assert len(jobs) == 10
+        report = BatchCompiler(max_workers=workers).compile_batch(jobs)
+        info = report.cache_info
+        assert info["model_evals"] == info["latency_entries"]
 
 
 class TestFailedJob:

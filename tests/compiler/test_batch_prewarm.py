@@ -14,7 +14,7 @@ import pytest
 
 from repro.circuit.circuit import Circuit
 from repro.compiler.batch import BatchCompiler, BatchJob, _PlanningUnit
-from repro.control.cache import CacheSession, PulseCache
+from repro.control.cache import PulseCache
 from repro.errors import ConfigError
 from repro.ir import canonical_result_dict
 
@@ -70,7 +70,7 @@ class TestPlanner:
         unit = _PlanningUnit(
             recorded,
             grape_qubit_limit=1,
-            cache=CacheSession(PulseCache()),
+            cache=PulseCache(),
         )
         unit.latency(two_qubit)
         assert not recorded  # above the GRAPE width limit: never recorded

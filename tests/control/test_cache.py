@@ -1,8 +1,12 @@
 """Tests for the shared pulse/latency cache backends."""
 
+import contextlib
 import json
 import os
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,13 +15,13 @@ from repro.compiler.result_cache import DiskResultCache, ResultCache
 from repro.config import CompilerConfig, DeviceConfig
 from repro.control.cache import (
     CacheDelta,
-    CacheSession,
     PulseCache,
     RemotePulseCache,
     ShardedDiskPulseCache,
     config_fingerprint,
 )
 from repro.control.grape import GrapeResult
+from repro.control.latency_model import AnalyticLatencyModel
 from repro.control.pulse import Pulse
 from repro.control.unit import OptimalControlUnit
 from repro.errors import ControlError
@@ -334,63 +338,129 @@ class TestCrashSafety:
         assert list(tmp_path.iterdir()) == [final]
 
 
-class TestCacheSession:
-    def test_reads_fall_through_to_store(self):
+class TestSingleFlight:
+    def test_threads_missing_one_latency_evaluate_the_model_once(
+        self, monkeypatch
+    ):
         store = PulseCache()
-        store.put_latency(("k",), 9.0)
-        session = CacheSession(store)
-        assert session.get_latency(("k",)) == 9.0
+        units = [OptimalControlUnit(cache=store) for _ in range(2)]
+        both_missed = threading.Event()
+        misses = []
+        lookup = store.get_latency
 
-    def test_writes_buffer_into_delta(self):
-        store = PulseCache()
-        session = CacheSession(store)
-        session.put_latency(("k",), 5.0)
-        assert session.get_latency(("k",)) == 5.0
-        assert store.get_latency(("k",)) is None
-        assert len(session.delta) == 1
-        store.merge_delta(session.delta)
-        assert store.get_latency(("k",)) == 5.0
+        def counted_lookup(key):
+            value = lookup(key)
+            if value is None:
+                misses.append(key)
+                if len(misses) == 2:
+                    both_missed.set()
+            return value
 
-    def test_counts_include_both_layers(self):
-        store = PulseCache()
-        store.put_latency(("a",), 1.0)
-        session = CacheSession(store)
-        session.put_latency(("b",), 2.0)
-        assert session.latency_count == 2
+        evaluate = AnalyticLatencyModel.sequence_latency
+        evaluations = []
 
-    def test_hit_miss_counters_cover_both_layers(self):
-        store = PulseCache()
-        store.put_latency(("stored",), 1.0)
-        session = CacheSession(store)
-        session.put_latency(("buffered",), 2.0)
-        session.get_latency(("stored",))  # store layer answers
-        session.get_latency(("buffered",))  # delta layer answers
-        session.get_latency(("absent",))  # neither does
-        session.get_pulse(("fp", (1, ())))  # pulse misses count too
-        assert session.hits == 2
-        assert session.misses == 2
-        stats = session.stats()
-        assert stats["session_hits"] == 2
-        assert stats["session_misses"] == 2
-        assert stats["session_buffered"] == 1
+        def held_evaluate(model, gates):
+            evaluations.append(gates)
+            # The first evaluation waits until the other thread's lookup
+            # has missed too, so the two misses overlap; the guard then
+            # keeps the second thread out of the model.
+            both_missed.wait(timeout=10)
+            return evaluate(model, gates)
 
-    def test_exclusive_writes_synthesized_pulse_through_to_store(self):
-        store = PulseCache()
-        session = CacheSession(store)
-        key = ("fp", (1, ()))
-        with session.exclusive(key):
-            assert store.get_pulse(key) is None
-            session.put_pulse(key, _grape_result())
-        # Published before the guard released: peers blocked on the
-        # store's single-flight lock must find it on their re-check.
-        assert store.get_pulse(key) is not None
+        monkeypatch.setattr(store, "get_latency", counted_lookup)
+        monkeypatch.setattr(AnalyticLatencyModel, "sequence_latency", held_evaluate)
+        gate = lib.CNOT(0, 1)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            values = list(pool.map(lambda unit: unit.latency(gate), units))
+        assert len(misses) == 2
+        assert len(evaluations) == 1
+        assert values[0] == values[1]
+        assert sorted(unit.model_evals for unit in units) == [0, 1]
+        assert sorted(unit.cache_hits for unit in units) == [0, 1]
+        assert store._key_locks == {}
 
-    def test_exclusive_without_synthesis_writes_nothing(self):
+    def test_thread_stress_evaluates_each_latency_once(self):
+        # More threads than cores, switching often, every thread wanting
+        # every key from its own offset: each latency is evaluated once.
         store = PulseCache()
-        session = CacheSession(store)
-        with session.exclusive(("fp", (1, ()))):
-            pass  # re-check found it elsewhere; nothing synthesized
-        assert store.pulse_count == 0
+        gates = [lib.RZ(0.1 * (k + 1), 0) for k in range(24)]
+        units = [OptimalControlUnit(cache=store) for _ in range(8)]
+        start = threading.Barrier(len(units))
+
+        def worker(index: int) -> int:
+            start.wait(timeout=30)
+            for step in range(len(gates)):
+                units[index].latency(gates[(3 * index + step) % len(gates)])
+            return units[index].model_evals
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(units)) as pool:
+                futures = [pool.submit(worker, i) for i in range(len(units))]
+                evaluations = sum(future.result(timeout=60) for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert evaluations == store.latency_count == len(gates)
+        assert store._key_locks == {}
+
+
+class TestWrittenRecord:
+    def test_a_hit_records_nothing(self):
+        store = PulseCache()
+        gate = lib.CNOT(0, 1)
+        first = OptimalControlUnit(cache=store)
+        first.latency(gate)
+        first.model_latency(gate)  # same model key: a hit
+        assert list(first.written.latencies.values()) == [first.latency(gate)]
+        second = OptimalControlUnit(cache=store)
+        second.latency(gate)
+        assert len(second.written) == 0
+
+    def test_a_grape_miss_records_its_latency_and_pulse(self):
+        store = PulseCache()
+        unit = OptimalControlUnit(backend="grape", seed=11, cache=store)
+        latency = unit.latency(lib.H(0))
+        assert unit.grape_calls == 1
+        ((latency_key, value),) = unit.written.latencies.items()
+        assert value == latency == store.get_latency(latency_key)
+        ((pulse_key, pulse),) = unit.written.pulses.items()
+        assert store.get_pulse(pulse_key) is pulse
+
+
+class TestExclusivePublishing:
+    def test_synthesized_pulse_is_stored_before_exclusive_releases(self):
+        class Recording(PulseCache):
+            @contextlib.contextmanager
+            def exclusive(self, key):
+                with super().exclusive(key):
+                    yield
+                    # Still inside the guard: peers blocked on it must
+                    # find the pulse on their re-check.
+                    self.held_at_release = self.pulse_count
+
+        store = Recording()
+        unit = OptimalControlUnit(backend="grape", seed=11, cache=store)
+        unit.synthesize_pulse(lib.H(0))
+        assert unit.grape_calls == 1
+        assert store.held_at_release == 1
+
+    def test_recheck_hit_under_the_guard_writes_nothing(self):
+        published = _grape_result()
+
+        class PeerPublishes(PulseCache):
+            def exclusive(self, key):
+                # A peer synthesized and published while we waited.
+                self.put_pulse(key, published)
+                self.writes_before = self.stores
+                return super().exclusive(key)
+
+        store = PeerPublishes()
+        unit = OptimalControlUnit(backend="grape", seed=11, cache=store)
+        assert unit.synthesize_pulse(lib.H(0)) is published
+        assert store.stores == store.writes_before
+        assert unit.grape_calls == 0
+        assert len(unit.written) == 0
 
 
 class TestDiskStore:

@@ -265,6 +265,54 @@ class TestShardedStore:
         assert reader.get_latency(_latency_key(0)) == 1.0
         assert overtaken and reader.shard_loads == 1
 
+    def test_save_returns_after_a_peer_threads_flush_lands(
+        self, tmp_path, monkeypatch
+    ):
+        # One shard, two dirty entries; the first save stalls in its
+        # write.  A second save must not return before its entry is on
+        # disk: a peer process blocked on a key lock file re-reads the
+        # shard as soon as that save's exclusive releases.
+        cache = ShardedDiskPulseCache(tmp_path / "cache", shards=1)
+        cache.put_latency(_latency_key(0), 0.0)
+        cache.put_latency(_latency_key(1), 1.0)
+        write = cache._write_shard
+        writing, stalled = threading.Event(), threading.Event()
+
+        def stalled_write(index, delta):
+            if not writing.is_set():
+                writing.set()
+                stalled.wait(timeout=0.5)
+            write(index, delta)
+
+        monkeypatch.setattr(cache, "_write_shard", stalled_write)
+        first = threading.Thread(target=cache.save)
+        first.start()
+        try:
+            assert writing.wait(timeout=30)
+            cache.save()
+            fresh = ShardedDiskPulseCache(tmp_path / "cache")
+            assert fresh.get_latency(_latency_key(1)) == 1.0
+        finally:
+            stalled.set()
+            first.join(timeout=30)
+        assert not first.is_alive()
+
+    def test_save_hashes_each_resident_entry_once(self, tmp_path, monkeypatch):
+        cache = ShardedDiskPulseCache(tmp_path / "cache", shards=8)
+        for index in range(200):
+            cache.put_latency(_latency_key(index), float(index))
+        assert len(cache._dirty) == 8
+        shard_of = cache.shard_of
+        calls = []
+
+        def counted_shard_of(key):
+            calls.append(key)
+            return shard_of(key)
+
+        monkeypatch.setattr(cache, "shard_of", counted_shard_of)
+        assert cache.save() == 200
+        assert len(calls) <= 200
+
     def test_stats_report_backend_fields(self, tmp_path):
         cache = ShardedDiskPulseCache(tmp_path / "cache", shards=2)
         cache.put_latency(_latency_key(0), 1.0)
