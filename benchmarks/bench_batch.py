@@ -347,7 +347,8 @@ def test_result_cache_resubmission(sweep_jobs, capsys):
     Then the service layer — a resident :class:`CompileService` takes
     the same sweep twice over the wire.  The second pass must return
     ``done`` at submission time (served from the finished jobs' result
-    store) at under 50 ms per job, without bumping ``completed``.
+    store) in at most a sixth of the cold batch's wall time, without
+    bumping ``completed``.
     """
     jobs = sweep_jobs
     engine = BatchCompiler(result_cache=ResultCache())
@@ -396,8 +397,11 @@ def test_result_cache_resubmission(sweep_jobs, capsys):
             stats = client.stats()
 
     per_job_ms = 1000.0 * resubmit_wall / len(jobs)
-    assert per_job_ms < 50.0, (
-        f"service resubmission cost {per_job_ms:.1f} ms/job (>= 50 ms)"
+    # Both walls are timed here on one host, so the ratio's verdict does
+    # not depend on how fast that host is.
+    assert cold_wall >= 6 * resubmit_wall, (
+        f"service resubmission took {resubmit_wall:.3f} s, more than a "
+        f"sixth of the cold batch's {cold_wall:.3f} s"
     )
     # Zero compilations on the second pass: every job was served, none
     # completed through a worker.

@@ -11,16 +11,19 @@ Each round scores every legal action (pair merge) in the current GDG:
   ``lat(a) + lat(b) - model_latency(merged)`` (setup amortization plus
   interaction folding).
 
-The best-rewarded monotonic actions execute (greedily, skipping actions
+Each round opens by folding pure series pairs in linear time.  The
+best-rewarded monotonic actions then execute (greedily, skipping actions
 that touch qubits already modified this round, so the incremental timing
-data stays valid); merged instructions get their real latency from the
-OCU, and rounds repeat until no profitable monotonic action remains —
-the "iterate until the GDG converges" loop of the paper.
+data stays valid); a merge that would close a cycle is rolled back by
+the GDG's own transactional check and skipped.  Merged instructions get
+their real latency from the OCU, and rounds repeat until no profitable
+monotonic action remains — the "iterate until the GDG converges" loop of
+the paper.
 
 Every per-node map here (the latency memo, est/finish/tails, positions,
-the alive and skip sets) is keyed by the node itself, like the GDG's
-own maps: an entry holds its node alive, so a node merged away can
-never lend its entry to an instruction created later.
+the alive set) is keyed by the node itself, like the GDG's own maps: an
+entry holds its node alive, so a node merged away can never lend its
+entry to an instruction created later.
 """
 
 from __future__ import annotations
@@ -60,18 +63,19 @@ def aggregate(
     ocu,
     width_limit: int = 10,
     max_rounds: int = 10_000,
-    batch: bool = True,
     monotonic_only: bool = True,
 ) -> AggregationReport:
     """Run the aggregation loop on a GDG in place.
+
+    Every round first folds pure series pairs (:func:`_series_prepass`;
+    each round's merges expose new ones), then scores the remaining
+    actions and executes the qubit-disjoint profitable ones.
 
     Args:
         dag: The (routed, physical) gate-dependence graph; mutated.
         ocu: Latency oracle (:class:`~repro.control.unit.OptimalControlUnit`).
         width_limit: Maximum qubits per aggregated instruction.
         max_rounds: Safety cap on aggregate/re-latency rounds.
-        batch: Execute all qubit-disjoint profitable actions per round
-            (False reproduces the paper's strict one-global-best loop).
         monotonic_only: Keep the paper's parallelism-protecting filter;
             False greedily merges by reward alone (the Sec. 4.3
             ablation — expect serialized circuits on parallel workloads).
@@ -89,17 +93,10 @@ def aggregate(
 
     initial_makespan = dag.makespan(latency)
     merges = 0
-    if batch:
-        # Strict paper mode (batch=False) skips the linear-time shortcut
-        # so every merge goes through the global-best loop.
-        merges = _series_prepass(dag, ocu, latency, width_limit)
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        if batch and rounds > 1:
-            # Earlier merges expose new pure series pairs; fold them in
-            # linear time before paying for another scored round.
-            merges += _series_prepass(dag, ocu, latency, width_limit)
+        merges += _series_prepass(dag, ocu, latency, width_limit)
         timing = _RoundTiming(dag, latency)
         scored = []
         for earlier, later in candidate_actions(dag, width_limit):
@@ -115,29 +112,24 @@ def aggregate(
 
         executed = 0
         # A node merged this round has all its qubits touched, so this
-        # check also skips every later action on a merged-away node.
+        # check also skips every later action on a merged-away node, and
+        # the adjacency candidate_actions found at round start still holds.
         touched_qubits: set[int] = set()
         for _reward, earlier, later in scored:
             qubits = set(earlier.qubits) | set(later.qubits)
             if touched_qubits & qubits:
                 continue
-            if timing.has_indirect_path(earlier, later):
-                # Merging would need the merged node both before and
-                # after the intermediate path: a cycle.
-                continue
-            # The pre-filter uses round-start times, which earlier merges
-            # in this round may have shifted, so the merge itself stays
-            # transactional (check_cycles=True rolls back on a cycle).
+            # A pair joined by a path through other nodes would need the
+            # merged node both before and after that path: merge's cycle
+            # check rolls such a merge back.
             merged = AggregatedInstruction.from_nodes(earlier, later)
             try:
-                dag.merge(earlier, later, merged, check_cycles=True)
+                dag.merge(earlier, later, merged, validated=True)
             except SchedulingError:
                 continue
             touched_qubits.update(qubits)
             executed += 1
             merges += 1
-            if not batch:
-                break
         if executed == 0:
             break
     return AggregationReport(
@@ -303,71 +295,3 @@ class _RoundTiming:
                 if candidate > worst:
                     worst = candidate
         return worst <= self.makespan + _EPSILON
-
-    def has_indirect_path(self, earlier, later) -> bool:
-        """Merge-cycle pre-check via est-pruned reachability.
-
-        A post-merge cycle needs a pre-merge path ``earlier -> X -> ...
-        -> later`` that leaves the shared commutation-group region.  Any
-        node on such a path is an ancestor of ``later``, so nodes with
-        ``est + latency > est(later)`` can be pruned; the search cone is
-        tiny in tightly-scheduled circuits.
-
-        The check is a fast filter, not the final word: in-between chain
-        members are excluded wholesale, but ones in ``later``'s
-        commutation group slide *after* the merged node (the splice's
-        group-boundary placement), so a side path from such a member back
-        to ``later`` still cycles.  ``merge(check_cycles=True)`` is the
-        exact, transactional backstop.
-        """
-        skip = {earlier, later}
-        # In-between group members are not themselves obstacles (the
-        # chain hop through them is rewired by the splice); exclude the
-        # direct hop.
-        for q in earlier.qubits:
-            pos = self.positions[q]
-            ib = pos.get(later)
-            if ib is None:
-                continue  # not a shared qubit
-            ia = pos[earlier]
-            low, high = (ia, ib) if ia < ib else (ib, ia)
-            skip.update(self.sequences[q][low + 1 : high])
-        limit = self.est.get(later, float("inf")) + _EPSILON
-
-        def prunable(candidate) -> bool:
-            # Nodes merged earlier this round are unknown to the
-            # round-start times: never prune them (the transactional
-            # cycle check in merge() is the backstop anyway).
-            start = self.est.get(candidate)
-            if start is None:
-                return False
-            return start + self.latency(candidate) > limit
-
-        # This runs in the execution loop — after merges — so chain
-        # links are fetched live through the dag's outer map.
-        next_maps = self.dag._next
-        frontier: list = []
-        visited: set = set()
-        for q in earlier.qubits:
-            successor = next_maps[q].get(earlier)
-            if successor is None:
-                continue
-            if successor in skip or successor in visited or prunable(successor):
-                continue
-            visited.add(successor)
-            frontier.append(successor)
-        while frontier:
-            node = frontier.pop()
-            for q in node.qubits:
-                successor = next_maps[q].get(node)
-                if successor is None:
-                    continue
-                if successor is later:
-                    return True
-                if successor in visited or successor in skip:
-                    continue
-                if prunable(successor):
-                    continue
-                visited.add(successor)
-                frontier.append(successor)
-        return False

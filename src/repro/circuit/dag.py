@@ -328,10 +328,9 @@ class GateDependenceGraph:
         Args:
             validated: Skip the structural :meth:`can_merge` test (the
                 caller already established it).
-            check_cycles: Run the transactional acyclicity check.  The
-                aggregator pre-checks with an est-pruned reachability
-                search and passes False; external callers should keep
-                the default.
+            check_cycles: Run the transactional acyclicity check.  Only
+                the aggregator's series prepass, whose pure series pairs
+                cannot close a cycle, passes False.
 
         Raises SchedulingError (and leaves the graph unchanged) when the
         merge is structurally invalid or would create a cycle.

@@ -68,11 +68,6 @@ class PassManager:
             self.append(pass_)
         return self
 
-    def add_callback(self, callback: PassCallback) -> PassManager:
-        """Register a per-pass hook (chainable)."""
-        self._callbacks.append(callback)
-        return self
-
     def __len__(self) -> int:
         return len(self.passes)
 

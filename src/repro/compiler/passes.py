@@ -203,40 +203,21 @@ class HandOptimizePass(Pass):
 class AggregatePass(Pass):
     """Monotonic instruction aggregation over the physical DAG.
 
-    Args:
-        width_limit: Override of the context's width limit.
-        max_rounds: Override of ``CompilerConfig.max_aggregation_rounds``.
+    The width limit comes from the context (the job's, else
+    ``CompilerConfig.max_instruction_width``) and the round cap from
+    ``CompilerConfig.max_aggregation_rounds``.
     """
 
     stage = "backend"
     requires = ("physical_nodes", "topology")
     preserves_gates = True
 
-    def __init__(
-        self,
-        width_limit: int | None = None,
-        max_rounds: int | None = None,
-    ) -> None:
-        self.width_limit = width_limit
-        self.max_rounds = max_rounds
-
     def run(self, context: CompilationContext) -> None:
-        dag = context.ensure_physical_dag(self.name)
-        width_limit = (
-            self.width_limit
-            if self.width_limit is not None
-            else context.width_limit
-        )
-        max_rounds = (
-            self.max_rounds
-            if self.max_rounds is not None
-            else context.compiler_config.max_aggregation_rounds
-        )
         report = aggregate(
-            dag,
+            context.ensure_physical_dag(self.name),
             context.ocu,
-            width_limit=width_limit,
-            max_rounds=max_rounds,
+            width_limit=context.width_limit,
+            max_rounds=context.compiler_config.max_aggregation_rounds,
         )
         context.aggregation_merges += report.merges
         context.record_metrics(

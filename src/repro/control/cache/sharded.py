@@ -21,10 +21,10 @@ Safety model:
   are content-addressed.
 * **Synthesis is single-flighted.**  :meth:`exclusive` takes the
   in-process key lock and then a per-key lock file; the winner
-  synthesizes, flushes, and releases, and the losers' re-check then
-  reads the published entry from the refreshed shard — each distinct
-  signature is synthesized once per *fleet*, not once per process or
-  thread.
+  synthesizes, flushes the key's shard (not everything buffered), and
+  releases, and the losers' re-check then reads the published entry
+  from the refreshed shard — each distinct signature is synthesized
+  once per *fleet*, not once per process or thread.
 * **One budget.**  ``max_bytes`` bounds memory and, split evenly, each
   shard file: a flush trims the union it writes to
   ``max_bytes // shards`` in the same entry-size units.
@@ -322,15 +322,21 @@ class ShardedDiskPulseCache(PulseCache):
         other processes serialize on its lock and each write the union,
         so no entry is ever lost to an interleaved flush.
         """
+        return self._flush_dirty(range(self.shards))
+
+    def _flush_dirty(self, shards) -> int:
+        """Flush the dirty shards among ``shards``; see :meth:`save`."""
         with self._save_lock:
             with self._lock:
-                if not self._dirty:
+                ours: dict[int, list] = {
+                    index: [] for index in sorted(self._dirty.intersection(shards))
+                }
+                if not ours:
                     return 0
-                ours: dict[int, list] = {index: [] for index in sorted(self._dirty)}
-                self._dirty.clear()
+                self._dirty.difference_update(ours)
                 # Bucket the resident entries once, under the same hold
-                # that clears the dirty set: an entry written after this
-                # snapshot marks its shard dirty again for the next save.
+                # that clears the dirty flags: an entry written after this
+                # snapshot marks its shard dirty again for the next flush.
                 for entry, (value, _) in self._entries.items():
                     bucket = ours.get(self.shard_of(entry[1]))
                     if bucket is not None:
@@ -407,9 +413,10 @@ class ShardedDiskPulseCache(PulseCache):
         (:meth:`PulseCache.exclusive`), then the holder takes the lock
         file.  While we blocked on it, the previous holder synthesized
         and flushed; the caller's re-check then misses in memory and
-        read-throughs to the refreshed shard.  On release, everything
-        this process has buffered is flushed so *our* synthesis is
-        visible before any blocked peer re-checks.
+        read-throughs to the refreshed shard.  On release, the key's own
+        shard (its pulse and latency entries co-locate) is flushed so
+        *our* synthesis is visible before any blocked peer re-checks;
+        other dirty shards wait for :meth:`save`.
         """
         digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
         lock = FileLock(self._lock_path(f"key-{digest}.lock"))
@@ -417,7 +424,7 @@ class ShardedDiskPulseCache(PulseCache):
             try:
                 yield
             finally:
-                self.save()
+                self._flush_dirty((self.shard_of(key),))
         self.lock_wait_seconds += lock.waited_seconds
 
     # -- metrics ---------------------------------------------------------

@@ -30,10 +30,6 @@ class QasmError(CircuitError):
     """Failure while parsing or emitting the QASM dialect."""
 
 
-class ProgramError(ReproError):
-    """Invalid program-level IR (modules, loops, calls)."""
-
-
 class PassOrderingError(ReproError):
     """A compiler pass ran before the context state it needs existed.
 

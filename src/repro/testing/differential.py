@@ -25,7 +25,6 @@ from repro.control.cache import PulseCache
 from repro.control.unit import OptimalControlUnit
 from repro.device.device import Device
 from repro.device.presets import device_by_key
-from repro.device.topology import grid_for
 from repro.errors import BenchmarkError, ReproError
 from repro.testing.strategies import preset_key_for
 from repro.verification.equivalence import EquivalenceReport
@@ -380,9 +379,3 @@ def minimize_circuit(
             # A full single-gate pass removed nothing: 1-minimal.
             break
     return rebuild(gates)
-
-
-def grid_preset_for(num_qubits: int) -> str:
-    """Preset key of the paper grid the compiler would auto-size."""
-    grid = grid_for(num_qubits)
-    return f"paper-grid-{grid.rows}x{grid.cols}"

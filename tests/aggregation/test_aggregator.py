@@ -13,7 +13,7 @@ from repro.aggregation.instruction import AggregatedInstruction
 from repro.circuit.circuit import Circuit
 from repro.circuit.commutation import CommutationChecker
 from repro.circuit.dag import GateDependenceGraph
-from repro.control.unit import OptimalControlUnit
+from repro.control.unit import OptimalControlUnit, gates_of
 from repro.linalg.embed import embed_operator
 from repro.linalg.predicates import allclose_up_to_global_phase
 
@@ -158,14 +158,6 @@ class TestAggregate:
         report = aggregate(dag, ocu)
         assert report.final_makespan <= before + 1e-6
 
-    def test_batch_false_single_merge_per_round(self, ocu):
-        circuit = Circuit(4)
-        for i in range(3):
-            circuit.cnot(i, i + 1)
-        dag = build_dag(circuit)
-        report = aggregate(dag, ocu, batch=False)
-        assert report.rounds >= report.merges
-
     def test_makespan_never_increases(self, ocu):
         rng = np.random.default_rng(11)
         for _ in range(3):
@@ -189,6 +181,32 @@ class TestAggregate:
         aggregate(dag, ocu)
         assert any(
             isinstance(node, AggregatedInstruction) for node in dag.nodes
+        )
+
+
+class TestPairJoinedByAnOutsidePath:
+    """CNOT(0,1) and CNOT(0,2) meet on qubit 0, but CNOT(1,2) joins them
+    through qubits 1 and 2: merging the pair alone would need the merged
+    node both before and after CNOT(1,2).  The slack on qubits 3-4 lets
+    the pair pass the monotonic filter, so only the cycle check stops it."""
+
+    @pytest.mark.parametrize("monotonic_only", [True, False])
+    def test_pair_never_merges_without_the_node_between(
+        self, ocu, monotonic_only
+    ):
+        circuit = Circuit(5).cnot(0, 1).cnot(1, 2).cnot(0, 2)
+        for _ in range(12):
+            circuit.cnot(3, 4).rx(0.3, 4)
+        first, between, last = circuit.gates[:3]
+        dag = build_dag(circuit)
+        aggregate(dag, ocu, monotonic_only=monotonic_only)
+        dag.topological_order()  # raises on a cycle
+        for node in dag.nodes:
+            members = gates_of(node)
+            if first in members and last in members:
+                assert between in members
+        assert allclose_up_to_global_phase(
+            dag_unitary(dag, 5), circuit.unitary(), atol=1e-7
         )
 
 

@@ -688,8 +688,9 @@ class TestStrategyRegistration:
 
 
 class TestAggregationRoundsConfig:
-    """Satellite regression: ``max_aggregation_rounds`` was validated
-    but never used — the old pipeline hard-coded 10_000."""
+    """AggregatePass takes its round cap and width limit from the config.
+    ``max_aggregation_rounds`` was once validated but never used — the
+    old pipeline hard-coded 10_000."""
 
     def test_config_rounds_honored(self, ocu):
         from repro.config import CompilerConfig
@@ -708,24 +709,21 @@ class TestAggregationRoundsConfig:
         # One round executes strictly fewer merges than convergence.
         assert capped.aggregation_merges < unlimited.aggregation_merges
 
-    def test_pass_level_override_wins(self, ocu):
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_config_width_honored(self, width):
+        # No job-level width_limit: AggregatePass takes the config's.
+        from repro.config import CompilerConfig
+
         circuit = Circuit(3, name="serial-chain")
         circuit.h(0).cnot(0, 1).t(1).cnot(1, 2).h(2).cnot(0, 1)
-        result = compile_with_pipeline(
+        config = CompilerConfig(max_instruction_width=width)
+        result = compile_circuit(
             circuit,
-            [
-                LowerPass(),
-                DetectDiagonalsPass(),
-                LogicalSchedulePass(),
-                PlaceAndRoutePass(),
-                AggregatePass(max_rounds=1),
-                FinalSchedulePass(),
-            ],
-            pulse_backend=True,
-            ocu=ocu,
+            CLS_AGGREGATION,
+            compiler_config=config,
+            ocu=OptimalControlUnit(compiler=config),
         )
-        reference = compile_circuit(circuit, CLS_AGGREGATION, ocu=ocu)
-        assert result.aggregation_merges <= reference.aggregation_merges
+        assert result.widest_instruction() == width
 
 
 def _trotter_layer() -> list:

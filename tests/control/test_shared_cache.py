@@ -153,6 +153,23 @@ class TestShardedStore:
         # finds the published pulse instead of re-synthesizing.
         assert peer.get_pulse(key) is not None
 
+    def test_exclusive_publishes_only_its_own_shard(self, tmp_path):
+        # A peer blocked on the key needs only the key's shard: the
+        # release flushes that one, and the other dirty shards wait.
+        cache = ShardedDiskPulseCache(tmp_path / "cache", shards=8)
+        for index in range(200):
+            cache.put_latency(_latency_key(index), float(index))
+        assert len(cache._dirty) == 8
+        key = _pulse_key(200)
+        with cache.exclusive(key):
+            cache.put_pulse(key, _result())
+        assert cache.shard_flushes == 1
+        assert ShardedDiskPulseCache(tmp_path / "cache").get_pulse(key) is not None
+        assert len(cache._dirty) == 7
+        cache.save()
+        assert cache.shard_flushes == 8
+        assert not cache._dirty
+
     def _fill(self, directory, count: int, shards: int = 1) -> None:
         """An unbounded peer flushes ``count`` latencies into the store."""
         writer = ShardedDiskPulseCache(directory, shards=shards)
