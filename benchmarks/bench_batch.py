@@ -11,11 +11,13 @@ Python, numpy and BLAS versions and git sha that produced them:
   count is guarded against the committed baseline, so a regression in
   cache reuse fails the benchmark rather than landing silently.
 * **GRAPE sweep** — a cold batch priced through GRAPE synthesis, run
-  twice: once with the legacy optimal-control path (reference gradient
-  kernel, cold random restarts, full iteration budgets, no pre-warm)
-  and once with the optimized defaults (vectorized kernel, warm-started
-  minimal-time search, plateau termination, batch pre-warm planner).
-  The recorded ``speedup_over_legacy`` is the PR's headline claim and
+  with the legacy optimal-control path (reference gradient kernel, cold
+  random restarts, full iteration budgets) and with the optimized
+  defaults (vectorized kernel, warm-started minimal-time search,
+  plateau termination) on threads, then with the optimized defaults on
+  processes, where the batch pre-warm planner synthesizes each distinct
+  problem once before the jobs ship.  The recorded
+  ``speedup_over_legacy`` (thread runs) is the PR's headline claim and
   is asserted >= 5x.  The two paths converge to the same fidelity
   threshold but follow different optimization trajectories (which is
   why the legacy knobs are namespaced into the cache fingerprint), so
@@ -269,14 +271,14 @@ def test_grape_legacy_vs_optimized_sweep(capsys):
     """Cold GRAPE-backed batch: legacy optimal-control path vs optimized.
 
     The headline measurement of the vectorized kernel + warm-started
-    search + plateau termination + batch pre-warm, asserted >= 5x.
+    search + plateau termination, asserted >= 5x on threads; the
+    process run adds the batch pre-warm planner.
     """
     legacy_engine = BatchCompiler(
         backend="grape",
         grape_kernel="reference",
         grape_warm_start=False,
         grape_plateau_iterations=None,
-        prewarm=False,
     )
     started = time.perf_counter()
     legacy = legacy_engine.compile_batch(build_grape_sweep_jobs())
@@ -295,7 +297,7 @@ def test_grape_legacy_vs_optimized_sweep(capsys):
     process_wall = time.perf_counter() - started
 
     # Identical configuration => identical results across executors,
-    # pre-warm included.
+    # the process run's pre-warm included.
     parity = all(
         canonical_result_dict(a) == canonical_result_dict(b)
         for a, b in zip(optimized, optimized_process)
@@ -313,16 +315,16 @@ def test_grape_legacy_vs_optimized_sweep(capsys):
     }
     _write_payload()
     with capsys.disabled():
-        stats = optimized.prewarm
+        stats = optimized_process.prewarm
         print()
         print(
             f"grape sweep ({len(build_grape_sweep_jobs())} jobs): legacy "
             f"{legacy_wall:.2f}s "
             f"({legacy.cache_info['grape_evals']:.0f} evals), optimized "
             f"{optimized_wall:.2f}s "
-            f"({optimized.cache_info['grape_evals']:.0f} evals, "
-            f"{stats['signatures']} signatures, dedup "
-            f"{stats['dedup_ratio']:.1f}x) -> {speedup:.2f}x"
+            f"({optimized.cache_info['grape_evals']:.0f} evals) -> "
+            f"{speedup:.2f}x; process planner {stats['signatures']} "
+            f"signatures, dedup {stats['dedup_ratio']:.1f}x"
         )
     assert speedup >= 5.0, (
         f"GRAPE cold-batch speedup fell to {speedup:.2f}x (< 5x) against "

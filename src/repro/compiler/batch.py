@@ -14,9 +14,11 @@ pre-warm synthesis — takes one path: a fresh optimal-control unit built
 from the engine's one set of settings over the shared store, then the
 work.  Units write straight through, so concurrent jobs see each
 other's entries at once, and their misses are single-flighted
-(:meth:`~repro.control.cache.PulseCache.single_flight`): the threads
-sharing the store compute each latency once, so the work counters
-depend on the batch alone, not on the worker count.
+(:meth:`~repro.control.cache.PulseCache.single_flight`,
+:meth:`~repro.control.cache.PulseCache.exclusive`): the threads sharing
+the store compute each latency and synthesize each pulse once, so the
+thread executor's work counters depend on the batch alone, not on the
+worker count.
 
 Both executors fan units out with ``Executor.map``: outcomes come back
 in input order, and a failed unit surfaces once the units before it
@@ -37,7 +39,11 @@ finish, after which units not yet started never run.
   machines is what ``benchmarks/bench_batch.py`` records — at the cost
   of per-job serialization and no *cross-worker* cache sharing during
   one batch (the merged store carries everything forward to the next
-  batch).
+  batch).  So a GRAPE-backed process batch first runs the pre-warm
+  planner (:meth:`BatchCompiler.plan_prewarm`): it dry-runs the jobs
+  against the analytic model, synthesizes each distinct control
+  problem once across the worker pool, and only then seeds the job
+  pool, whose workers find every planned pulse in their snapshot.
   Jobs carrying in-memory pass objects (``BatchJob.passes``) or engines
   with ``pass_callbacks`` cannot cross a process boundary and are
   rejected with a :class:`~repro.errors.ConfigError`; strategies ship
@@ -99,8 +105,6 @@ COUNTER_KEYS = (
 )
 
 _EXECUTORS = ("thread", "process")
-
-_PREWARM_MODES = (True, False, "auto")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,17 +176,22 @@ class BatchReport:
     workers overlap)."""
     workers: int
     cache_info: dict[str, int]
-    """OCU counters summed across all jobs, plus final store entry counts."""
+    """OCU counters summed across all jobs (and the pre-warm planner's
+    dry-runs and syntheses), plus final store entry counts.  Under the
+    process executor the work counters are summed over per-worker
+    stores that do not see each other's entries during the batch, so
+    ``model_evals`` grows with the worker count; ``latency_entries``
+    and the results do not."""
     executor: str = "thread"
     """Which worker pool ran the batch (``"thread"`` or ``"process"``)."""
     prewarm: dict | None = None
-    """Pre-warm planner statistics when the planner ran, else None:
-    ``signatures`` (distinct GRAPE-eligible control problems across the
-    batch), ``demand`` (the same problems counted once per job that
-    needs them), ``dedup_ratio`` (``demand / signatures`` — how much
-    duplicate optimal-control work the planner eliminated),
-    ``synthesized`` (problems actually solved; the rest were already
-    cached), ``plan_seconds`` and ``synthesis_seconds``."""
+    """Pre-warm planner statistics when the planner ran (a GRAPE-backed
+    process batch), else None: ``signatures`` (distinct GRAPE-eligible
+    control problems across the batch), ``demand`` (the same problems
+    counted once per job that needs them), ``dedup_ratio`` (``demand /
+    signatures`` — how much duplicate optimal-control work the planner
+    eliminated), ``synthesized`` (problems actually solved; the rest
+    were already cached), ``plan_seconds`` and ``synthesis_seconds``."""
     result_cache: dict | None = None
     """Result-cache statistics when the engine has one attached, else
     None: ``hits`` (jobs served whole from the store, zero passes run),
@@ -281,7 +290,6 @@ class BatchCompiler:
         pass_callbacks: Sequence[PassCallback] = (),
         executor: str = "thread",
         verify_ir: bool = False,
-        prewarm: bool | str = "auto",
         grape_kernel: str = "vectorized",
         grape_warm_start: bool = True,
         grape_plateau_iterations: int | None = 60,
@@ -292,10 +300,6 @@ class BatchCompiler:
         if executor not in _EXECUTORS:
             raise ConfigError(
                 f"executor must be one of {_EXECUTORS}, got {executor!r}"
-            )
-        if prewarm not in _PREWARM_MODES:
-            raise ConfigError(
-                f"prewarm must be one of {_PREWARM_MODES}, got {prewarm!r}"
             )
         if executor == "process" and pass_callbacks:
             raise ConfigError(
@@ -321,7 +325,6 @@ class BatchCompiler:
         self.pass_callbacks = list(pass_callbacks)
         self.executor = executor
         self.verify_ir = bool(verify_ir)
-        self.prewarm = prewarm
         self.grape_kernel = grape_kernel
         self.grape_warm_start = grape_warm_start
         self.grape_plateau_iterations = grape_plateau_iterations
@@ -339,10 +342,10 @@ class BatchCompiler:
         # every submission.
         self._result_components: dict[str, str] = {}
         #: Counters summed over every batch this engine has compiled
-        #: (the per-batch view is ``BatchReport.cache_info``), plus the
-        #: planner's total ``prewarm_synthesized``.  Drivers running
-        #: several sweeps over one engine read their optimal-control
-        #: bill here.
+        #: (the per-batch view is ``BatchReport.cache_info``), plus
+        #: ``prewarm_synthesized``, the pulses the planner synthesized
+        #: for process batches.  Drivers running several sweeps over one
+        #: engine read their optimal-control bill here.
         self.lifetime_info: dict[str, float] = dict.fromkeys(
             COUNTER_KEYS + ("prewarm_synthesized",), 0
         )
@@ -478,7 +481,10 @@ class BatchCompiler:
             result_stats["compiled"] = len(pending)
         to_compile = [job for _, job in pending]
         prewarm_stats = None
-        if to_compile and self.prewarm_active():
+        if to_compile and self.executor == "process" and self.backend == "grape":
+            # Worker stores cannot see each other's pulses, so the
+            # batch's distinct problems are solved before any job ships;
+            # threads share one store and single-flight every miss.
             prewarm_stats = self._prewarm_batch(to_compile, workers, counters)
         outcomes = self._map_jobs(to_compile, workers)
         for (index, _), (result, elapsed, used) in zip(pending, outcomes):
@@ -594,9 +600,9 @@ class BatchCompiler:
     ) -> tuple[object, CacheDelta, dict]:
         """Run ``work(unit)`` on a fresh unit over the shared store.
 
-        The one path every unit of work takes — jobs, planner dry-runs
-        and pre-warm syntheses, here and on a process worker's twin
-        engine alike.  ``unit`` (the OCU class, or a factory taking its
+        The one path every unit of work takes — jobs and planner
+        dry-runs here, jobs and pre-warm syntheses on a process worker's
+        twin engine.  ``unit`` (the OCU class, or a factory taking its
         keywords) is built for ``target`` from :meth:`_unit_settings`
         over :attr:`cache`.  The unit writes straight through, so
         concurrent units see each other's entries at once, and work that
@@ -748,18 +754,7 @@ class BatchCompiler:
 
     # -- pre-warm planner ----------------------------------------------
 
-    def prewarm_active(self) -> bool:
-        """Whether :meth:`compile_batch` will run the pre-warm planner.
-
-        ``prewarm="auto"`` (the default) enables it exactly when the
-        engine prices through GRAPE — the planner's dry-run phase is
-        pure overhead when the analytic model answers every query.
-        """
-        if self.prewarm == "auto":
-            return self.backend == "grape"
-        return bool(self.prewarm)
-
-    def plan_prewarm(self, jobs: Sequence[BatchJob]) -> tuple[dict, int]:
+    def plan_prewarm(self, jobs: Sequence[BatchJob]) -> tuple[dict, int, dict]:
         """Extract the batch's distinct GRAPE worklist without GRAPE.
 
         Every job is dry-run against the analytic model through a
@@ -771,82 +766,72 @@ class BatchCompiler:
         their candidate probes from cache.
 
         Returns:
-            ``(worklist, demand)`` — ``worklist`` maps
+            ``(worklist, demand, counters)`` — ``worklist`` maps
             ``(fingerprint, signature)`` to ``(node, positional,
             job_index)`` for every distinct control problem in the
             batch; ``demand`` counts the same problems once per job
             that needs them, so ``demand / len(worklist)`` is the
-            batch's dedup ratio.
+            batch's dedup ratio; ``counters`` sums the dry-runs'
+            :data:`COUNTER_KEYS`, the model evaluations they made.
         """
 
-        def dry_run(job: BatchJob) -> dict:
+        def dry_run(job: BatchJob) -> tuple[dict, dict]:
             recorded: dict[tuple, tuple] = {}
-            # Result discarded: only the recorded worklist and the
-            # model-latency cache entries matter.  IR verification (if
-            # configured) runs on the real compilation, not twice.
-            self._with_unit(
+            # Result discarded: only the recorded worklist, the
+            # model-latency cache entries and the bill matter.  IR
+            # verification (if configured) runs on the real compilation,
+            # not twice.
+            _, _, used = self._with_unit(
                 self._job_target(job),
                 lambda unit: self._compile_job(job, unit, verify_ir=False),
                 unit=functools.partial(_PlanningUnit, recorded),
             )
-            return recorded
+            return recorded, used
 
         worklist: dict[tuple, tuple] = {}
         demand = 0
+        counters = dict.fromkeys(COUNTER_KEYS, 0)
         per_job = _thread_map(dry_run, jobs, self._worker_count(len(jobs)))
-        for index, recorded in enumerate(per_job):
+        for index, (recorded, used) in enumerate(per_job):
             demand += len(recorded)
+            _add_counters(counters, used)
             for key, (node, positional) in recorded.items():
                 worklist.setdefault(key, (node, positional, index))
-        return worklist, demand
+        return worklist, demand, counters
 
     def _prewarm_batch(self, jobs, workers, counters) -> dict:
-        """Run the planner, then solve each distinct problem exactly once.
+        """The process executor's GRAPE stage: run the planner, then
+        synthesize each distinct problem exactly once.
 
-        The synthesis stage fans the worklist across workers (threads,
-        or a dedicated process pool in process mode) and every solution
-        is in the shared store *before* any job is dispatched, so
-        no two workers — and in process mode, no two worker-resident
-        caches — ever solve the same control problem.
+        Worker processes compile against their own seeded stores, which
+        cannot see each other's pulses, so two workers whose jobs share
+        a control problem would both solve it.  Here the worklist fans
+        across a process pool of its own, and every solution is in the
+        shared store — and so in the job pool's seed snapshot — before
+        any job ships.  The dry-runs' and the syntheses' counters are
+        added to ``counters``.
         """
+        from repro.ir.serialize import node_to_dict
+
         plan_started = time.perf_counter()
-        worklist, demand = self.plan_prewarm(jobs)
+        worklist, demand, planned = self.plan_prewarm(jobs)
         plan_seconds = time.perf_counter() - plan_started
+        _add_counters(counters, planned)
         synthesis_started = time.perf_counter()
-        problems = [
-            (node, positional, self._job_target(jobs[index]))
+        payloads = [
+            {
+                "node": node_to_dict(node),
+                "positional": positional,
+                "device": target_payload(self._job_target(jobs[index])),
+            }
             for node, positional, index in worklist.values()
         ]
-        if self.executor == "process":
-            from repro.ir.serialize import node_to_dict
-
-            payloads = [
-                {
-                    "node": node_to_dict(node),
-                    "positional": positional,
-                    "device": target_payload(target),
-                }
-                for node, positional, target in problems
-            ]
-            per_problem = [
-                used
-                for _, used in self._process_map(
-                    _synthesize_in_worker, payloads, workers
-                )
-            ]
-        else:
-            per_problem = [
-                used
-                for _, _, used in _thread_map(
-                    self._synthesize, problems, workers
-                )
-            ]
-        # A problem already cached solves nothing; grape-backed syntheses
-        # also burn one model eval for the search estimate.
-        solved = "grape_calls" if self.backend == "grape" else "model_evals"
         synthesized = 0
-        for used in per_problem:
-            synthesized += used[solved]
+        for _, used in self._process_map(
+            _synthesize_in_worker, payloads, workers
+        ):
+            # A problem a worker's seed already held synthesizes nothing.
+            synthesized += used["grape_calls"]
             _add_counters(counters, used)
         return {
             "signatures": len(worklist),
@@ -856,14 +841,6 @@ class BatchCompiler:
             "plan_seconds": plan_seconds,
             "synthesis_seconds": time.perf_counter() - synthesis_started,
         }
-
-    def _synthesize(self, problem: tuple) -> tuple:
-        """Price one pre-warm problem ``(node, positional, target)``
-        through the engine's backend; :meth:`_with_unit`'s triple."""
-        node, positional, target = problem
-        return self._with_unit(
-            target, lambda unit: unit.latency(node, positional)
-        )
 
     def _config_payload(self) -> dict:
         """Engine settings as one :mod:`repro.ir` wire payload: the
@@ -993,18 +970,16 @@ def _compile_in_worker(envelope: dict) -> tuple:
 
 
 def _synthesize_in_worker(problem: dict) -> tuple:
-    """Worker-process entry: solve one serialized pre-warm problem on the
-    twin engine; returns ``(None, delta_payload, counters)`` so the parent
-    merges the synthesized entries *before* the job pool (whose seed
-    snapshot must include them) starts."""
+    """Worker-process entry: price one serialized pre-warm problem
+    through the twin engine's backend; returns ``(None, delta_payload,
+    counters)`` so the parent merges the synthesized entries *before*
+    the job pool (whose seed snapshot must include them) starts."""
     from repro.ir.serialize import cache_delta_to_dict, node_from_dict
 
-    _, delta, used = _TWIN._synthesize(
-        (
-            node_from_dict(problem["node"]),
-            problem["positional"],
-            _target_from_payload(problem["device"]),
-        )
+    node = node_from_dict(problem["node"])
+    _, delta, used = _TWIN._with_unit(
+        _target_from_payload(problem["device"]),
+        lambda unit: unit.latency(node, problem["positional"]),
     )
     return None, cache_delta_to_dict(delta), used
 

@@ -12,6 +12,7 @@ import math
 
 from repro.benchmarks.registry import table3_suite
 from repro.compiler.batch import BatchCompiler, BatchJob
+from repro.compiler.result import CompilationResult
 from repro.compiler.strategies import Strategy, all_strategies, strategy_by_key
 from repro.device.device import Device
 from repro.device.presets import device_by_key
@@ -28,21 +29,27 @@ class Figure9Row:
 
     benchmark: str
     qubits: int
-    latencies_ns: dict[str, float]
-    seconds: dict[str, float]
+    results: dict[str, CompilationResult] = dataclasses.field(repr=False)
+    """Full :class:`~repro.compiler.result.CompilationResult` per
+    strategy, in sweep order — what ``--save-artifacts`` persists as
+    JSON artifacts, and what every other column is read from."""
+    seconds: dict[str, float] = dataclasses.field(default_factory=dict)
     """Per-job wall-clock.  Under a multi-worker engine each entry
     includes GIL wait while other jobs run; treat as relative cost, not
     serial compile time."""
-    swap_counts: dict[str, int] = dataclasses.field(default_factory=dict)
-    """Routed SWAPs per strategy (device-sensitive: sparser coupling
-    graphs route more)."""
     device: str | None = None
     """Device the row compiled onto (None: auto-sized paper grid)."""
-    results: dict[str, object] = dataclasses.field(
-        default_factory=dict, repr=False
-    )
-    """Full :class:`~repro.compiler.result.CompilationResult` per
-    strategy — what ``--save-artifacts`` persists as JSON artifacts."""
+
+    @property
+    def latencies_ns(self) -> dict[str, float]:
+        """Schedule makespan per strategy."""
+        return {key: result.latency_ns for key, result in self.results.items()}
+
+    @property
+    def swap_counts(self) -> dict[str, int]:
+        """Routed SWAPs per strategy (device-sensitive: sparser coupling
+        graphs route more)."""
+        return {key: result.swap_count for key, result in self.results.items()}
 
     @property
     def baseline_key(self) -> str:
@@ -133,24 +140,18 @@ def run_figure9(
     rows: list[Figure9Row] = []
     cursor = 0
     for spec in specs:
-        latencies: dict[str, float] = {}
+        results: dict[str, CompilationResult] = {}
         seconds: dict[str, float] = {}
-        swaps: dict[str, int] = {}
-        results: dict[str, object] = {}
         for strategy in strategies:
-            latencies[strategy.key] = report.results[cursor].latency_ns
-            seconds[strategy.key] = report.seconds[cursor]
-            swaps[strategy.key] = report.results[cursor].swap_count
             results[strategy.key] = report.results[cursor]
+            seconds[strategy.key] = report.seconds[cursor]
             cursor += 1
         rows.append(
             Figure9Row(
                 benchmark=spec.key,
                 qubits=spec.qubits,
-                latencies_ns=latencies,
-                seconds=seconds,
-                swap_counts=swaps,
                 results=results,
+                seconds=seconds,
                 # Unnamed custom devices keep their provenance via repr;
                 # only the default auto-sized paper grid reports None.
                 device=(device.name or repr(device))

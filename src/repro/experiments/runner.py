@@ -257,11 +257,8 @@ def load_artifacts_report(directory: str | os.PathLike) -> tuple[str, bool]:
         Figure9Row(
             benchmark=circuit_name,
             qubits=next(iter(cells.values())).logical_qubits,
-            latencies_ns={k: r.latency_ns for k, r in cells.items()},
-            seconds={},
-            swap_counts={k: r.swap_count for k, r in cells.items()},
+            results=cells,
             device=device_name,
-            results=dict(cells),
         )
         for (device_name, circuit_name), cells in sorted(
             grouped.items(), key=lambda item: (item[0][0] or "", item[0][1])
@@ -271,9 +268,9 @@ def load_artifacts_report(directory: str | os.PathLike) -> tuple[str, bool]:
     for row in rows:
         by_device[row.device].append(row)
     for device_rows in by_device.values():
-        common = set(device_rows[0].latencies_ns)
+        common = set(device_rows[0].results)
         for row in device_rows[1:]:
-            common &= set(row.latencies_ns)
+            common &= set(row.results)
         if not common:
             lines.append("")
             lines.append(
@@ -284,12 +281,7 @@ def load_artifacts_report(directory: str | os.PathLike) -> tuple[str, bool]:
         table_rows = [
             dataclasses.replace(
                 row,
-                latencies_ns={
-                    k: v for k, v in row.latencies_ns.items() if k in common
-                },
-                swap_counts={
-                    k: v for k, v in row.swap_counts.items() if k in common
-                },
+                results={k: r for k, r in row.results.items() if k in common},
             )
             for row in device_rows
         ]
@@ -372,10 +364,7 @@ def submit_report(
         Figure9Row(
             benchmark=benchmark,
             qubits=next(iter(cells.values())).logical_qubits,
-            latencies_ns={k: r.latency_ns for k, r in cells.items()},
-            seconds={},
-            swap_counts={k: r.swap_count for k, r in cells.items()},
-            results=dict(cells),
+            results=cells,
         )
         for benchmark, cells in by_benchmark.items()
         if len(cells) == len(strategy_keys)
@@ -458,15 +447,6 @@ def main(argv: list[str] | None = None) -> int:
         default="model",
         help="optimal-control backend: the analytic latency model "
         "(fast) or GRAPE pulse synthesis (the paper's full pipeline)",
-    )
-    parser.add_argument(
-        "--prewarm",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="batch pre-warm planner: dry-run each sweep against the "
-        "analytic model, synthesize every distinct control problem "
-        "exactly once across workers, then compile warm (auto: only "
-        "with --backend grape, where synthesis dominates)",
     )
     parser.add_argument(
         "--profile",
@@ -573,7 +553,6 @@ def main(argv: list[str] | None = None) -> int:
         max_workers=args.workers,
         executor=args.executor,
         verify_ir=args.verify_ir,
-        prewarm={"auto": "auto", "on": True, "off": False}[args.prewarm],
         pass_callbacks=[profiler] if profiler is not None else (),
     )
     if cache is not None and getattr(cache, "loaded_entries", 0):
@@ -601,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         if info["grape_calls"] or info["grape_wall_seconds"]:
             print(
                 f"[grape: {info['grape_calls']:.0f} syntheses, "
-                f"{info['grape_evals']:.0f} model evaluations, "
+                f"{info['grape_evals']:.0f} GRAPE evaluations, "
                 f"{info['grape_wall_seconds']:.1f}s wall"
                 + (
                     f"; prewarm solved {info['prewarm_synthesized']:.0f}"

@@ -4,10 +4,12 @@ Jobs, pre-warm planner dry-runs and pre-warm syntheses all run on a
 fresh unit writing straight through to the shared store, fanned out by
 one map per executor.  These tests pin what that path promises beyond
 the executor suites: the single-job entry bills and caches like a batch,
-a running job's latencies are already in the store, the work bill does
-not depend on the worker count, a failed job stops the batch,
-process-mode pre-warm matches thread mode across pinned devices, and an
-engine whose default device cannot serialize compiles its jobs uncached.
+a running job's latencies are already in the store, the thread work
+bill does not depend on the worker count (the process bill does, but
+not its results or store), a failed job stops the batch, the process
+executor's GRAPE stage plans, bills its dry-runs and matches thread
+mode across pinned devices, and an engine whose default device cannot
+serialize compiles its jobs uncached.
 """
 
 import threading
@@ -56,22 +58,42 @@ class TestWriteThrough:
         assert counts["LogicalSchedulePass"] > 0
 
 
+def _sweep_jobs():
+    """Two small circuits under all five strategies."""
+    circuits = [
+        maxcut_qaoa_circuit(line_graph(4), name="line4"),
+        ising_model_circuit(4, name="ising4"),
+    ]
+    jobs = [
+        BatchJob(circuit=circuit, strategy=strategy)
+        for circuit in circuits
+        for strategy in all_strategies()
+    ]
+    assert len(jobs) == 10
+    return jobs
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_each_latency_is_evaluated_once(self, workers):
-        circuits = [
-            maxcut_qaoa_circuit(line_graph(4), name="line4"),
-            ising_model_circuit(4, name="ising4"),
-        ]
-        jobs = [
-            BatchJob(circuit=circuit, strategy=strategy)
-            for circuit in circuits
-            for strategy in all_strategies()
-        ]
-        assert len(jobs) == 10
-        report = BatchCompiler(max_workers=workers).compile_batch(jobs)
+        report = BatchCompiler(max_workers=workers).compile_batch(_sweep_jobs())
         info = report.cache_info
         assert info["model_evals"] == info["latency_entries"]
+
+    def test_process_store_and_results_do_not_depend_on_workers(self):
+        # Worker stores miss each other's latencies, so the process bill
+        # may grow with the worker count; what lands is the same.
+        reports = [
+            BatchCompiler(executor="process", max_workers=workers).compile_batch(
+                _sweep_jobs()
+            )
+            for workers in (1, 2)
+        ]
+        one, two = (report.cache_info for report in reports)
+        assert one["latency_entries"] == two["latency_entries"]
+        for info in (one, two):
+            assert info["model_evals"] >= info["latency_entries"]
+        assert _canon(reports[0]) == _canon(reports[1])
 
 
 class TestFailedJob:
@@ -103,6 +125,15 @@ class TestFailedJob:
 
 
 class TestProcessPrewarm:
+    """The process executor's GRAPE stage, GRAPE-priced on one qubit so
+    the planner has problems to solve while the batch stays cheap."""
+
+    @staticmethod
+    def _engine(executor):
+        return BatchCompiler(
+            backend="grape", grape_qubit_limit=1, executor=executor, max_workers=2
+        )
+
     def test_parity_with_threads_across_pinned_devices(self):
         circuit = maxcut_qaoa_circuit(line_graph(4), name="line4")
         weak = Device(topology=LineTopology(4), coupling_limits_ghz={(0, 1): 0.015})
@@ -111,18 +142,34 @@ class TestProcessPrewarm:
             for device in ("ring-6", weak)
             for strategy in ("aggregation", "cls+aggregation")
         ]
-
-        def run(executor):
-            engine = BatchCompiler(
-                backend="model", prewarm=True, executor=executor, max_workers=2
-            )
-            return engine.compile_batch(jobs)
-
-        thread, process = run("thread"), run("process")
-        assert process.prewarm["signatures"] > 0
-        # The dry-run already cached every model latency.
-        assert process.prewarm["synthesized"] == 0
+        thread = self._engine("thread").compile_batch(jobs)
+        process = self._engine("process").compile_batch(jobs)
+        assert thread.prewarm is None
+        stats = process.prewarm
+        assert stats["signatures"] > 0
+        # Each node and pinned device crossed to a worker, and each
+        # planned problem was solved there once.
+        assert stats["synthesized"] == stats["signatures"]
         assert _canon(process) == _canon(thread)
+
+    def test_planned_batch_bills_its_dry_runs(self):
+        circuit = maxcut_qaoa_circuit(line_graph(4), name="line4")
+        engine = self._engine("process")
+        report = engine.compile_batch(
+            [
+                BatchJob(circuit=circuit, strategy=strategy)
+                for strategy in ("aggregation", "cls+aggregation")
+            ]
+        )
+        assert report.prewarm is not None
+        model_keyed = [
+            key
+            for key in engine.cache.snapshot_delta().latencies
+            if key[1] == "model"
+        ]
+        # Each model-keyed entry was evaluated at least once, most of
+        # them by the planner's dry-runs.
+        assert report.cache_info["model_evals"] >= len(model_keyed) > 0
 
 
 class Custom(Topology):

@@ -11,7 +11,9 @@ from repro.experiments.runner import (
     load_artifacts_report,
     main,
     run_experiment,
+    submit_report,
 )
+from repro.service.server import CompileService
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +102,19 @@ class TestArtifacts:
         report, ok = load_artifacts_report(tmp_path)
         assert not ok
         assert "no .json artifacts" in report
+
+
+class TestSubmit:
+    def test_sweep_through_a_compile_service(self):
+        with CompileService(workers=2) as service:
+            report, ok = submit_report(
+                service.url,
+                strategies=["isa", "cls"],
+                benchmarks=["maxcut-line-6"],
+                timeout=120.0,
+            )
+        assert ok, report
+        assert "submitting 2 jobs" in report
+        assert "Figure 9: normalized latency (isa = 1.0)" in report
+        assert "maxcut-line-6" in report
+        assert "2/2 artifacts verified" in report
