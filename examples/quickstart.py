@@ -1,9 +1,10 @@
 """Quickstart: compile the paper's triangle-QAOA example both ways.
 
 Builds the Figure 4 circuit (MAXCUT on a triangle, gamma = 5.67,
-beta = 1.26), compiles it with standard gate-based (ISA) compilation and
-with the aggregated-instruction flow, and prints the latency comparison
-plus the final instruction schedule.
+beta = 1.26), compiles it onto a 3-qubit line (the ``line-3`` device
+preset) with standard gate-based (ISA) compilation and with the
+aggregated-instruction flow, and prints the latency comparison plus the
+final instruction schedule.
 
 Run:  python examples/quickstart.py
 """
@@ -11,7 +12,6 @@ Run:  python examples/quickstart.py
 from repro.compiler import CLS_AGGREGATION, ISA, compile_circuit
 from repro.control.unit import OptimalControlUnit
 from repro.experiments.figure4 import triangle_circuit
-from repro.device.topology import LineTopology
 
 
 def main() -> None:
@@ -21,11 +21,10 @@ def main() -> None:
     print()
 
     ocu = OptimalControlUnit(backend="model")
-    topology = LineTopology(3)
 
-    isa = compile_circuit(circuit, ISA, ocu=ocu, topology=topology)
+    isa = compile_circuit(circuit, ISA, ocu=ocu, device="line-3")
     aggregated = compile_circuit(
-        circuit, CLS_AGGREGATION, ocu=ocu, topology=topology
+        circuit, CLS_AGGREGATION, ocu=ocu, device="line-3"
     )
 
     print(f"gate-based (ISA) latency:  {isa.latency_ns:7.1f} ns "

@@ -1,11 +1,6 @@
 """Pass-manager compilation core, batch engine and the strategy set."""
 
-from repro.compiler.batch import (
-    BatchCompiler,
-    BatchJob,
-    BatchReport,
-    compile_batch,
-)
+from repro.compiler.batch import BatchCompiler, BatchJob, BatchReport
 from repro.compiler.context import CompilationContext
 from repro.compiler.manager import PassManager
 from repro.compiler.passes import (
@@ -59,7 +54,6 @@ __all__ = [
     "Strategy",
     "all_strategies",
     "available_strategy_keys",
-    "compile_batch",
     "compile_circuit",
     "compile_with_pipeline",
     "default_pipeline",

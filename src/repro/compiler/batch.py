@@ -7,6 +7,14 @@ recompiling parameterized ansatz variants — compiles *many* circuits, and
 most of the optimal-control work repeats across them: the same CNOT,
 SWAP and diagonal-block structures appear in every job.
 
+A job is one :class:`BatchJob` — circuit, strategy, width limit, label
+and machine — and each setting has one spelling: the machine is a
+``device=`` (a :class:`~repro.device.device.Device`, so a bare coupling
+graph is ``Device(topology=...)``, or a preset key), the pipeline is a
+strategy (a custom one is added with
+:func:`~repro.compiler.strategies.register_strategy`), and every job
+compiles through :func:`~repro.compiler.pipeline.compile_circuit`.
+
 :class:`BatchCompiler` exploits that.  It owns one shared
 :class:`~repro.control.cache.PulseCache` (optionally a disk-persistent
 one).  Every unit of work — a job, a pre-warm planner dry-run, a
@@ -44,10 +52,9 @@ finish, after which units not yet started never run.
   against the analytic model, synthesizes each distinct control
   problem once across the worker pool, and only then seeds the job
   pool, whose workers find every planned pulse in their snapshot.
-  Jobs carrying in-memory pass objects (``BatchJob.passes``) or engines
-  with ``pass_callbacks`` cannot cross a process boundary and are
-  rejected with a :class:`~repro.errors.ConfigError`; strategies ship
-  by registered key.
+  Strategies ship by registered key, so jobs with an unregistered
+  strategy, like engines with ``pass_callbacks``, cannot cross a process
+  boundary and are rejected with a :class:`~repro.errors.ConfigError`.
 
 Results are returned in job order and are bit-identical to serial
 :func:`compile_circuit` calls: the latency model and GRAPE are
@@ -69,8 +76,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.circuit.circuit import Circuit
 from repro.compiler.manager import PassCallback
-from repro.compiler.passes import Pass, strategy_pulse_backend
-from repro.compiler.pipeline import compile_with_pipeline
+from repro.compiler.pipeline import compile_circuit
 from repro.compiler.result import CompilationResult
 from repro.compiler.strategies import ISA, Strategy, strategy_by_key
 from repro.config import (
@@ -90,7 +96,6 @@ from repro.compiler.result_cache import (
 from repro.control.unit import OptimalControlUnit, support_of
 from repro.device.device import Device
 from repro.device.presets import device_by_key
-from repro.device.topology import Topology
 from repro.errors import ConfigError, JobCancelledError, SerializationError
 
 #: The optimal-control counters every unit of work reports, summed into
@@ -112,41 +117,55 @@ class BatchJob:
     """One unit of batch work: a circuit compiled under one strategy.
 
     ``strategy`` also accepts the key of a registered strategy (built-in
-    or added via :func:`~repro.compiler.strategies.register_strategy`).
-    ``device`` pins this job to its own compilation target — a
-    :class:`~repro.device.device.Device` or a preset key like
-    ``"heavy-hex-2"`` — overriding the engine's default; one batch can
-    therefore sweep the same circuit across machines (the pulse-cache
-    fingerprint keeps per-device entries apart).  ``passes`` overrides
-    the strategy's pipeline with an explicit pass list for this job
-    only; the strategy still labels the result, and block pricing is
-    derived from the pass list (whether it contains an
-    ``AggregatePass``) unless ``pulse_backend`` overrides it — set it
-    for a custom backend pass the auto-detection cannot see.
+    or added via :func:`~repro.compiler.strategies.register_strategy`,
+    the one way to give a job a custom pipeline).  ``width_limit``
+    overrides ``CompilerConfig.max_instruction_width``.  ``device`` pins
+    this job to its own compilation target — a
+    :class:`~repro.device.device.Device` (``Device(topology=...)`` for a
+    bare coupling graph) or a preset key like ``"heavy-hex-2"`` —
+    overriding the engine's default; one batch can therefore sweep the
+    same circuit across machines (the pulse-cache fingerprint keeps
+    per-device entries apart).
+
+    Every field is validated on construction, so a malformed job — one
+    deserialized from a service submission included — fails with a
+    :class:`~repro.errors.ConfigError` before it is keyed or queued.
     """
 
     circuit: Circuit
     strategy: Strategy | str = ISA
     width_limit: int | None = None
-    topology: Topology | None = None
     label: str | None = None
-    passes: tuple[Pass, ...] | None = None
-    pulse_backend: bool | None = None
     device: Device | str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.circuit, Circuit):
+            raise ConfigError(
+                f"job circuit must be a Circuit, got {self.circuit!r}"
+            )
         if isinstance(self.strategy, str):
             object.__setattr__(
                 self, "strategy", strategy_by_key(self.strategy)
             )
-        if self.passes is not None:
-            object.__setattr__(self, "passes", tuple(self.passes))
+        elif not isinstance(self.strategy, Strategy):
+            raise ConfigError(
+                f"job strategy must be a Strategy or a registered key, "
+                f"got {self.strategy!r}"
+            )
+        width = self.width_limit
+        if width is not None and (
+            isinstance(width, bool) or not isinstance(width, int) or width < 1
+        ):
+            raise ConfigError(
+                f"job width_limit must be None or an int of at least 1, "
+                f"got {width!r}"
+            )
+        if self.label is not None and not isinstance(self.label, str):
+            raise ConfigError(
+                f"job label must be None or a str, got {self.label!r}"
+            )
         if isinstance(self.device, str):
             object.__setattr__(self, "device", device_by_key(self.device))
-        if self.device is not None and self.topology is not None:
-            raise ConfigError(
-                "a job takes either device= or topology=, not both"
-            )
 
     @property
     def key(self) -> str:
@@ -154,12 +173,6 @@ class BatchJob:
         if self.label is not None:
             return self.label
         return f"{self.circuit.name}/{self.strategy.key}"
-
-    def pipeline(self) -> list[Pass]:
-        """The pass list this job compiles with."""
-        if self.passes is not None:
-            return list(self.passes)
-        return self.strategy.pipeline()
 
 
 @dataclasses.dataclass
@@ -197,9 +210,8 @@ class BatchReport:
     None: ``hits`` (jobs served whole from the store, zero passes run),
     ``deduped`` (in-batch repeats fanned out from one compilation),
     ``stores`` (fresh results written back), ``uncacheable`` (jobs whose
-    envelope cannot serialize — explicit pass lists, unregistered
-    strategies — always compiled), ``compiled`` (jobs that actually ran
-    the pipeline)."""
+    envelope cannot serialize — unregistered strategies — always
+    compiled), ``compiled`` (jobs that actually ran the pipeline)."""
 
     def __len__(self) -> int:
         return len(self.results)
@@ -248,8 +260,9 @@ class BatchCompiler:
         backend: OCU backend, ``"model"`` or ``"grape"``.
         max_workers: Worker-thread count; ``None`` picks
             ``min(cpu_count, job count)``.
-        grape_qubit_limit / grape_dt / seed: Forwarded to every OCU, and
-            part of the cache fingerprint.
+        grape_qubit_limit / seed: Forwarded to every OCU, and part of
+            the cache fingerprint (as is the GRAPE time step,
+            ``compiler_config.grape_dt_ns``).
         pass_callbacks: Per-pass instrumentation hooks forwarded to every
             job's :class:`~repro.compiler.manager.PassManager`; invoked
             as ``(pass_, context, elapsed_seconds)``.  With several
@@ -285,7 +298,6 @@ class BatchCompiler:
         backend: str = "model",
         max_workers: int | None = None,
         grape_qubit_limit: int = 3,
-        grape_dt: float | None = None,
         seed: int = 20190413,
         pass_callbacks: Sequence[PassCallback] = (),
         executor: str = "thread",
@@ -320,7 +332,6 @@ class BatchCompiler:
         self.backend = backend
         self.max_workers = max_workers
         self.grape_qubit_limit = grape_qubit_limit
-        self.grape_dt = grape_dt
         self.seed = seed
         self.pass_callbacks = list(pass_callbacks)
         self.executor = executor
@@ -359,7 +370,6 @@ class BatchCompiler:
             "compiler": self.compiler_config,
             "backend": self.backend,
             "grape_qubit_limit": self.grape_qubit_limit,
-            "grape_dt": self.grape_dt,
             "seed": self.seed,
             "grape_kernel": self.grape_kernel,
             "grape_warm_start": self.grape_warm_start,
@@ -387,7 +397,6 @@ class BatchCompiler:
         circuit: Circuit,
         strategy: Strategy | str = ISA,
         width_limit: int | None = None,
-        topology: Topology | None = None,
         device: Device | str | None = None,
     ) -> CompilationResult:
         """Compile one circuit now: :meth:`run_job`'s result for it."""
@@ -395,7 +404,6 @@ class BatchCompiler:
             circuit=circuit,
             strategy=strategy,
             width_limit=width_limit,
-            topology=topology,
             device=device,
         )
         return self.run_job(job)[0]
@@ -425,8 +433,8 @@ class BatchCompiler:
         a differently configured engine never shares an identity.  The
         compile service keys its jobs, breaker and coalescing on it.
         None when the job's envelope or its compilation target cannot
-        serialize (explicit ``passes=`` lists, unregistered strategies,
-        custom topology subclasses) — such jobs never cache.
+        serialize (unregistered strategies, custom topology subclasses)
+        — such jobs never cache.
         """
         from repro.ir.serialize import batch_job_to_dict
 
@@ -435,15 +443,13 @@ class BatchCompiler:
         except SerializationError:
             return None
 
-    def compile_batch(self, jobs: Iterable) -> BatchReport:
-        """Compile every job, fanning across workers; results in order.
-
-        Args:
-            jobs: :class:`BatchJob` instances, bare circuits, or
-                ``(circuit, strategy)`` / ``(circuit, strategy,
-                width_limit)`` tuples.
-        """
-        jobs = [_as_job(job) for job in jobs]
+    def compile_batch(self, jobs: Iterable[BatchJob]) -> BatchReport:
+        """Compile every :class:`BatchJob`, fanning across workers;
+        results in job order."""
+        jobs = list(jobs)
+        for job in jobs:
+            if not isinstance(job, BatchJob):
+                raise ConfigError(f"a batch job must be a BatchJob, got {job!r}")
         workers = self._worker_count(len(jobs))
         started = time.perf_counter()
         counters = dict.fromkeys(COUNTER_KEYS, 0)
@@ -539,18 +545,8 @@ class BatchCompiler:
     # ------------------------------------------------------------------
 
     def _job_target(self, job: BatchJob) -> Device | DeviceConfig:
-        """The device argument a job's compilation (and OCU) should see.
-
-        A job-level ``device`` wins outright.  A job-level bare
-        ``topology`` overrides the engine's default *machine* while
-        keeping its physics baseline — forwarding a full default Device
-        alongside it would be rejected downstream as contradictory.
-        """
-        if job.device is not None:
-            return job.device
-        if job.topology is not None and isinstance(self.device, Device):
-            return self.device.config
-        return self.device
+        """The job's pinned device, else the engine's default."""
+        return job.device if job.device is not None else self.device
 
     def _compile_job(
         self,
@@ -559,34 +555,19 @@ class BatchCompiler:
         verify_ir: bool | None = None,
         extra_callbacks: Sequence[PassCallback] = (),
     ) -> CompilationResult:
-        """Run one job's pipeline through the pass-manager core.
+        """Compile one job through :func:`compile_circuit`.
 
         ``extra_callbacks`` are per-job hooks appended after the
         engine-level ``pass_callbacks`` for this compilation only — the
         compile service threads its cancellation probe and per-job
         instrumentation through here without touching engine state.
         """
-        pipeline = job.pipeline()
-        if job.pulse_backend is not None:
-            pulse_backend = job.pulse_backend
-        elif job.passes is not None:
-            # Explicit per-job pipeline: the pass list alone is the
-            # source of truth; None lets compile_with_pipeline apply its
-            # own auto-detection (one rule, one place).
-            pulse_backend = None
-        else:
-            # Strategy-resolved pipeline: one shared pricing policy with
-            # compile_circuit.
-            pulse_backend = strategy_pulse_backend(job.strategy, pipeline)
-        return compile_with_pipeline(
+        return compile_circuit(
             job.circuit,
-            pipeline,
-            strategy_key=job.strategy.key,
-            pulse_backend=pulse_backend,
+            job.strategy,
             device=self._job_target(job),
             compiler_config=self.compiler_config,
             ocu=ocu,
-            topology=job.topology,
             width_limit=job.width_limit,
             callbacks=list(self.pass_callbacks) + list(extra_callbacks),
             verify_ir=self.verify_ir if verify_ir is None else verify_ir,
@@ -652,16 +633,16 @@ class BatchCompiler:
 
     def run_job(
         self,
-        job,
+        job: BatchJob,
         cancel: Callable[[], str | None] | None = None,
         extra_callbacks: Sequence[PassCallback] = (),
     ) -> tuple[CompilationResult, float, dict[str, int]]:
         """Compile one job now, on the calling thread; the service entry.
 
-        Accepts anything :meth:`compile_batch` accepts as a job, and
-        like it folds the job's counters into :attr:`lifetime_info`, so
-        a long-running front door (the compile service) reads its
-        cumulative optimal-control bill the same way sweep drivers do.
+        Like :meth:`compile_batch` it folds the job's counters into
+        :attr:`lifetime_info`, so a long-running front door (the compile
+        service) reads its cumulative optimal-control bill the same way
+        sweep drivers do.
 
         Returns:
             ``(result, seconds, counters)`` — the compiled result, its
@@ -669,7 +650,6 @@ class BatchCompiler:
             hit returns the lookup wall-clock and all-zero counters (no
             pass ran, no model was evaluated).
         """
-        job = _as_job(job)
         cache_key = None if self.result_cache is None else self.result_key(job)
         if cache_key is not None:
             lookup_started = time.perf_counter()
@@ -705,8 +685,7 @@ class BatchCompiler:
         # Jobs ship as their repro-ir-v1 envelope, the compile service's
         # submission unit: strategies travel by registered key (under a
         # ``fork`` start method custom registrations are inherited, under
-        # ``spawn`` only importable ones survive), and in-memory pass
-        # objects cannot travel at all.
+        # ``spawn`` only importable ones survive).
         try:
             envelopes = [batch_job_to_dict(job) for job in jobs]
         except SerializationError as error:
@@ -1006,56 +985,3 @@ class _PlanningUnit(OptimalControlUnit):
             key = (self.fingerprint, self._node_signature(node, positional))
             self._recorded.setdefault(key, (node, positional))
         return super().latency(node, positional)
-
-
-def _as_job(job) -> BatchJob:
-    """Coerce circuits and tuples into :class:`BatchJob`."""
-    if isinstance(job, BatchJob):
-        return job
-    if isinstance(job, Circuit):
-        return BatchJob(circuit=job)
-    if isinstance(job, Sequence) and not isinstance(job, (str, bytes)):
-        if not 1 <= len(job) <= 3:
-            raise ConfigError(
-                f"a job tuple needs 1-3 entries (circuit, strategy, "
-                f"width_limit), got {len(job)}"
-            )
-        circuit = job[0]
-        strategy = job[1] if len(job) > 1 else ISA
-        width_limit = job[2] if len(job) > 2 else None
-        if not isinstance(circuit, Circuit):
-            raise ConfigError(f"job circuit must be a Circuit, got {circuit!r}")
-        if not isinstance(strategy, Strategy):
-            raise ConfigError(
-                f"job strategy must be a Strategy, got {strategy!r}"
-            )
-        return BatchJob(
-            circuit=circuit, strategy=strategy, width_limit=width_limit
-        )
-    raise ConfigError(f"cannot interpret batch job {job!r}")
-
-
-def compile_batch(
-    jobs: Iterable,
-    device: Device | DeviceConfig | str = DEFAULT_DEVICE,
-    compiler_config: CompilerConfig = DEFAULT_COMPILER,
-    cache: PulseCache | None = None,
-    backend: str = "model",
-    max_workers: int | None = None,
-    executor: str = "thread",
-) -> BatchReport:
-    """Compile a batch of (circuit, strategy) jobs; results in job order.
-
-    Convenience wrapper constructing a throwaway :class:`BatchCompiler`;
-    keep an engine instance (or at least pass ``cache=``) to reuse the
-    pulse cache across batches.
-    """
-    engine = BatchCompiler(
-        device=device,
-        compiler_config=compiler_config,
-        cache=cache,
-        backend=backend,
-        max_workers=max_workers,
-        executor=executor,
-    )
-    return engine.compile_batch(jobs)

@@ -132,17 +132,15 @@ class CompilationContext:
         device: Device | DeviceConfig | str = DEFAULT_DEVICE,
         compiler_config: CompilerConfig = DEFAULT_COMPILER,
         ocu: OptimalControlUnit | None = None,
-        topology: Topology | None = None,
         width_limit: int | None = None,
     ) -> CompilationContext:
         """A ready-to-run context with validated width limit and oracle.
 
         ``device`` accepts a full :class:`Device`, a registered preset
-        key (``"ring-6"``), or a bare :class:`DeviceConfig`; a bare
-        ``topology`` wraps into a default-config device.  When neither
-        names a topology, the mapping pass sizes the paper grid later.
+        key (``"ring-6"``), or a bare :class:`DeviceConfig`, for which
+        the mapping pass sizes the paper grid later.
         """
-        device, device_config, topology = coerce_device(device, topology)
+        device, device_config = coerce_device(device)
         ocu = ocu or OptimalControlUnit(
             device=device if device is not None else device_config,
             compiler=compiler_config,
@@ -191,7 +189,7 @@ class CompilationContext:
             strategy_key=strategy_key,
             pulse_backend=pulse_backend,
             device=device,
-            topology=topology,
+            topology=device.topology if device is not None else None,
         )
 
     # ------------------------------------------------------------------

@@ -154,9 +154,9 @@ class PlaceAndRoutePass(Pass):
     routing SWAPs along its coupling graph.
 
     Resolves the compilation target when the caller left it open: with
-    no device and no topology on the context, the paper's near-square
-    grid is sized to the circuit and recorded as a default-config
-    :class:`~repro.device.device.Device`.
+    no device on the context, the paper's near-square grid is sized to
+    the circuit and recorded as a :class:`~repro.device.device.Device`
+    with the context's physics.
     """
 
     stage = "mapping"
@@ -166,9 +166,9 @@ class PlaceAndRoutePass(Pass):
     def run(self, context: CompilationContext) -> None:
         nodes = context.require("nodes", self.name, "run LowerPass first")
         if context.device is None:
-            topology = context.topology or grid_for(context.circuit.num_qubits)
             context.device = Device(
-                topology=topology, config=context.device_config
+                topology=grid_for(context.circuit.num_qubits),
+                config=context.device_config,
             )
         context.topology = context.device.topology
         placement = initial_placement(context.circuit, context.topology)
@@ -237,21 +237,6 @@ def pipeline_prices_pulses(passes) -> bool:
     gates.  Used to derive ``pulse_backend`` for explicit pipelines.
     """
     return any(isinstance(pass_, AggregatePass) for pass_ in passes)
-
-
-def strategy_pulse_backend(strategy, pipeline) -> bool:
-    """Block-pricing policy for a strategy-resolved pipeline.
-
-    A strategy declares flags and pipeline jointly, so either signal
-    enables single-pulse pricing: an :class:`AggregatePass` in the
-    resolved pipeline (covers registered factories diverging from the
-    flags), or the strategy's ``aggregation`` flag (covers factories
-    using a custom backend pass the auto-detection cannot see).
-    Identical to the flag alone for every flag-driven default pipeline.
-    The single definition keeps ``compile_circuit`` and the batch
-    engine from diverging on the same strategy.
-    """
-    return pipeline_prices_pulses(pipeline) or strategy.aggregation
 
 
 class FinalSchedulePass(Pass):

@@ -13,7 +13,7 @@ passes (see :mod:`repro.compiler.passes`) run by a
    program order.
 4. **Mapping** (``PlaceAndRoutePass``) — recursive-bisection placement
    on the target device's coupling graph and SWAP-insertion routing
-   (the paper's near-square grid unless a device or topology is given).
+   (the paper's near-square grid unless a device is given).
 5. **Backend** (``AggregatePass`` / ``HandOptimizePass`` / nothing) —
    instruction aggregation with the optimal-control unit, or
    hand-optimization rewrite rules, or nothing (ISA).
@@ -35,11 +35,7 @@ from collections.abc import Sequence
 from repro.circuit.circuit import Circuit
 from repro.compiler.context import CompilationContext
 from repro.compiler.manager import PassCallback, PassManager
-from repro.compiler.passes import (
-    Pass,
-    pipeline_prices_pulses,
-    strategy_pulse_backend,
-)
+from repro.compiler.passes import Pass, pipeline_prices_pulses
 from repro.compiler.result import CompilationResult
 from repro.compiler.strategies import ISA, Strategy, strategy_by_key
 from repro.config import (
@@ -50,7 +46,6 @@ from repro.config import (
 )
 from repro.control.unit import OptimalControlUnit
 from repro.device.device import Device
-from repro.device.topology import Topology
 
 
 def compile_circuit(
@@ -59,7 +54,6 @@ def compile_circuit(
     device: Device | DeviceConfig | str = DEFAULT_DEVICE,
     compiler_config: CompilerConfig = DEFAULT_COMPILER,
     ocu: OptimalControlUnit | None = None,
-    topology: Topology | None = None,
     width_limit: int | None = None,
     callbacks: Sequence[PassCallback] = (),
     verify_ir: bool = False,
@@ -69,18 +63,20 @@ def compile_circuit(
     Args:
         circuit: Logical circuit (any registered gates; lowered here).
         strategy: A :class:`Strategy` or the key of a registered one
-            (built-in Figure 9 keys or custom registrations).
+            (built-in Figure 9 keys or custom registrations — register a
+            strategy to compile a custom pipeline here and everywhere
+            else jobs go).
         device: The compilation target: a full
-            :class:`~repro.device.device.Device`, a preset key such as
-            ``"ring-6"`` or ``"heavy-hex-2"``, or a bare
+            :class:`~repro.device.device.Device` (``Device(topology=T)``
+            for a bare coupling graph ``T`` with paper physics), a preset
+            key such as ``"ring-6"`` or ``"heavy-hex-2"``, or a bare
             :class:`DeviceConfig` (field limits and pulse overheads only;
-            the topology then comes from ``topology`` or defaults to the
-            paper's near-square grid sized to the circuit).
-        compiler_config: Width limits, detection depth, etc.
+            the mapping pass then sizes the paper's near-square grid to
+            the circuit).
+        compiler_config: Width limits, detection depth, the GRAPE time
+            step, etc.
         ocu: Latency oracle; a fresh model-backend unit when omitted
             (pass a shared one to exploit the pulse cache across runs).
-        topology: Bare coupling graph (wrapped into a default-config
-            device); mutually exclusive with a full ``device``.
         width_limit: Override of ``compiler_config.max_instruction_width``;
             must be at least 1 (a limit of 1 disables merging entirely).
         callbacks: Per-pass hooks, invoked after each pass with
@@ -94,16 +90,19 @@ def compile_circuit(
     """
     if isinstance(strategy, str):
         strategy = strategy_by_key(strategy)
-    pipeline = strategy.pipeline()
     return compile_with_pipeline(
         circuit,
-        pipeline,
+        strategy.pipeline(),
         strategy_key=strategy.key,
-        pulse_backend=strategy_pulse_backend(strategy, pipeline),
+        # A strategy declares flags and pipeline jointly, so either
+        # signal enables single-pulse pricing: its aggregation flag
+        # (covers a custom backend pass the auto-detection cannot see)
+        # or, through None, an AggregatePass in the resolved pipeline
+        # (covers registered factories diverging from the flags).
+        pulse_backend=True if strategy.aggregation else None,
         device=device,
         compiler_config=compiler_config,
         ocu=ocu,
-        topology=topology,
         width_limit=width_limit,
         callbacks=callbacks,
         verify_ir=verify_ir,
@@ -119,7 +118,6 @@ def compile_with_pipeline(
     device: Device | DeviceConfig | str = DEFAULT_DEVICE,
     compiler_config: CompilerConfig = DEFAULT_COMPILER,
     ocu: OptimalControlUnit | None = None,
-    topology: Topology | None = None,
     width_limit: int | None = None,
     callbacks: Sequence[PassCallback] = (),
     verify_ir: bool = False,
@@ -147,7 +145,6 @@ def compile_with_pipeline(
         device=device,
         compiler_config=compiler_config,
         ocu=ocu,
-        topology=topology,
         width_limit=width_limit,
     )
     PassManager(passes, callbacks=callbacks, verify_ir=verify_ir).run(context)

@@ -64,7 +64,6 @@ class OptimalControlUnit:
         compiler: CompilerConfig = DEFAULT_COMPILER,
         backend: str = "model",
         grape_qubit_limit: int = 3,
-        grape_dt: float | None = None,
         seed: int = 20190413,
         cache: PulseCache | None = None,
         grape_kernel: str = "vectorized",
@@ -73,7 +72,8 @@ class OptimalControlUnit:
     ) -> None:
         """``cache`` is the store the unit reads and writes straight
         through (a fresh in-memory one when omitted); share one store
-        across units to share their work.
+        across units to share their work.  The GRAPE time step is
+        ``compiler.grape_dt_ns``.
 
         ``grape_kernel`` / ``grape_warm_start`` /
         ``grape_plateau_iterations`` select the optimal-control fast
@@ -94,7 +94,7 @@ class OptimalControlUnit:
         self.compiler = compiler
         self.backend = backend
         self.grape_qubit_limit = int(grape_qubit_limit)
-        self.grape_dt = grape_dt if grape_dt is not None else compiler.grape_dt_ns
+        self.grape_dt = compiler.grape_dt_ns
         self.seed = seed
         self.grape_kernel = grape_kernel
         self.grape_warm_start = bool(grape_warm_start)

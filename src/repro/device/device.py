@@ -201,41 +201,31 @@ class Device:
 
 def coerce_device(
     device: Device | DeviceConfig | str | None,
-    topology: Topology | None = None,
-) -> tuple[Device | None, DeviceConfig, Topology | None]:
-    """Normalize the ``(device, topology)`` argument pair of an API entry.
+) -> tuple[Device | None, DeviceConfig]:
+    """Normalize the ``device=`` argument of a compiler entry point.
 
-    Accepts the full matrix of spellings the compiler entry points kept
-    working through the refactor:
+    The one spelling of "which machine" is a device argument:
 
-    * a :class:`Device` — the topology argument must then be omitted (or
-      be the device's own topology);
+    * a :class:`Device` — a bare coupling graph ``T`` is
+      ``Device(topology=T)`` (paper physics);
     * a preset key string — resolved through the registry;
-    * a bare :class:`DeviceConfig` plus an optional topology — wrapped
-      into a default-override :class:`Device` when the topology is
-      known, else left for the mapping pass to size a paper grid;
+    * a bare :class:`DeviceConfig` — physics only, the topology is left
+      for the mapping pass to size a paper grid;
     * ``None`` — the paper-default :class:`DeviceConfig`.
 
     Returns:
-        ``(device, config, topology)`` where ``device`` is None only
-        when the topology is not yet known (auto-sized at mapping time).
+        ``(device, config)`` where ``device`` is None only when the
+        topology is not yet known (auto-sized at mapping time).
     """
     if isinstance(device, str):
         from repro.device.presets import device_by_key
 
         device = device_by_key(device)
     if isinstance(device, Device):
-        if topology is not None and topology is not device.topology:
-            raise ConfigError(
-                "pass either a Device or a bare topology, not both "
-                f"(got device {device!r} and topology {topology!r})"
-            )
-        return device, device.config, device.topology
+        return device, device.config
     config = device if device is not None else DEFAULT_DEVICE
     if not isinstance(config, DeviceConfig):
         raise ConfigError(
             f"device must be a Device, DeviceConfig or preset key, got {device!r}"
         )
-    if topology is not None:
-        return Device(topology=topology, config=config), config, topology
-    return None, config, None
+    return None, config

@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         "cached latencies and pulses",
     )
     parser.add_argument(
-        "--cache-shards",
+        "--shards",
         type=int,
         default=None,
         metavar="N",
@@ -420,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         "(python -m repro.control.cache_server); overrides --cache",
     )
     parser.add_argument(
-        "--cache-max-bytes",
+        "--max-bytes",
         type=int,
         default=None,
         metavar="N",
@@ -544,8 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     cache = resolve_cache(
         path=args.cache,
         url=args.cache_url,
-        shards=args.cache_shards,
-        max_bytes=args.cache_max_bytes,
+        shards=args.shards,
+        max_bytes=args.max_bytes,
     )
     engine = BatchCompiler(
         cache=cache,

@@ -612,21 +612,15 @@ def batch_job_to_dict(job) -> dict:
 
     This is the submission unit of the compile service: everything a
     remote worker needs to compile the job — circuit, strategy key,
-    width limit, optional per-job device or topology — and nothing
-    process-local.  Jobs carrying in-memory pass objects cannot cross a
-    machine boundary and are rejected here, with the same rationale as
-    the batch engine's process executor; strategies travel by registered
-    key and are re-resolved on the far side.
+    width limit, label, optional per-job device — and nothing
+    process-local.  Strategies travel by registered key and are
+    re-resolved on the far side, so a job with an unregistered strategy
+    is rejected here, with the same rationale as the batch engine's
+    process executor.
     """
     from repro.compiler.strategies import strategy_by_key
     from repro.errors import ConfigError
 
-    if job.passes is not None:
-        raise SerializationError(
-            f"job {job.key!r} carries an explicit passes= list, which "
-            f"cannot cross a machine boundary; submit a registered "
-            f"strategy key instead"
-        )
     try:
         strategy_by_key(job.strategy.key)
     except ConfigError:
@@ -641,33 +635,44 @@ def batch_job_to_dict(job) -> dict:
         "strategy_key": job.strategy.key,
         "width_limit": job.width_limit,
         "label": job.label,
-        "pulse_backend": job.pulse_backend,
     }
     if job.device is not None:
         payload["device"] = device_to_dict(job.device)
-    if job.topology is not None:
-        payload["topology"] = topology_to_dict(job.topology)
     return _envelope("job", payload)
 
 
 def batch_job_from_dict(payload: dict):
+    """The :class:`~repro.compiler.batch.BatchJob` an envelope encodes.
+
+    Envelopes written before jobs had one spelling per setting carry
+    ``"pulse_backend": null``, which loads as the same job (and so the
+    same result key).  A non-null ``pulse_backend`` or a bare
+    ``topology`` named a job this build no longer compiles; ignoring
+    either would silently compile a different job, so both are
+    rejected, unlike other unknown keys.
+    """
     from repro.compiler.batch import BatchJob
 
     payload = _check(payload, "job")
+    if payload.get("pulse_backend") is not None:
+        raise SerializationError(
+            "job envelope sets pulse_backend, a per-job pricing override "
+            "that no longer exists: register the pipeline as a strategy "
+            "(register_strategy) and submit its key"
+        )
+    if "topology" in payload:
+        raise SerializationError(
+            "job envelope carries a bare topology, which no longer "
+            "exists: pin the machine with device=Device(topology=...)"
+        )
     return BatchJob(
         circuit=circuit_from_dict(payload["circuit"]),
         strategy=payload["strategy_key"],
         width_limit=payload.get("width_limit"),
         label=payload.get("label"),
-        pulse_backend=payload.get("pulse_backend"),
         device=(
             device_from_dict(payload["device"])
             if "device" in payload
-            else None
-        ),
-        topology=(
-            topology_from_dict(payload["topology"])
-            if "topology" in payload
             else None
         ),
     )

@@ -575,8 +575,10 @@ class CompileService(FramedServer):
         envelope = request.get("job")
         if not isinstance(envelope, dict):
             raise ServiceError("submit needs a job envelope under 'job'")
-        # Deserializing validates eagerly, so a malformed submission
-        # fails its submitter, not a worker thread minutes later.
+        # Deserializing validates every job field (BatchJob checks its
+        # own), so a malformed submission fails its submitter before it
+        # is keyed or queued, not a worker thread minutes later, and
+        # never strikes the breaker.
         signature = self.engine.result_key(batch_job_from_dict(envelope))
         allowed, retry_after = self.breaker.allow(signature)
         if not allowed:

@@ -5,7 +5,7 @@ import pytest
 from repro.benchmarks.grover import grover_sqrt_circuit
 from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
-from repro.compiler.batch import BatchCompiler, BatchJob, compile_batch
+from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.pipeline import compile_circuit
 from repro.compiler.strategies import CLS, CLS_AGGREGATION, ISA, all_strategies
 from repro.config import DeviceConfig
@@ -109,32 +109,63 @@ class TestWarmCache:
         )
 
 
-class TestJobCoercion:
-    def test_tuple_and_bare_circuit_jobs(self):
-        circuit = maxcut_qaoa_circuit(line_graph(4), name="line4")
-        report = compile_batch(
-            [circuit, (circuit, CLS), (circuit, CLS_AGGREGATION, 3)]
-        )
-        assert [r.strategy_key for r in report] == [
-            "isa",
-            "cls",
-            "cls+aggregation",
-        ]
+class TestJobShape:
+    """A batch job is a BatchJob, and each field is checked when built."""
 
-    def test_bad_jobs_rejected(self):
+    def test_only_batch_jobs_accepted(self):
         circuit = maxcut_qaoa_circuit(line_graph(4), name="line4")
         engine = BatchCompiler()
-        with pytest.raises(ConfigError):
-            engine.compile_batch([42])
-        with pytest.raises(ConfigError):
-            engine.compile_batch([(circuit, "isa")])
-        with pytest.raises(ConfigError):
-            engine.compile_batch([(circuit, ISA, 3, None)])
+        for not_a_job in (42, circuit, (circuit, "isa"), (circuit, ISA, 3)):
+            with pytest.raises(ConfigError, match="BatchJob"):
+                engine.compile_batch([not_a_job])
 
     def test_job_key_label(self):
         circuit = maxcut_qaoa_circuit(line_graph(4), name="line4")
         assert BatchJob(circuit=circuit, strategy=CLS).key == "line4/cls"
         assert BatchJob(circuit=circuit, label="custom").key == "custom"
+
+    def test_exactly_five_fields(self):
+        import dataclasses
+
+        assert [field.name for field in dataclasses.fields(BatchJob)] == [
+            "circuit",
+            "strategy",
+            "width_limit",
+            "label",
+            "device",
+        ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("circuit", "not a circuit"),
+            ("strategy", 7),
+            ("strategy", None),
+            ("strategy", "no-such-strategy"),
+            ("width_limit", "3"),
+            ("width_limit", 1.5),
+            ("width_limit", True),
+            ("width_limit", 0),
+            ("label", 5),
+        ],
+    )
+    def test_malformed_field_rejected(self, field, value):
+        fields = {"circuit": maxcut_qaoa_circuit(line_graph(4), name="line4")}
+        fields[field] = value
+        with pytest.raises(ConfigError, match=field):
+            BatchJob(**fields)
+
+    def test_valid_fields_kept(self):
+        job = BatchJob(
+            circuit=maxcut_qaoa_circuit(line_graph(4), name="line4"),
+            strategy="cls+aggregation",
+            width_limit=1,
+            label="w1",
+            device="line-4",
+        )
+        assert job.strategy is CLS_AGGREGATION
+        assert job.width_limit == 1
+        assert job.device.name == "line-4"
 
 
 class TestEngineBasics:

@@ -23,7 +23,7 @@ from repro.compiler.result_cache import ResultCache
 from repro.compiler.strategies import all_strategies
 from repro.device.device import Device
 from repro.device.topology import LineTopology, Topology
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MappingError
 from repro.ir import canonical_result_dict
 from repro.service.server import CompileService
 
@@ -105,7 +105,11 @@ class TestFailedJob:
             with lock:
                 started.add(context.circuit.name)
 
-        failing = BatchJob(circuit=ising_model_circuit(4, name="bad"), width_limit=0)
+        # Four qubits do not fit on a 3-qubit line: the job fails in its
+        # mapping pass.
+        failing = BatchJob(
+            circuit=ising_model_circuit(4, name="bad"), device="line-3"
+        )
         good = [
             BatchJob(
                 circuit=ising_model_circuit(
@@ -116,12 +120,12 @@ class TestFailedJob:
             for k in range(7)
         ]
         engine = BatchCompiler(max_workers=2, pass_callbacks=[record])
-        with pytest.raises(ConfigError, match="width_limit"):
+        with pytest.raises(MappingError, match="3 cells for 4"):
             engine.compile_batch([failing] + good)
         # One worker may pick up a good job while the other fails, and
         # the freed worker one more before the error reaches the caller;
         # a pool that ran its whole queue would start all seven.
-        assert len(started) <= 3
+        assert len(started - {"bad"}) <= 3
 
 
 class TestProcessPrewarm:

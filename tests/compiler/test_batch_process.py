@@ -5,8 +5,7 @@ import pytest
 from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler.batch import BatchCompiler, BatchJob
-from repro.compiler.passes import LowerPass
-from repro.compiler.strategies import all_strategies
+from repro.compiler.strategies import Strategy, all_strategies
 from repro.errors import ConfigError
 from repro.ir import canonical_result_dict
 
@@ -112,10 +111,18 @@ class TestProcessModeRejections:
                 pass_callbacks=[lambda *args: None],
             )
 
-    def test_explicit_pass_list_rejected(self):
+    def test_unregistered_strategy_rejected(self):
+        unregistered = Strategy(
+            key="process-unregistered",
+            description="never registered",
+            commutativity_detection=False,
+            cls_scheduling=False,
+            aggregation=False,
+            hand_optimization=False,
+        )
         job = BatchJob(
             circuit=maxcut_qaoa_circuit(line_graph(3), name="tiny"),
-            passes=(LowerPass(),),
+            strategy=unregistered,
         )
         engine = BatchCompiler(executor="process")
         with pytest.raises(ConfigError, match="cannot cross a process"):

@@ -30,6 +30,7 @@ from repro.compiler.passes import (
 )
 from repro.compiler.pipeline import compile_circuit, compile_with_pipeline
 from repro.compiler.result import CompilationResult
+from repro.compiler.result_cache import ResultCache
 from repro.compiler.strategies import (
     CLS_AGGREGATION,
     ISA,
@@ -434,25 +435,39 @@ class TestStrategyRegistration:
         assert report.results[0].strategy_key == "custom-counted"
         assert report.pass_seconds["_CountNodesPass"] >= 0.0
 
-    def test_job_level_pipeline_override(self, ocu):
-        circuit = ising_model_circuit(4)
-        engine = BatchCompiler()
-        custom = engine.compile_batch(
-            [
-                BatchJob(
-                    circuit=circuit,
-                    strategy=ISA,
-                    passes=(
-                        LowerPass(),
-                        LogicalSchedulePass(use_cls=False),
-                        PlaceAndRoutePass(),
-                        FinalSchedulePass(use_cls=False),
-                    ),
-                )
-            ]
+    def test_registered_pipeline_is_a_cacheable_job(self, ocu):
+        # A custom pipeline reaches a batch job by registration, and so
+        # gets a result key: it serializes, caches and crosses process
+        # and service boundaries like a built-in.
+        strategy = Strategy(
+            key="plain-isa",
+            description="ISA pipeline spelled out",
+            commutativity_detection=False,
+            cls_scheduling=False,
+            aggregation=False,
+            hand_optimization=False,
         )
-        reference = compile_circuit(circuit, ISA, ocu=ocu)
-        assert custom.results[0].latency_ns == reference.latency_ns
+        register_strategy(
+            strategy,
+            pipeline_factory=lambda s: [
+                LowerPass(),
+                LogicalSchedulePass(use_cls=False),
+                PlaceAndRoutePass(),
+                FinalSchedulePass(use_cls=False),
+            ],
+        )
+        try:
+            circuit = ising_model_circuit(4)
+            engine = BatchCompiler(result_cache=ResultCache())
+            job = BatchJob(circuit=circuit, strategy="plain-isa")
+            assert engine.result_key(job) is not None
+            report = engine.compile_batch([job, job])
+            assert report.result_cache["deduped"] == 1
+            reference = compile_circuit(circuit, ISA, ocu=ocu)
+            assert report.results[0].latency_ns == reference.latency_ns
+            assert report.results[0].strategy_key == "plain-isa"
+        finally:
+            unregister_strategy("plain-isa")
 
     def test_registry_listing_and_errors(self, custom_strategy):
         assert "custom-counted" in available_strategy_keys()
@@ -522,30 +537,6 @@ class TestStrategyRegistration:
         )
         reference = compile_circuit(circuit, CLS_AGGREGATION, ocu=ocu)
         assert explicit.latency_ns == reference.latency_ns
-
-    def test_job_pipeline_autodetects_pulse_pricing(self, ocu):
-        # Same trap through the batch engine's per-job passes override:
-        # the ISA-labeled job runs an aggregation pipeline and must be
-        # priced like one.
-        circuit = ising_model_circuit(4)
-        report = BatchCompiler().compile_batch(
-            [
-                BatchJob(
-                    circuit=circuit,
-                    strategy=ISA,
-                    passes=(
-                        LowerPass(),
-                        DetectDiagonalsPass(),
-                        LogicalSchedulePass(),
-                        PlaceAndRoutePass(),
-                        AggregatePass(),
-                        FinalSchedulePass(),
-                    ),
-                )
-            ]
-        )
-        reference = compile_circuit(circuit, CLS_AGGREGATION, ocu=ocu)
-        assert report.results[0].latency_ns == reference.latency_ns
 
     def test_flag_divergent_factory_priced_by_pipeline(self, ocu):
         # A registered factory may diverge from the strategy flags (the
@@ -628,34 +619,26 @@ class TestStrategyRegistration:
         finally:
             unregister_strategy("custom-backend")
 
-    def test_job_pulse_backend_override(self, ocu):
-        # A custom backend pass the auto-detection cannot see: the job
-        # can force single-pulse pricing explicitly.
+    def test_pipeline_pulse_backend_override(self, ocu):
+        # The one-off explicit-pipeline API can force the block pricing
+        # the auto-detection would pick (for a custom backend pass it
+        # cannot see).
         circuit = ising_model_circuit(4)
-        pipeline = (
+        pipeline = [
             LowerPass(),
             DetectDiagonalsPass(),
             LogicalSchedulePass(),
             PlaceAndRoutePass(),
             AggregatePass(),
             FinalSchedulePass(),
+        ]
+        forced_off = compile_with_pipeline(
+            circuit, pipeline, pulse_backend=False, ocu=ocu
         )
-        forced_off = BatchCompiler().compile_batch(
-            [
-                BatchJob(
-                    circuit=circuit,
-                    strategy=ISA,
-                    passes=pipeline,
-                    pulse_backend=False,
-                )
-            ]
-        )
-        auto = BatchCompiler().compile_batch(
-            [BatchJob(circuit=circuit, strategy=ISA, passes=pipeline)]
-        )
+        auto = compile_with_pipeline(circuit, list(pipeline), ocu=ocu)
         # Detection-only pricing sums member gates, so forcing the
         # backend off yields a strictly slower (or equal) makespan.
-        assert forced_off.results[0].latency_ns >= auto.results[0].latency_ns
+        assert forced_off.latency_ns >= auto.latency_ns
 
     def test_key_collision_with_registered_strategy_rejected(
         self, custom_strategy

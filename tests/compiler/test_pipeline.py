@@ -15,6 +15,7 @@ from repro.compiler.strategies import (
     all_strategies,
 )
 from repro.control.unit import OptimalControlUnit
+from repro.device.device import Device
 from repro.device.topology import LineTopology
 
 
@@ -75,12 +76,34 @@ class TestPipelineBasics:
         circuit = Circuit(6, name="nonlocal")
         circuit.cnot(0, 5).cnot(1, 4).cnot(2, 3)
         topology = LineTopology(6)
-        result = compile_circuit(circuit, ISA, ocu=ocu, topology=topology)
+        result = compile_circuit(
+            circuit, ISA, ocu=ocu, device=Device(topology=topology)
+        )
         for operation in result.schedule:
             qubits = sorted(set(operation.node.qubits))
             if len(qubits) == 2:
                 assert topology.are_adjacent(*qubits)
         assert result.swap_count > 0
+
+    def test_machine_is_named_by_device_alone(self):
+        import inspect
+
+        import repro.compiler as compiler
+        from repro.compiler.batch import BatchCompiler
+        from repro.compiler.context import CompilationContext
+        from repro.compiler.pipeline import compile_with_pipeline
+
+        for entry in (
+            compile_circuit,
+            compile_with_pipeline,
+            CompilationContext.create,
+            BatchCompiler.compile,
+        ):
+            parameters = inspect.signature(entry).parameters
+            assert "device" in parameters
+            assert "topology" not in parameters, entry.__qualname__
+        # A batch is compiled by an engine, never a throwaway wrapper.
+        assert not hasattr(compiler, "compile_batch")
 
     def test_toffoli_gets_lowered(self, ocu):
         circuit = Circuit(3, name="tof").toffoli(0, 1, 2)

@@ -1,5 +1,6 @@
 """Tests for the content-addressed compiled-result cache."""
 
+import dataclasses
 import json
 
 import pytest
@@ -34,6 +35,13 @@ def _circuit(name="rc", nodes=4):
 
 def _job(name="rc", nodes=4, strategy="cls"):
     return BatchJob(circuit=_circuit(name, nodes), strategy=strategy)
+
+
+#: CLS under a key that was never registered: its envelope cannot name
+#: it, so a job under it has no result key.
+UNREGISTERED = dataclasses.replace(
+    CLS, key="rc-unregistered", description="never registered"
+)
 
 
 class TestKeying:
@@ -97,8 +105,8 @@ class TestKeying:
         assert engine.result_key(rebuilt) == engine.result_key(job)
 
     def test_uncacheable_job_has_no_key(self):
-        explicit = BatchJob(circuit=_circuit(), passes=tuple(CLS.pipeline()))
-        assert BatchCompiler().result_key(explicit) is None
+        unregistered = BatchJob(circuit=_circuit(), strategy=UNREGISTERED)
+        assert BatchCompiler().result_key(unregistered) is None
 
     def test_engine_component_memo_is_keyed_by_device_value(self):
         """Every deserialization builds a fresh Device; an identity-keyed
@@ -336,13 +344,15 @@ class TestBatchIntegration:
 
     def test_uncacheable_jobs_still_compile(self):
         engine = BatchCompiler(result_cache=ResultCache())
-        explicit = BatchJob(
-            circuit=_circuit(), passes=tuple(CLS.pipeline())
-        )
-        report = engine.compile_batch([explicit, explicit])
+        unregistered = BatchJob(circuit=_circuit(), strategy=UNREGISTERED)
+        report = engine.compile_batch([unregistered, unregistered])
         assert report.result_cache["uncacheable"] == 2
         assert report.result_cache["compiled"] == 2
         assert len(report) == 2
+        # Same flags as CLS, so the same schedule under its own label.
+        reference = compile_circuit(_circuit(), CLS)
+        assert report[0].strategy_key == "rc-unregistered"
+        assert report[0].latency_ns == reference.latency_ns
 
     def test_run_job_single_serves_from_the_store(self):
         engine = BatchCompiler(result_cache=ResultCache())

@@ -56,6 +56,31 @@ class TestModelBackend:
             OptimalControlUnit(backend="quantum_magic")
 
 
+class TestGrapeTimeStep:
+    """The GRAPE time step has one spelling: ``CompilerConfig.grape_dt_ns``."""
+
+    def test_read_from_the_compiler_config(self):
+        from repro.config import CompilerConfig
+
+        default = OptimalControlUnit()
+        fine = OptimalControlUnit(compiler=CompilerConfig(grape_dt_ns=0.25))
+        assert default.grape_dt == CompilerConfig().grape_dt_ns
+        assert fine.grape_dt == 0.25
+        # Pulses on another step grid never share cache entries.
+        assert fine.fingerprint != default.fingerprint
+
+    def test_engine_units_inherit_it(self):
+        from repro.compiler.batch import BatchCompiler
+        from repro.config import CompilerConfig
+
+        engine = BatchCompiler(compiler_config=CompilerConfig(grape_dt_ns=0.25))
+        assert engine.make_ocu().grape_dt == 0.25
+        with pytest.raises(TypeError):
+            BatchCompiler(grape_dt=0.25)
+        with pytest.raises(TypeError):
+            OptimalControlUnit(grape_dt=0.25)
+
+
 class TestSignature:
     def test_same_structure_same_signature(self):
         a = _signature_of(lib.CNOT(0, 1))

@@ -127,38 +127,38 @@ class TestSignature:
 
 class TestCoerceDevice:
     def test_none_yields_default_config_and_no_device(self):
-        device, config, topology = coerce_device(None)
-        assert device is None and topology is None
+        device, config = coerce_device(None)
+        assert device is None
         assert config == DeviceConfig()
 
-    def test_bare_topology_wraps_into_default_device(self):
-        line = LineTopology(3)
-        device, config, topology = coerce_device(None, line)
-        assert topology is line
-        assert device.topology is line
-        assert device.config == config == DeviceConfig()
-
-    def test_config_plus_topology(self):
+    def test_bare_config_leaves_the_topology_open(self):
         custom = DeviceConfig(coupling_limit_ghz=0.04)
-        device, config, _ = coerce_device(custom, LineTopology(2))
-        assert device.config is custom and config is custom
+        device, config = coerce_device(custom)
+        assert device is None and config is custom
 
     def test_full_device_passthrough(self):
         original = Device(topology=RingTopology(4), name="ring-4")
-        device, config, topology = coerce_device(original)
+        device, config = coerce_device(original)
         assert device is original
-        assert topology is original.topology
         assert config is original.config
 
-    def test_device_plus_foreign_topology_rejected(self):
-        with pytest.raises(ConfigError, match="not both"):
-            coerce_device(Device(topology=RingTopology(4)), LineTopology(4))
+    def test_bare_graph_is_a_default_physics_device(self):
+        line = LineTopology(3)
+        device, config = coerce_device(Device(topology=line))
+        assert device.topology is line
+        assert config == DeviceConfig()
+
+    def test_no_topology_argument(self):
+        with pytest.raises(TypeError):
+            coerce_device(None, LineTopology(3))
 
     def test_preset_key_resolves(self):
-        device, _, _ = coerce_device("ring-6")
+        device, _ = coerce_device("ring-6")
         assert device.name == "ring-6"
         assert device.num_qubits == 6
 
     def test_garbage_rejected(self):
         with pytest.raises(ConfigError):
             coerce_device(42)
+        with pytest.raises(ConfigError):
+            coerce_device(LineTopology(3))

@@ -339,14 +339,6 @@ class TestDeviceThreadedCompilation:
         result = compile_circuit(circuit, CLS_AGGREGATION, device="all-to-all-9")
         assert result.swap_count == 0
 
-    def test_job_rejects_device_and_topology_together(self):
-        with pytest.raises(ConfigError, match="not both"):
-            BatchJob(
-                circuit=ising_model_circuit(4),
-                device="ring-6",
-                topology=LineTopology(6),
-            )
-
     def test_engine_level_device_key(self):
         engine = BatchCompiler(device="ring-6", max_workers=1)
         circuit = ising_model_circuit(6)
@@ -369,26 +361,21 @@ class TestDeviceThreadedCompilation:
                 device="line-3",
             )
 
-    def test_job_topology_overrides_engine_device(self):
-        # A job-level bare topology replaces the engine's default
-        # machine (keeping its physics) instead of crashing on a
-        # device-plus-topology conflict the caller never created.
+    def test_job_device_overrides_engine_device(self):
+        # A job-level device, a bare coupling graph included, replaces
+        # the engine's default machine.
         engine = BatchCompiler(device="ring-6", max_workers=1)
         circuit = ising_model_circuit(4)
-        direct = engine.compile(
-            circuit, CLS_AGGREGATION, topology=LineTopology(4)
-        )
+        line = Device(topology=LineTopology(4))
+        direct = engine.compile(circuit, CLS_AGGREGATION, device=line)
         assert direct.physical_qubits == 4
         report = engine.compile_batch(
-            [
-                BatchJob(
-                    circuit=circuit,
-                    strategy=CLS_AGGREGATION,
-                    topology=LineTopology(4),
-                )
-            ]
+            [BatchJob(circuit=circuit, strategy=CLS_AGGREGATION, device=line)]
         )
         _assert_bit_identical(report.results[0], direct)
+        _assert_bit_identical(
+            direct, compile_circuit(circuit, CLS_AGGREGATION, device=line)
+        )
 
     def test_per_qubit_decoherence_overrides_survival(self):
         circuit = ising_model_circuit(4)

@@ -1,5 +1,6 @@
 """Tests for the experiment runner CLI."""
 
+import json
 import os
 
 import pytest
@@ -46,6 +47,29 @@ class TestCli:
     def test_bad_choice_rejected(self):
         with pytest.raises(SystemExit):
             main(["--experiment", "nope"])
+
+    def test_cache_flags_match_the_service_and_cache_server(self, tmp_path):
+        # --shards and --max-bytes, the names `python -m repro.service`
+        # and `python -m repro.control.cache_server` use.
+        directory = tmp_path / "cache"
+        exit_code = main([
+            "--experiment", "table1", "--scale", "small",
+            "--cache", str(directory),
+            "--shards", "3",
+            "--max-bytes", "50000000",
+        ])
+        assert exit_code == 0
+        manifest = json.loads((directory / "sharding.json").read_text())
+        assert manifest["shards"] == 3
+        # The byte budget reaches the store, which refuses a zero one.
+        with pytest.raises(ValueError, match="max_bytes"):
+            main([
+                "--experiment", "table1", "--scale", "small",
+                "--cache", str(directory), "--max-bytes", "0",
+            ])
+        for old_flag in ("--cache-shards", "--cache-max-bytes"):
+            with pytest.raises(SystemExit):
+                main(["--experiment", "table1", old_flag, "3"])
 
 
 class TestArtifacts:

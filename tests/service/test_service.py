@@ -106,6 +106,44 @@ class TestRoundTrip:
             assert client.ping() == SERVICE_FORMAT
 
 
+class TestEagerValidation:
+    """A malformed job is refused at submit: it is never keyed, queued
+    or run, so it cannot fail in a worker and strike the breaker."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width_limit", "3"),
+            ("width_limit", 1.5),
+            ("width_limit", True),
+            ("strategy_key", 7),
+            ("label", 5),
+        ],
+    )
+    def test_malformed_field_refused_at_submit(self, field, value):
+        from repro.ir.serialize import batch_job_to_dict
+
+        envelope = batch_job_to_dict(BatchJob(circuit=_circuit()))
+        envelope[field] = value
+        with CompileService(
+            workers=1, breaker_threshold=2, breaker_cooldown=300.0
+        ) as service:
+            with ServiceClient(service.url) as client:
+                # More submissions than the breaker threshold: none is
+                # quarantined, each is refused for what it is.
+                for _ in range(3):
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.submit_job(envelope)
+                    assert not isinstance(excinfo.value, ServiceBusyError)
+                    assert "ConfigError" in str(excinfo.value)
+                stats = client.stats()
+                assert client.jobs() == []
+        assert stats["failed"] == 0
+        assert stats["rejected_quarantined"] == 0
+        assert stats["breaker"]["tripped"] == 0
+        assert stats["breaker"]["tracked_signatures"] == 0
+
+
 class TestBackpressure:
     def test_full_queue_rejects_with_retry_after(self):
         with CompileService(workers=0, queue_limit=2) as service:
@@ -398,6 +436,49 @@ class TestRestart:
             with ServiceClient(reborn.url) as client:
                 with pytest.raises(ServiceError, match="since-unregistered"):
                     client.wait(job_id, timeout=120)
+
+    def test_old_envelope_replays_under_its_current_key(self, tmp_path):
+        """A journal line written before jobs had one spelling per
+        setting (``"pulse_backend": null``) resumes as the same job."""
+        from repro.ir.serialize import batch_job_to_dict
+
+        journal_dir = str(tmp_path / "journal")
+        job = BatchJob(circuit=_circuit("old"), strategy="cls")
+        old = {**batch_job_to_dict(job), "pulse_backend": None}
+        with CompileService(workers=0, journal=journal_dir) as service:
+            with ServiceClient(service.url) as client:
+                job_id = client.submit_job(old)
+        with CompileService(workers=1, journal=journal_dir) as reborn:
+            assert reborn.resumed == 1
+            with ServiceClient(reborn.url) as client:
+                result = client.wait(job_id, timeout=120)
+                status = client.status(job_id)
+            assert status["signature"] == reborn.engine.result_key(job)
+        assert result.strategy_key == "cls"
+
+    def test_journaled_bare_topology_fails_instead_of_compiling(
+        self, tmp_path
+    ):
+        """A journaled envelope naming a bare topology is not silently
+        compiled on the engine's default machine: the job fails."""
+        from repro.device.topology import LineTopology
+        from repro.ir.serialize import topology_to_dict
+
+        journal_dir = tmp_path / "journal"
+        with CompileService(workers=0, journal=str(journal_dir)) as service:
+            with ServiceClient(service.url) as client:
+                job_id = client.submit(_circuit("bare", nodes=3))
+        log = journal_dir / "journal.jsonl"
+        header, first, *rest = log.read_text().splitlines()
+        entry = json.loads(first)
+        entry["job"]["topology"] = topology_to_dict(LineTopology(3))
+        log.write_text("\n".join([header, json.dumps(entry), *rest]) + "\n")
+
+        with CompileService(workers=1, journal=str(journal_dir)) as reborn:
+            with ServiceClient(reborn.url) as client:
+                with pytest.raises(ServiceError, match="Device"):
+                    client.wait(job_id, timeout=120)
+                assert client.stats()["completed"] == 0
 
     def test_restart_on_another_device_never_serves_stale_results(
         self, tmp_path

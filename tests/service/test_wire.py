@@ -54,13 +54,55 @@ class TestJobEnvelope:
         assert rebuilt.device is not None
         assert rebuilt.device.num_qubits == 5
 
-    def test_explicit_passes_rejected(self):
-        job = BatchJob(
-            circuit=_circuit(),
-            passes=tuple(BatchJob(circuit=_circuit()).pipeline()),
+    def test_envelope_names_only_the_five_fields(self):
+        payload = batch_job_to_dict(
+            BatchJob(circuit=_circuit(), device="line-5")
         )
-        with pytest.raises(SerializationError, match="passes"):
-            batch_job_to_dict(job)
+        assert set(payload) == {
+            "format",
+            "kind",
+            "circuit",
+            "strategy_key",
+            "width_limit",
+            "label",
+            "device",
+        }
+
+    # Envelopes from before jobs had one spelling per setting: journals
+    # and old clients must replay as the same job or fail loudly, never
+    # silently compile a different one.
+
+    def test_old_null_pulse_backend_loads_as_the_same_job(self):
+        from repro.compiler.batch import BatchCompiler
+
+        job = BatchJob(circuit=_circuit(), strategy="cls", width_limit=3)
+        old = {**batch_job_to_dict(job), "pulse_backend": None}
+        rebuilt = batch_job_from_dict(json.loads(json.dumps(old)))
+        assert batch_job_to_dict(rebuilt) == batch_job_to_dict(job)
+        engine = BatchCompiler()
+        assert engine.result_key(rebuilt) == engine.result_key(job)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_old_pulse_backend_override_rejected(self, value):
+        old = {
+            **batch_job_to_dict(BatchJob(circuit=_circuit())),
+            "pulse_backend": value,
+        }
+        with pytest.raises(SerializationError, match="register_strategy"):
+            batch_job_from_dict(old)
+
+    def test_old_bare_topology_rejected(self):
+        from repro.device.topology import LineTopology
+        from repro.ir.serialize import topology_to_dict
+
+        old = {
+            **batch_job_to_dict(BatchJob(circuit=_circuit())),
+            "topology": topology_to_dict(LineTopology(4)),
+        }
+        with pytest.raises(
+            SerializationError, match=r"device=Device\(topology=\.\.\.\)"
+        ):
+            batch_job_from_dict(old)
 
     def test_unregistered_strategy_rejected(self):
         unregistered = Strategy(
