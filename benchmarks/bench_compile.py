@@ -3,7 +3,7 @@
 Runs the standard strategy sweep twice against one engine — the first
 pass warms the pulse/latency cache, the second is the *warm path* every
 resident deployment (compile service, shared-cache fleet) lives on —
-and aggregates :attr:`BatchReport.pass_seconds` into a per-pass table.
+and prints :attr:`BatchReport.pass_seconds` as a per-pass table.
 
 This is the measurement behind the hot-path optimization work: the
 aggregation search (candidate enumeration, monotonicity checks, GDG
@@ -15,25 +15,12 @@ is the quickest way to re-profile after touching a pass.
 
 import time
 
-from repro.compiler.batch import BatchCompiler
+from repro.compiler.batch import BatchCompiler, format_pass_table
 from repro.control.cache import PulseCache
 
 
 def _pass_table(report, wall: float) -> str:
-    totals = sorted(
-        report.pass_seconds.items(), key=lambda item: item[1], reverse=True
-    )
-    accounted = sum(value for _, value in totals)
-    width = max((len(name) for name, _ in totals), default=4)
-    lines = [f"{'pass':<{width}}  seconds  share"]
-    for name, value in totals:
-        share = value / accounted if accounted else 0.0
-        lines.append(f"{name:<{width}}  {value:7.3f}  {share:5.1%}")
-    lines.append(
-        f"{'(total in passes)':<{width}}  {accounted:7.3f}  "
-        f"of {wall:.3f}s wall"
-    )
-    return "\n".join(lines)
+    return f"{format_pass_table(report.pass_seconds)}  of {wall:.3f}s wall"
 
 
 def test_warm_path_pass_profile(sweep_jobs, capsys):

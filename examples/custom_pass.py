@@ -30,6 +30,7 @@ from repro.compiler import (
     PlaceAndRoutePass,
     Strategy,
     compile_circuit,
+    format_pass_table,
     register_strategy,
 )
 
@@ -144,10 +145,7 @@ def main() -> int:
         f"({cancelled[0]} redundant gates removed)"
     )
     print("per-pass seconds over the batch:")
-    for name, seconds in sorted(
-        report.pass_seconds.items(), key=lambda item: -item[1]
-    ):
-        print(f"  {name:24s} {seconds:8.4f}s")
+    print(format_pass_table(report.pass_seconds))
 
     if cancelled[0] == 0 or peephole.latency_ns > baseline.latency_ns + 1e-6:
         print("FAIL: the peephole should remove gates and not regress latency")

@@ -91,7 +91,6 @@ class PipelineVerifier:
 class VerifierPass(Pass):
     """Run one full IR-invariant sweep at this point of the pipeline."""
 
-    stage = "verification"
     requires: tuple[str, ...] = ()
     produces: tuple[str, ...] = ()
     preserves_gates = True

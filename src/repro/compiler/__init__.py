@@ -1,6 +1,11 @@
 """Pass-manager compilation core, batch engine and the strategy set."""
 
-from repro.compiler.batch import BatchCompiler, BatchJob, BatchReport
+from repro.compiler.batch import (
+    BatchCompiler,
+    BatchJob,
+    BatchReport,
+    format_pass_table,
+)
 from repro.compiler.context import CompilationContext
 from repro.compiler.manager import PassManager
 from repro.compiler.passes import (
@@ -57,6 +62,7 @@ __all__ = [
     "compile_circuit",
     "compile_with_pipeline",
     "default_pipeline",
+    "format_pass_table",
     "register_strategy",
     "registered_strategies",
     "strategy_by_key",

@@ -70,6 +70,7 @@ import dataclasses
 import functools
 import json
 import os
+import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -212,6 +213,12 @@ class BatchReport:
     ``stores`` (fresh results written back), ``uncacheable`` (jobs whose
     envelope cannot serialize — unregistered strategies — always
     compiled), ``compiled`` (jobs that actually ran the pipeline)."""
+    pass_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
+    """Wall-clock per compiler pass, summed over the jobs this batch
+    compiled.  Jobs served from the result cache and in-batch duplicates
+    add nothing (their results carry the one compile's
+    ``pass_seconds``), and neither do the process executor's pre-warm
+    dry-runs, whose results are discarded."""
 
     def __len__(self) -> int:
         return len(self.results)
@@ -226,19 +233,21 @@ class BatchReport:
         """Sum of all result makespans (batch-level throughput metric)."""
         return sum(result.latency_ns for result in self.results)
 
-    @property
-    def pass_seconds(self) -> dict[str, float]:
-        """Wall-clock per compiler pass summed over all jobs.
 
-        The batch-level view of the per-pass instrumentation: where the
-        whole sweep's compile time went, keyed by pass name.  A property
-        so it reads like ``CompilationResult.pass_seconds``.
-        """
-        totals: dict[str, float] = {}
-        for result in self.results:
-            for name, value in result.pass_seconds.items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
+def format_pass_table(pass_seconds: dict[str, float]) -> str:
+    """Per-pass wall-clock as a printable table, most expensive first."""
+    if not pass_seconds:
+        return "pass profile: no compilations ran"
+    accounted = sum(pass_seconds.values())
+    width = max(len(name) for name in pass_seconds)
+    lines = [f"{'pass':<{width}}  seconds  share"]
+    for name, value in sorted(
+        pass_seconds.items(), key=lambda item: item[1], reverse=True
+    ):
+        share = value / accounted if accounted else 0.0
+        lines.append(f"{name:<{width}}  {value:7.3f}  {share:5.1%}")
+    lines.append(f"{'total':<{width}}  {accounted:7.3f}")
+    return "\n".join(lines)
 
 
 class BatchCompiler:
@@ -360,6 +369,12 @@ class BatchCompiler:
         self.lifetime_info: dict[str, float] = dict.fromkeys(
             COUNTER_KEYS + ("prewarm_synthesized",), 0
         )
+        #: Wall-clock per compiler pass summed over every compilation
+        #: this engine ran, batch jobs and :meth:`run_job` misses alike
+        #: (the per-batch view is ``BatchReport.pass_seconds``).
+        self.lifetime_pass_seconds: dict[str, float] = {}
+        # Service workers call run_job concurrently.
+        self._lifetime_lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
@@ -493,9 +508,11 @@ class BatchCompiler:
             # threads share one store and single-flight every miss.
             prewarm_stats = self._prewarm_batch(to_compile, workers, counters)
         outcomes = self._map_jobs(to_compile, workers)
+        pass_seconds: dict[str, float] = {}
         for (index, _), (result, elapsed, used) in zip(pending, outcomes):
             results[index], seconds[index] = result, elapsed
             _add_counters(counters, used)
+            _add_seconds(pass_seconds, result.pass_seconds)
         if self.result_cache is not None:
             for index, key in result_keys.items():
                 if results[index] is not None:
@@ -514,11 +531,11 @@ class BatchCompiler:
                         result_to_dict(results[primary], include_source=True)
                     )
                     seconds[index] = 0.0
-        _add_counters(self.lifetime_info, counters)
-        if prewarm_stats is not None:
-            self.lifetime_info["prewarm_synthesized"] += prewarm_stats[
-                "synthesized"
-            ]
+        self._bill(
+            counters,
+            pass_seconds,
+            prewarm_stats["synthesized"] if prewarm_stats is not None else 0,
+        )
         return BatchReport(
             results=results,
             seconds=seconds,
@@ -528,7 +545,18 @@ class BatchCompiler:
             executor=self.executor,
             prewarm=prewarm_stats,
             result_cache=result_stats,
+            pass_seconds=pass_seconds,
         )
+
+    def _bill(
+        self, counters: dict, pass_seconds: dict, synthesized: int = 0
+    ) -> None:
+        """Fold compiled work into :attr:`lifetime_info` and
+        :attr:`lifetime_pass_seconds`."""
+        with self._lifetime_lock:
+            _add_counters(self.lifetime_info, counters)
+            self.lifetime_info["prewarm_synthesized"] += synthesized
+            _add_seconds(self.lifetime_pass_seconds, pass_seconds)
 
     def _fresh_result_stats(self) -> dict | None:
         """Zeroed per-batch result-cache stats, or None without a cache."""
@@ -639,10 +667,11 @@ class BatchCompiler:
     ) -> tuple[CompilationResult, float, dict[str, int]]:
         """Compile one job now, on the calling thread; the service entry.
 
-        Like :meth:`compile_batch` it folds the job's counters into
-        :attr:`lifetime_info`, so a long-running front door (the compile
-        service) reads its cumulative optimal-control bill the same way
-        sweep drivers do.
+        Like :meth:`compile_batch` it folds a compiled job's counters and
+        pass time into :attr:`lifetime_info` and
+        :attr:`lifetime_pass_seconds`, so a long-running front door (the
+        compile service) reads its cumulative bill the same way sweep
+        drivers do; a result-cache hit adds nothing.
 
         Returns:
             ``(result, seconds, counters)`` — the compiled result, its
@@ -665,7 +694,7 @@ class BatchCompiler:
         )
         if cache_key is not None:
             self.result_cache.put(cache_key, result)
-        _add_counters(self.lifetime_info, used)
+        self._bill(used, result.pass_seconds)
         return result, seconds, used
 
     def _worker_count(self, units: int) -> int:
@@ -870,6 +899,12 @@ def _add_counters(total: dict, used: dict) -> None:
     """Fold one unit of work's :data:`COUNTER_KEYS` into ``total``."""
     for key in COUNTER_KEYS:
         total[key] += used[key]
+
+
+def _add_seconds(total: dict[str, float], seconds: dict[str, float]) -> None:
+    """Fold per-pass wall-clock into ``total``."""
+    for name, value in seconds.items():
+        total[name] = total.get(name, 0.0) + value
 
 
 def _thread_map(function: Callable, items: list, workers: int) -> list:

@@ -38,29 +38,6 @@ from repro.errors import ConfigError, PassOrderingError
 from repro.mapping.router import RoutingResult
 from repro.scheduling.schedule import Schedule
 
-STAGES = (
-    "lowering",
-    "detection",
-    "logical_scheduling",
-    "mapping",
-    "backend",
-    "final_scheduling",
-)
-"""Canonical stage keys of ``CompilationResult.stage_seconds``.
-
-Every context starts with all six at 0.0 so results keep the same key
-set regardless of which passes a pipeline actually runs.  The built-in
-passes accrue into these six; a custom pass may declare any other
-``stage`` name, which *extends* the key set for that result (stage
-names are not validated — a misspelled stage lands under the misspelled
-key rather than raising).
-"""
-
-
-def _zero_stages() -> dict[str, float]:
-    return dict.fromkeys(STAGES, 0.0)
-
-
 @dataclasses.dataclass
 class CompilationContext:
     """Everything one compilation carries between passes.
@@ -108,9 +85,6 @@ class CompilationContext:
     aggregation_merges: int = 0
 
     # Instrumentation ----------------------------------------------------
-    stage_seconds: dict[str, float] = dataclasses.field(
-        default_factory=_zero_stages
-    )
     pass_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
     """Wall-clock per pass name (accumulated when a name repeats)."""
     metrics: dict[str, dict[str, Any]] = dataclasses.field(
@@ -254,10 +228,9 @@ class CompilationContext:
         Hand optimization invalidates it (it rewrites the node list);
         aggregation and final scheduling share one instance so merges
         executed by the aggregator are what the scheduler sees.  Build
-        time accrues to whichever pass triggers construction — the
-        ``backend`` stage for aggregating pipelines, ``final_scheduling``
-        otherwise (the pre-refactor monolith always charged it to
-        ``backend``; only the attribution moved, never the work).
+        time accrues to whichever pass triggers construction:
+        ``AggregatePass`` in aggregating pipelines, ``FinalSchedulePass``
+        otherwise.
         """
         if self.physical_dag is None:
             nodes = self.require(
@@ -309,7 +282,6 @@ class CompilationContext:
             swap_count=routing.swap_count,
             lowered_gate_count=self.lowered_gate_count or 0,
             aggregation_merges=self.aggregation_merges,
-            stage_seconds=dict(self.stage_seconds),
             final_mapping=routing.placement.as_dict(),
             initial_mapping=routing.initial_placement.as_dict(),
             pass_seconds=dict(self.pass_seconds),

@@ -2,10 +2,9 @@
 
 A :class:`PassManager` holds an ordered pass list and threads one
 :class:`~repro.compiler.context.CompilationContext` through it.  For
-every pass it records wall-clock twice — under the pass's name in
-``context.pass_seconds`` and under the pass's ``stage`` key in
-``context.stage_seconds`` (the keys `compile_circuit` has always
-reported) — and invokes any registered callbacks, qiskit-style, with
+every pass it records wall-clock under the pass's name in
+``context.pass_seconds`` — a result's one record of where its compile
+time went — and invokes any registered callbacks, qiskit-style, with
 ``(pass_, context, elapsed_seconds)``.
 
 Failures keep their type when they are library errors
@@ -111,10 +110,6 @@ class PassManager:
             context.pass_seconds[pass_.name] = (
                 context.pass_seconds.get(pass_.name, 0.0) + elapsed
             )
-            if pass_.stage is not None:
-                context.stage_seconds[pass_.stage] = (
-                    context.stage_seconds.get(pass_.stage, 0.0) + elapsed
-                )
             for callback in self._callbacks:
                 try:
                     callback(pass_, context, elapsed)

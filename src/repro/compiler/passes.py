@@ -48,9 +48,6 @@ class Pass(abc.ABC):
     """One rewriting step over a :class:`CompilationContext`.
 
     Attributes:
-        stage: ``CompilationResult.stage_seconds`` key this pass's
-            wall-clock accrues to, or None to record only under the pass
-            name in ``pass_seconds``.
         requires: Context fields this pass reads; an earlier pass (or
             context creation) must have produced them.  The static
             contract analyzer (:mod:`repro.analysis.contracts`) checks
@@ -64,7 +61,6 @@ class Pass(abc.ABC):
             across passes that declare this.
     """
 
-    stage: str | None = None
     requires: tuple[str, ...] = ()
     produces: tuple[str, ...] = ()
     preserves_gates: bool = False
@@ -85,7 +81,6 @@ class Pass(abc.ABC):
 class LowerPass(Pass):
     """Decompose every gate to the standard logical set."""
 
-    stage = "lowering"
     produces = ("nodes", "lowered_gate_count")
 
     def run(self, context: CompilationContext) -> None:
@@ -109,7 +104,6 @@ class LowerPass(Pass):
 class DetectDiagonalsPass(Pass):
     """Contract runs of gates forming diagonal 2-qubit blocks."""
 
-    stage = "detection"
     requires = ("nodes",)
     produces = ("nodes",)
     preserves_gates = True
@@ -129,7 +123,6 @@ class DetectDiagonalsPass(Pass):
 class LogicalSchedulePass(Pass):
     """Order the logical nodes: CLS reordering or stable program order."""
 
-    stage = "logical_scheduling"
     requires = ("nodes",)
     produces = ("nodes", "logical_dag")
     preserves_gates = True
@@ -159,7 +152,6 @@ class PlaceAndRoutePass(Pass):
     with the context's physics.
     """
 
-    stage = "mapping"
     requires = ("nodes",)
     produces = ("device", "topology", "routing", "physical_nodes")
 
@@ -182,7 +174,6 @@ class PlaceAndRoutePass(Pass):
 class HandOptimizePass(Pass):
     """Rewrite routed nodes with the documented iSWAP pulse identities."""
 
-    stage = "backend"
     requires = ("physical_nodes",)
     produces = ("physical_nodes",)
 
@@ -208,7 +199,6 @@ class AggregatePass(Pass):
     ``CompilerConfig.max_aggregation_rounds``.
     """
 
-    stage = "backend"
     requires = ("physical_nodes", "topology")
     preserves_gates = True
 
@@ -242,7 +232,6 @@ def pipeline_prices_pulses(passes) -> bool:
 class FinalSchedulePass(Pass):
     """Produce the final physical schedule (CLS or list scheduling)."""
 
-    stage = "final_scheduling"
     requires = ("physical_nodes", "topology")
     produces = ("schedule",)
     preserves_gates = True

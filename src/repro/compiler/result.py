@@ -24,7 +24,6 @@ class CompilationResult:
         swap_count: SWAPs inserted by routing.
         lowered_gate_count: Gates after decomposition to the standard set.
         aggregation_merges: Merges executed (0 when aggregation is off).
-        stage_seconds: Wall-clock per pipeline stage.
     """
 
     strategy_key: str
@@ -36,13 +35,13 @@ class CompilationResult:
     swap_count: int
     lowered_gate_count: int
     aggregation_merges: int
-    stage_seconds: dict[str, float]
     final_mapping: dict[int, int] = dataclasses.field(default_factory=dict)
     """Where routing left each logical qubit (logical -> physical)."""
     initial_mapping: dict[int, int] = dataclasses.field(default_factory=dict)
     """Where placement put each logical qubit before routing."""
     pass_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
-    """Wall-clock per compiler pass (finer-grained than stage_seconds)."""
+    """Wall-clock seconds per compiler pass, keyed by pass name: the
+    result's one record of where its compile time went."""
     device_name: str | None = None
     """Name of the compilation target (preset key or custom Device name;
     None for anonymous devices, including the auto-sized paper grid)."""

@@ -309,8 +309,8 @@ class DiskResultCache(ResultCache):
             while :meth:`put` additionally trims the directory (oldest
             modification time first) under an advisory file lock.
 
-    Existing entry files warm the resident set at construction; entries
-    also load lazily on demand.
+    Construction reads no entry file: each entry loads on its first
+    lookup, so reopening a directory costs nothing per stored result.
     """
 
     _LOCK_NAME = ".result-cache.lock"
@@ -323,33 +323,9 @@ class DiskResultCache(ResultCache):
         super().__init__(max_bytes=max_bytes)
         self.directory = os.fspath(directory)
         self.disk_hits = 0
-        self.loaded_entries = self.load()
 
     def _entry_path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
-
-    def load(self) -> int:
-        """Warm the resident set from disk; returns entries read.
-
-        Unreadable or foreign files are skipped — a miss recompiles,
-        which is always safe.
-        """
-        if not os.path.isdir(self.directory):
-            return 0
-        read = 0
-        for name in sorted(os.listdir(self.directory)):
-            if not name.endswith(".json") or name.startswith("."):
-                continue
-            key = name[: -len(".json")]
-            with self._lock:
-                if key in self._entries:
-                    continue
-            payload = self._read_file(key)
-            if payload is None:
-                continue
-            self._insert(key, payload, count_store=False)
-            read += 1
-        return read
 
     def _read_file(self, key: str) -> bytes | None:
         from repro.ir.serialize import result_from_dict
@@ -427,5 +403,4 @@ class DiskResultCache(ResultCache):
         stats = super().stats()
         with self._lock:
             stats["disk_hits"] = self.disk_hits
-            stats["loaded_entries"] = self.loaded_entries
         return stats

@@ -50,11 +50,10 @@ import argparse
 import dataclasses
 import os
 import sys
-import threading
 import time
 from collections import defaultdict
 
-from repro.compiler.batch import BatchCompiler
+from repro.compiler.batch import BatchCompiler, format_pass_table
 from repro.compiler.result import CompilationResult
 from repro.control.cache import cache_summary, resolve_cache
 from repro.experiments.figure4 import format_figure4, run_figure4
@@ -65,48 +64,6 @@ from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table3 import format_table3, run_table3
 
 _EXPERIMENTS = ("table1", "table3", "figure4", "figure9", "figure10", "figure11")
-
-
-class PassProfiler:
-    """Cumulative per-pass compile time across every batch of a run.
-
-    Plugs into the engine's ``pass_callbacks`` hook — the same
-    per-pass instrumentation that feeds ``BatchReport.pass_seconds`` —
-    so one profiler sees every compilation of every experiment.
-    Thread-safe: worker threads report passes concurrently.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.seconds: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
-
-    def __call__(self, pass_, context, elapsed: float) -> None:
-        with self._lock:
-            name = pass_.name
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-            self.calls[name] = self.calls.get(name, 0) + 1
-
-    def format_table(self) -> str:
-        """The profile as a printable table, most expensive pass first."""
-        with self._lock:
-            totals = sorted(
-                self.seconds.items(), key=lambda item: item[1], reverse=True
-            )
-            calls = dict(self.calls)
-        if not totals:
-            return "pass profile: no compilations ran"
-        accounted = sum(value for _, value in totals)
-        width = max(len(name) for name, _ in totals)
-        lines = [f"{'pass':<{width}}  seconds  share   calls"]
-        for name, value in totals:
-            share = value / accounted if accounted else 0.0
-            lines.append(
-                f"{name:<{width}}  {value:7.3f}  {share:5.1%}  "
-                f"{calls[name]:6d}"
-            )
-        lines.append(f"{'total':<{width}}  {accounted:7.3f}")
-        return "\n".join(lines)
 
 
 def run_experiment(
@@ -452,8 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         "--profile",
         action="store_true",
         help="print a cumulative per-pass compile-time table when the "
-        "run finishes (the batch engine's per-pass instrumentation, "
-        "summed over every compilation; requires --executor thread)",
+        "run finishes (the pass_seconds of every compilation the batch "
+        "engine ran, under either executor)",
     )
     parser.add_argument(
         "--verify-ir",
@@ -535,12 +492,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(report)
         return 0 if ok else 1
-    if args.profile and args.executor == "process":
-        parser.error(
-            "--profile needs --executor thread (per-pass hooks cannot "
-            "cross a process boundary)"
-        )
-    profiler = PassProfiler() if args.profile else None
     cache = resolve_cache(
         path=args.cache,
         url=args.cache_url,
@@ -553,7 +504,6 @@ def main(argv: list[str] | None = None) -> int:
         max_workers=args.workers,
         executor=args.executor,
         verify_ir=args.verify_ir,
-        pass_callbacks=[profiler] if profiler is not None else (),
     )
     if cache is not None and getattr(cache, "loaded_entries", 0):
         print(f"[warm cache: {cache.loaded_entries} entries from {args.cache}]")
@@ -574,8 +524,8 @@ def main(argv: list[str] | None = None) -> int:
             print(report)
             print(f"[{name} finished in {elapsed:.1f}s]\n")
     finally:
-        if profiler is not None:
-            print(profiler.format_table())
+        if args.profile:
+            print(format_pass_table(engine.lifetime_pass_seconds))
         info = engine.lifetime_info
         if info["grape_calls"] or info["grape_wall_seconds"]:
             print(

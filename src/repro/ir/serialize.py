@@ -534,7 +534,6 @@ def result_to_dict(result, include_source: bool = True) -> dict:
         "swap_count": int(result.swap_count),
         "lowered_gate_count": int(result.lowered_gate_count),
         "aggregation_merges": int(result.aggregation_merges),
-        "stage_seconds": {k: float(v) for k, v in result.stage_seconds.items()},
         "pass_seconds": {k: float(v) for k, v in result.pass_seconds.items()},
         "final_mapping": [
             [int(k), int(v)] for k, v in sorted(result.final_mapping.items())
@@ -551,6 +550,7 @@ def result_to_dict(result, include_source: bool = True) -> dict:
 
 
 def result_from_dict(payload: dict) -> CompilationResult:
+    """The result a ``result`` envelope encodes; unknown keys are ignored."""
     from repro.compiler.result import CompilationResult
 
     payload = _check(payload, "result")
@@ -565,9 +565,6 @@ def result_from_dict(payload: dict) -> CompilationResult:
         swap_count=int(payload["swap_count"]),
         lowered_gate_count=int(payload["lowered_gate_count"]),
         aggregation_merges=int(payload["aggregation_merges"]),
-        stage_seconds={
-            k: float(v) for k, v in payload["stage_seconds"].items()
-        },
         final_mapping={int(k): int(v) for k, v in payload["final_mapping"]},
         initial_mapping={int(k): int(v) for k, v in payload["initial_mapping"]},
         pass_seconds={k: float(v) for k, v in payload["pass_seconds"].items()},
@@ -582,16 +579,15 @@ def canonical_result_dict(result) -> dict:
     Two compilations of the same job are *semantically* identical when
     their canonical dictionaries are equal.  Relative to
     :func:`result_to_dict` this drops the wall-clock instrumentation
-    (``stage_seconds``/``pass_seconds``, which legitimately vary run to
-    run) and renumbers auto-generated aggregated-instruction names
-    (``G<n>``, minted from a process-global counter whose value depends
-    on scheduling history) in schedule order.  Everything that matters —
+    (``pass_seconds``, which legitimately varies run to run) and
+    renumbers auto-generated aggregated-instruction names (``G<n>``,
+    minted from a process-global counter whose value depends on
+    scheduling history) in schedule order.  Everything that matters —
     node structure, times, mappings, counts — is compared exactly.
     """
     import re
 
     payload = result_to_dict(result, include_source=True)
-    payload.pop("stage_seconds", None)
     payload.pop("pass_seconds", None)
     auto_name = re.compile(r"^G\d+$")
     counter = 0
@@ -665,6 +661,9 @@ def batch_job_from_dict(payload: dict):
             "job envelope carries a bare topology, which no longer "
             "exists: pin the machine with device=Device(topology=...)"
         )
+    for field in ("circuit", "strategy_key"):
+        if field not in payload:
+            raise SerializationError(f"job envelope has no {field!r} field")
     return BatchJob(
         circuit=circuit_from_dict(payload["circuit"]),
         strategy=payload["strategy_key"],

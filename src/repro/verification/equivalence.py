@@ -263,11 +263,9 @@ class VerifyEquivalencePass(Pass):
     Raises :class:`~repro.errors.VerificationError` when the compiled
     schedule does not implement the source circuit (set
     ``raise_on_failure=False`` to only record the verdict in the pass
-    metrics).  Wall-clock accrues to a dedicated ``verification`` stage
-    key.
+    metrics).
     """
 
-    stage = "verification"
     requires = ("schedule", "routing", "topology")
     preserves_gates = True
 

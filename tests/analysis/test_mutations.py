@@ -277,7 +277,6 @@ class TestResultMutations:
             swap_count=0,
             lowered_gate_count=2,
             aggregation_merges=0,
-            stage_seconds={},
             initial_mapping={0: 0, 1: 1},
             final_mapping={0: 0, 1: 1},
         )

@@ -1,11 +1,15 @@
 """Tests for the batch compilation engine and its shared cache."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.benchmarks.grover import grover_sqrt_circuit
 from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
-from repro.compiler.batch import BatchCompiler, BatchJob
+from repro.compiler.batch import COUNTER_KEYS, BatchCompiler, BatchJob
 from repro.compiler.pipeline import compile_circuit
 from repro.compiler.strategies import CLS, CLS_AGGREGATION, ISA, all_strategies
 from repro.config import DeviceConfig
@@ -189,6 +193,33 @@ class TestEngineBasics:
         engine = BatchCompiler(cache=str(tmp_path / "store"))
         assert isinstance(engine.cache, ShardedDiskPulseCache)
         assert engine.cache.directory == str(tmp_path / "store")
+
+    def test_concurrent_billing_loses_no_update(self):
+        """Compile-service workers call run_job, and so bill the engine's
+        lifetime totals, at once; no update may be lost."""
+        engine = BatchCompiler()
+        counters = dict.fromkeys(COUNTER_KEYS, 1)
+        workers, rounds = 8, 10000
+        start = threading.Barrier(workers)
+
+        def worker() -> None:
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                engine._bill(counters, {"LowerPass": 1.0})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(worker) for _ in range(workers)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        total = workers * rounds
+        assert engine.lifetime_pass_seconds == {"LowerPass": total}
+        for key in COUNTER_KEYS:
+            assert engine.lifetime_info[key] == total
 
     def test_report_total_latency(self, suite_jobs):
         report = BatchCompiler(max_workers=2).compile_batch(suite_jobs[:3])

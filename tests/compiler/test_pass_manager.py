@@ -1,8 +1,6 @@
 """Pass-manager core tests: parity with the seed monolith, ordering,
 instrumentation, and custom pass/strategy registration."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.commutation import CommutationChecker
 from repro.circuit.dag import GateDependenceGraph
 from repro.compiler.batch import BatchCompiler, BatchJob
-from repro.compiler.context import CompilationContext, STAGES
+from repro.compiler.context import CompilationContext
 from repro.compiler.hand_opt import hand_optimize
 from repro.compiler.manager import PassManager
 from repro.compiler.passes import (
@@ -81,7 +79,6 @@ def _seed_compile_circuit(
     checker = CommutationChecker(
         exact_qubits=compiler_config.exact_commutation_qubits
     )
-    stage_seconds = {}
 
     def latency_fn(node):
         hand_latency = getattr(node, "hand_latency_ns", None)
@@ -91,18 +88,13 @@ def _seed_compile_circuit(
             return sum(ocu.latency(gate) for gate in node.gates)
         return ocu.latency(node)
 
-    started = time.perf_counter()
     lowered = lower_to_standard_set(circuit.gates)
-    stage_seconds["lowering"] = time.perf_counter() - started
 
-    started = time.perf_counter()
     if strategy.commutativity_detection:
         nodes = detect_diagonal_blocks(lowered, compiler_config)
     else:
         nodes = list(lowered)
-    stage_seconds["detection"] = time.perf_counter() - started
 
-    started = time.perf_counter()
     logical_dag = GateDependenceGraph(
         circuit.num_qubits, nodes, checker.commute
     )
@@ -110,16 +102,12 @@ def _seed_compile_circuit(
         logical_order = cls_schedule(logical_dag, latency_fn).ordered_nodes()
         logical_dag.reorder(logical_order)
     ordered_nodes = logical_dag.stable_topological_order()
-    stage_seconds["logical_scheduling"] = time.perf_counter() - started
 
-    started = time.perf_counter()
     topology = topology or grid_for(circuit.num_qubits)
     placement = initial_placement(circuit, topology)
     routing = route(ordered_nodes, placement)
     physical_nodes = routing.nodes
-    stage_seconds["mapping"] = time.perf_counter() - started
 
-    started = time.perf_counter()
     aggregation_merges = 0
     if strategy.hand_optimization:
         physical_nodes = hand_optimize(physical_nodes, device)
@@ -134,14 +122,11 @@ def _seed_compile_circuit(
             max_rounds=10_000,
         )
         aggregation_merges = report.merges
-    stage_seconds["backend"] = time.perf_counter() - started
 
-    started = time.perf_counter()
     if strategy.cls_scheduling:
         schedule = cls_schedule(physical_dag, latency_fn)
     else:
         schedule = list_schedule(physical_dag, latency_fn)
-    stage_seconds["final_scheduling"] = time.perf_counter() - started
 
     return CompilationResult(
         strategy_key=strategy.key,
@@ -153,7 +138,6 @@ def _seed_compile_circuit(
         swap_count=routing.swap_count,
         lowered_gate_count=len(lowered),
         aggregation_merges=aggregation_merges,
-        stage_seconds=stage_seconds,
         final_mapping=routing.placement.as_dict(),
         initial_mapping=routing.initial_placement.as_dict(),
     )
@@ -195,7 +179,6 @@ class TestSeedParity:
             assert new.physical_qubits == seed.physical_qubits
             assert new.final_mapping == seed.final_mapping
             assert new.initial_mapping == seed.initial_mapping
-            assert set(new.stage_seconds) == set(seed.stage_seconds)
             assert (
                 new.instruction_width_histogram()
                 == seed.instruction_width_histogram()
@@ -228,13 +211,6 @@ class TestPassManager:
         }
         assert set(result.pass_seconds) == expected
         assert all(value >= 0.0 for value in result.pass_seconds.values())
-
-    def test_stage_keys_always_complete(self, ocu):
-        # Even the ISA pipeline (no detection/backend passes) reports
-        # the full canonical stage-key set, like the seed monolith did.
-        circuit = ising_model_circuit(4)
-        result = compile_circuit(circuit, ISA, ocu=ocu)
-        assert set(result.stage_seconds) == set(STAGES)
 
     def test_callbacks_see_every_pass(self, ocu):
         seen = []
@@ -578,8 +554,6 @@ class TestStrategyRegistration:
         # aggregation flag then still enables single-pulse pricing,
         # through compile_circuit and the batch engine alike.
         class MiniAggregatePass(Pass):
-            stage = "backend"
-
             def run(self, context):
                 dag = context.ensure_physical_dag(self.name)
                 from repro.aggregation.aggregator import (

@@ -110,17 +110,6 @@ class TestPipelineBasics:
         result = compile_circuit(circuit, ISA, ocu=ocu)
         assert result.lowered_gate_count == 15
 
-    def test_stage_times_recorded(self, ocu, qaoa_circuit):
-        result = compile_circuit(qaoa_circuit, CLS_AGGREGATION, ocu=ocu)
-        assert set(result.stage_seconds) == {
-            "lowering",
-            "detection",
-            "logical_scheduling",
-            "mapping",
-            "backend",
-            "final_scheduling",
-        }
-
     def test_result_metrics(self, ocu, qaoa_circuit):
         result = compile_circuit(qaoa_circuit, CLS_AGGREGATION, ocu=ocu)
         histogram = result.instruction_width_histogram()

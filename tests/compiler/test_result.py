@@ -22,7 +22,6 @@ def _result(latency=100.0):
         swap_count=1,
         lowered_gate_count=3,
         aggregation_merges=0,
-        stage_seconds={"lowering": 0.01},
         final_mapping={0: 0, 1: 1, 2: 2},
         initial_mapping={0: 0, 1: 1, 2: 2},
     )

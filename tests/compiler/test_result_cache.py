@@ -272,11 +272,12 @@ class TestDiskRestart:
             json.dumps({"format": "repro-ir-v1", "kind": "result"})
         )
         reborn = DiskResultCache(directory)
-        assert reborn.loaded_entries == 1
         assert "torn" not in reborn
         assert reborn.get("torn") is None
         assert reborn.get("foreign") is None
         assert reborn.get("good") is not None
+        assert len(reborn) == 1
+        assert reborn.stats()["disk_hits"] == 1
 
     def test_membership_reads_through_to_disk(self, tmp_path):
         """An entry another process wrote after this store loaded is
@@ -295,6 +296,26 @@ class TestDiskRestart:
         reborn = BatchCompiler(result_cache=directory)
         report = reborn.compile_batch([_job()])
         assert report.result_cache["hits"] == 1
+
+
+class TestDiskReadThrough:
+    def test_construction_reads_no_entry_file(self, tmp_path, monkeypatch):
+        directory = tmp_path / "store"
+        writer = DiskResultCache(directory)
+        for key in ("a", "b"):
+            writer.put(key, compile_circuit(_circuit(key), CLS))
+
+        def unexpected_read(self, key):
+            raise AssertionError(f"entry {key!r} read at construction")
+
+        monkeypatch.setattr(DiskResultCache, "_read_file", unexpected_read)
+        reborn = DiskResultCache(directory)
+        monkeypatch.undo()
+        assert len(reborn) == 0
+        assert reborn.stats()["total_bytes"] == 0
+        assert reborn.get("a") is not None
+        assert len(reborn) == 1
+        assert reborn.stats()["disk_hits"] == 1
 
 
 class TestOneShotCompile:
@@ -360,3 +381,50 @@ class TestBatchIntegration:
         again, seconds, counters = engine.run_job(_job())
         assert counters["model_evals"] == 0
         assert canonical_result_dict(first) == canonical_result_dict(again)
+
+
+class TestPassBilling:
+    """A batch and the engine bill pass time only for the jobs whose
+    passes ran: served and deduplicated jobs add nothing."""
+
+    def test_served_batch_bills_no_pass_time(self):
+        engine = BatchCompiler(result_cache=ResultCache())
+        jobs = [_job(), _job(strategy="cls+aggregation")]
+        cold = engine.compile_batch(jobs)
+        assert cold.pass_seconds
+        assert engine.lifetime_pass_seconds == cold.pass_seconds
+        lifetime = dict(engine.lifetime_pass_seconds)
+        warm = engine.compile_batch(jobs)
+        assert warm.result_cache["compiled"] == 0
+        assert warm.pass_seconds == {}
+        assert engine.lifetime_pass_seconds == lifetime
+        # The served results still carry their one compile's timing.
+        assert all(result.pass_seconds for result in warm)
+
+    def test_duplicate_job_is_billed_one_compile(self):
+        engine = BatchCompiler(result_cache=ResultCache())
+        jobs = [
+            BatchJob(circuit=_circuit(), strategy="cls+aggregation", label=label)
+            for label in ("a", "b")
+        ]
+        report = engine.compile_batch(jobs)
+        assert report.result_cache["deduped"] == 1
+        assert report.pass_seconds == report[0].pass_seconds
+        assert engine.lifetime_pass_seconds == report[0].pass_seconds
+
+    def test_run_job_bills_misses_only(self):
+        engine = BatchCompiler(result_cache=ResultCache())
+        first, _, _ = engine.run_job(_job())
+        assert engine.lifetime_pass_seconds == first.pass_seconds
+        engine.run_job(_job())
+        assert engine.lifetime_pass_seconds == first.pass_seconds
+
+    def test_lifetime_sums_every_compiled_batch(self):
+        engine = BatchCompiler()
+        first = engine.compile_batch([_job()])
+        second = engine.compile_batch([_job()])
+        assert set(engine.lifetime_pass_seconds) == set(first.pass_seconds)
+        for name, seconds in engine.lifetime_pass_seconds.items():
+            assert seconds == pytest.approx(
+                first.pass_seconds[name] + second.pass_seconds[name]
+            )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -43,6 +44,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "Table 1" in captured.out
         assert "finished in" in captured.out
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_profile_prints_the_engine_pass_table(self, executor, capsys):
+        exit_code = main([
+            "--experiment", "figure9", "--scale", "small",
+            "--benchmarks", "maxcut-line-6",
+            "--strategies", "isa,cls+aggregation",
+            "--executor", executor, "--workers", "1", "--profile",
+        ])
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^AggregatePass +[0-9]", out, re.MULTILINE)
+        assert re.search(r"^LowerPass +[0-9]", out, re.MULTILINE)
 
     def test_bad_choice_rejected(self):
         with pytest.raises(SystemExit):

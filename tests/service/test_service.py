@@ -143,6 +143,24 @@ class TestEagerValidation:
         assert stats["breaker"]["tripped"] == 0
         assert stats["breaker"]["tracked_signatures"] == 0
 
+    @pytest.mark.parametrize("field", ["circuit", "strategy_key"])
+    def test_missing_field_refused_by_name(self, field):
+        from repro.ir.serialize import batch_job_to_dict
+
+        envelope = batch_job_to_dict(BatchJob(circuit=_circuit()))
+        del envelope[field]
+        with CompileService(workers=1) as service:
+            with ServiceClient(service.url) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit_job(envelope)
+                message = str(excinfo.value)
+                assert "SerializationError" in message
+                assert repr(field) in message
+                assert "KeyError" not in message
+                stats = client.stats()
+                assert client.jobs() == []
+        assert stats["failed"] == 0
+
 
 class TestBackpressure:
     def test_full_queue_rejects_with_retry_after(self):

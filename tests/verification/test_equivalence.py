@@ -200,8 +200,7 @@ class TestVerifyEquivalencePassBehaviour:
         recorded = metrics["VerifyEquivalencePass"]
         assert recorded["equivalent"] is True
         assert recorded["states_checked"] == 8
-        assert "verification" in result.stage_seconds
-        assert result.stage_seconds["verification"] >= 0.0
+        assert result.pass_seconds["VerifyEquivalencePass"] >= 0.0
 
     def test_pass_raises_on_sabotage(self):
         circuit = _routed_circuit()
