@@ -16,22 +16,22 @@ import itertools
 def candidate_actions(dag, width_limit: int) -> list[tuple]:
     """Enumerate mergeable node pairs ``(earlier, later)``.
 
-    Pairs are found per qubit: all pairs within one commutation group
-    (siblings) plus all pairs across consecutive groups (parent/child),
-    then filtered through the same-or-consecutive-groups rule
-    (:meth:`GateDependenceGraph.can_merge`, inlined against prefetched
-    group lookups) and the width limit.  Each unordered pair is
-    reported once, oriented so the first node runs no later than the
-    second on their first shared qubit.
+    Pairs are generated per qubit, in ascending qubit order: all pairs
+    within one commutation group (siblings) plus all pairs across
+    consecutive groups (parent/child), then filtered through the
+    same-or-consecutive-groups rule (:meth:`GateDependenceGraph.can_merge`,
+    inlined against prefetched group lookups) and the width limit.
+
+    Each pair is generated at most once per shared qubit, so a pair
+    sharing one qubit needs no de-duplication; a pair sharing several is
+    reported from its lowest shared qubit, where a mergeable pair is
+    generated first.  Generation already orients the pair: ``earlier``
+    runs first on the generating qubit, and because the chain graph is
+    acyclic two nodes run in the same order on every qubit they share.
     """
     # No merge happens during enumeration, so one prefetch of the
-    # per-qubit group-index and position tables serves every pair.
+    # per-qubit group-index tables serves every pair.
     lookups = [dag.group_lookup(q) for q in range(dag.num_qubits)]
-    positions = [
-        {node: index for index, node in enumerate(dag.qubit_sequence(q))}
-        for q in range(dag.num_qubits)
-    ]
-    seen: set[frozenset] = set()
     actions: list[tuple] = []
     for qubit in range(dag.num_qubits):
         groups = dag.group_view(qubit)
@@ -47,29 +47,16 @@ def candidate_actions(dag, width_limit: int) -> list[tuple]:
                 else (),
             )
             for a, b in pair_iter:
-                key = frozenset((a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
                 a_qubits = set(a.qubits)
                 if len(a_qubits | set(b.qubits)) > width_limit:
                     continue
                 shared = a_qubits.intersection(b.qubits)
-                mergeable = True
-                for q in shared:
-                    lookup = lookups[q]
-                    if abs(lookup[a] - lookup[b]) > 1:
-                        mergeable = False
-                        break
-                if not mergeable:
-                    continue
-                # Orientation: current execution order on the pair's
-                # first shared qubit (same qubit choice as the historical
-                # _oriented helper — set iteration order is stable for
-                # equal contents).
-                pos = positions[next(iter(shared))]
-                if pos[a] < pos[b]:
-                    actions.append((a, b))
-                else:
-                    actions.append((b, a))
+                if len(shared) > 1:
+                    if min(shared) != qubit:
+                        continue
+                    if any(
+                        abs(lookups[q][a] - lookups[q][b]) > 1 for q in shared
+                    ):
+                        continue
+                actions.append((a, b))
     return actions

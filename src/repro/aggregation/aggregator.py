@@ -5,8 +5,9 @@ Each round scores every legal action (pair merge) in the current GDG:
 * **Monotonic filter** — an action must not lengthen the critical path
   even under the pessimistic assumption that the merged pulse takes as
   long as its two parts in sequence.  This is evaluated incrementally
-  from the round's ASAP times and critical tails, so candidates cost
-  O(neighbourhood) instead of a full re-schedule.
+  from the round's ASAP times and critical tails (one topological sort
+  per round), so candidates cost O(neighbourhood) instead of a full
+  re-schedule.
 * **Reward** — the latency the optimal-control unit is expected to save,
   ``lat(a) + lat(b) - model_latency(merged)`` (setup amortization plus
   interaction folding).
@@ -15,15 +16,20 @@ Each round opens by folding pure series pairs in linear time.  The
 best-rewarded monotonic actions then execute (greedily, skipping actions
 that touch qubits already modified this round, so the incremental timing
 data stays valid); a merge that would close a cycle is rolled back by
-the GDG's own transactional check and skipped.  Merged instructions get
-their real latency from the OCU, and rounds repeat until no profitable
-monotonic action remains — the "iterate until the GDG converges" loop of
-the paper.
+the GDG's own transactional check, which searches only from the merged
+node, and skipped.  Merged instructions get their real latency from the
+OCU, and rounds repeat until no profitable monotonic action remains —
+the "iterate until the GDG converges" loop of the paper.
 
-Every per-node map here (the latency memo, est/finish/tails, positions,
-the alive set) is keyed by the node itself, like the GDG's own maps: an
-entry holds its node alive, so a node merged away can never lend its
-entry to an instruction created later.
+Most pairs a round scores were scored the round before, so the model's
+estimate for a pair is kept for the whole run: it depends only on the
+pair's two nodes, and nodes are immutable.  Scoring and the series
+prepass read the same estimates, each with its own threshold.
+
+Every per-node map here (the latency memo, the pair estimates,
+est/finish/tails, positions, the alive set) is keyed by the node itself,
+like the GDG's own maps: an entry holds its node alive, so a node merged
+away can never lend its entry to an instruction created later.
 """
 
 from __future__ import annotations
@@ -91,21 +97,30 @@ def aggregate(
             value = latencies[node] = ocu.latency(node)
         return value
 
+    estimates: dict = {}
+
+    def estimate(earlier, later) -> float:
+        """Model latency of the pair merged, ``earlier`` first."""
+        key = (earlier, later)
+        value = estimates.get(key)
+        if value is None:
+            value = estimates[key] = ocu.model_latency(
+                AggregatedInstruction.from_nodes(earlier, later, name="probe")
+            )
+        return value
+
     initial_makespan = dag.makespan(latency)
     merges = 0
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        merges += _series_prepass(dag, ocu, latency, width_limit)
+        merges += _series_prepass(dag, estimate, latency, width_limit)
         timing = _RoundTiming(dag, latency)
         scored = []
         for earlier, later in candidate_actions(dag, width_limit):
             if monotonic_only and not timing.is_monotonic(earlier, later):
                 continue
-            merged_estimate = ocu.model_latency(
-                AggregatedInstruction.from_nodes(earlier, later, name="probe")
-            )
-            reward = latency(earlier) + latency(later) - merged_estimate
+            reward = latency(earlier) + latency(later) - estimate(earlier, later)
             if reward > _EPSILON:
                 scored.append((reward, earlier, later))
         scored.sort(key=lambda item: item[0], reverse=True)
@@ -140,7 +155,7 @@ def aggregate(
     )
 
 
-def _series_prepass(dag, ocu, latency, width_limit: int) -> int:
+def _series_prepass(dag, estimate, latency, width_limit: int) -> int:
     """Chain-merge pure series pairs in amortized linear time.
 
     When node ``B`` is ``A``'s only timing successor and ``A`` is ``B``'s
@@ -190,9 +205,9 @@ def _series_prepass(dag, ocu, latency, width_limit: int) -> int:
             merged_width = len(set(node.qubits) | set(follower.qubits))
             if merged_width > width_limit:
                 break
-            probe = AggregatedInstruction.from_nodes(node, follower, name="probe")
-            estimate = ocu.model_latency(probe)
-            if estimate >= latency(node) + latency(follower) - _EPSILON:
+            if estimate(node, follower) >= (
+                latency(node) + latency(follower) - _EPSILON
+            ):
                 break
             # A pure series pair cannot create a cycle (the follower has
             # no other predecessor to route a path around), so both the
@@ -213,15 +228,42 @@ def _series_prepass(dag, ocu, latency, width_limit: int) -> int:
 
 
 class _RoundTiming:
-    """Per-round ASAP times and critical tails for monotonic checks."""
+    """Per-round ASAP times and critical tails for monotonic checks.
+
+    One topological sort serves the latency table, the forward pass
+    (est, finish) and the backward pass (tails).
+    """
 
     def __init__(self, dag, latency) -> None:
         self.dag = dag
-        self.latency = latency
-        self.est = dag.asap_times(latency)
-        self.finish = {node: self.est[node] + latency(node) for node in dag.nodes}
-        self.makespan = max(self.finish.values(), default=0.0)
-        self.tails = self._compute_tails()
+        order = dag.topological_order()
+        prev_maps = dag._prev
+        next_maps = dag._next
+        self.latencies = latencies = {}
+        self.est = est = {}
+        self.finish = finish = {}
+        for node in order:
+            start = 0.0
+            for q in node.qubits:
+                predecessor = prev_maps[q].get(node)
+                if predecessor is not None:
+                    predecessor_finish = finish[predecessor]
+                    if predecessor_finish > start:
+                        start = predecessor_finish
+            value = latencies[node] = latency(node)
+            est[node] = start
+            finish[node] = start + value
+        self.makespan = max(finish.values(), default=0.0)
+        self.tails = tails = {}
+        for node in reversed(order):
+            best = 0.0
+            for q in node.qubits:
+                successor = next_maps[q].get(node)
+                if successor is not None:
+                    tail = tails[successor]
+                    if tail > best:
+                        best = tail
+            tails[node] = latencies[node] + best
         # One qubit_sequence copy per qubit serves both the round-start
         # sequence snapshot and its position index.
         self.positions = {}
@@ -230,20 +272,6 @@ class _RoundTiming:
             sequence = dag.qubit_sequence(q)
             self.sequences[q] = sequence
             self.positions[q] = {node: index for index, node in enumerate(sequence)}
-
-    def _compute_tails(self) -> dict:
-        tails: dict = {}
-        next_maps = self.dag._next
-        for node in reversed(self.dag.topological_order()):
-            best = 0.0
-            for q in node.qubits:
-                successor = next_maps[q].get(node)
-                if successor is not None:
-                    tail = tails[successor]
-                    if tail > best:
-                        best = tail
-            tails[node] = self.latency(node) + best
-        return tails
 
     def is_monotonic(self, earlier, later) -> bool:
         """Conservative check: merged critical path within the old one.
@@ -257,7 +285,7 @@ class _RoundTiming:
         snapshot the times were computed from.
         """
         finish = self.finish
-        pessimistic = self.latency(earlier) + self.latency(later)
+        pessimistic = self.latencies[earlier] + self.latencies[later]
         start = self.est[earlier]
         for q in earlier.qubits:
             pos = self.positions[q]

@@ -84,26 +84,32 @@ class CommutationChecker:
         shared = set(a.qubits) & set(b.qubits)
         if not shared:
             return True
-        if a.is_diagonal and b.is_diagonal:
-            return True
         union = sorted(set(a.qubits) | set(b.qubits))
         if len(union) > self.exact_qubits:
-            # Too wide for an explicit check; be conservative.
-            return False
-        matrix_a = _matrix_of(a)
-        matrix_b = _matrix_of(b)
-        if matrix_a is None or matrix_b is None:
-            return False
+            # Too wide for an explicit check: only the sound rule that
+            # diagonal operators commute applies.
+            return a.is_diagonal and b.is_diagonal
+        # Verdicts first: diagonality and the matrices may need an
+        # instruction's dense product.  Only a pair that reached the
+        # exact check stores a verdict, and equal keys mean equal
+        # matrices, so a hit is the answer the checks below would give.
         key = self._cache_key(a, b, union)
-        if key in self._cache:
+        verdict = self._cache.get(key)
+        if verdict is not None:
             self.cache_hits += 1
-            return self._cache[key]
+            return verdict
         shared_key = (key, self.atol)
-        shared = _SHARED_VERDICTS.get(shared_key)
-        if shared is not None:
+        remembered = _SHARED_VERDICTS.get(shared_key)
+        if remembered is not None:
             self.shared_hits += 1
-            verdict = shared
+            verdict = remembered
         else:
+            if a.is_diagonal and b.is_diagonal:
+                return True
+            matrix_a = _matrix_of(a)
+            matrix_b = _matrix_of(b)
+            if matrix_a is None or matrix_b is None:
+                return False
             verdict = self._exact_check(
                 matrix_a, a.qubits, matrix_b, b.qubits, union
             )
@@ -111,7 +117,7 @@ class CommutationChecker:
         # The relation is symmetric; prime the mirrored key too.
         mirror = self._cache_key(b, a, union)
         self._cache[mirror] = verdict
-        if shared is None:
+        if remembered is None:
             _shared_store(shared_key, verdict)
             _shared_store((mirror, self.atol), verdict)
         return verdict

@@ -332,6 +332,12 @@ class GateDependenceGraph:
                 the aggregator's series prepass, whose pure series pairs
                 cannot close a cycle, passes False.
 
+        The graph is acyclic before the merge, and every edge the splice
+        adds either touches ``merged`` or shortcuts a path that already
+        existed, so any cycle it closes passes through ``merged``: the
+        check searches successor links from ``merged`` alone instead of
+        sorting the whole graph.
+
         Raises SchedulingError (and leaves the graph unchanged) when the
         merge is structurally invalid or would create a cycle.
         """
@@ -347,8 +353,8 @@ class GateDependenceGraph:
         saved_nodes = list(self.nodes)
         try:
             self._splice_merge(a, b, merged)
-            if check_cycles:
-                self.topological_order()
+            if check_cycles and self._reaches_itself(merged):
+                raise SchedulingError("dependence graph contains a cycle")
         except SchedulingError:
             self._qubit_order.update(saved_orders)
             self.nodes = saved_nodes
@@ -421,6 +427,22 @@ class GateDependenceGraph:
 
     # ------------------------------------------------------------------
     # Internals
+
+    def _reaches_itself(self, node) -> bool:
+        """True when a chain path leads from ``node`` back to it."""
+        next_maps = self._next
+        stack = [node]
+        visited = {node}
+        while stack:
+            current = stack.pop()
+            for q in current.qubits:
+                successor = next_maps[q].get(current)
+                if successor is node:
+                    return True
+                if successor is not None and successor not in visited:
+                    visited.add(successor)
+                    stack.append(successor)
+        return False
 
     def _position(self, qubit: int, node) -> int:
         for index, candidate in enumerate(self._qubit_order[qubit]):

@@ -42,16 +42,7 @@ class Gate:
         matrix = np.asarray(self.matrix, dtype=complex)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        k = len(self.qubits)
-        if len(set(self.qubits)) != k:
-            raise GateError(f"duplicate qubits in {self.name}: {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise GateError(f"negative qubit index in {self.name}: {self.qubits}")
-        if matrix.shape != (2**k, 2**k):
-            raise GateError(
-                f"{self.name} on {k} qubits needs a {2**k}x{2**k} matrix, "
-                f"got {matrix.shape}"
-            )
+        _check_qubits(self.name, self.qubits, matrix)
         if not is_unitary(matrix, atol=1e-7):
             raise GateError(f"{self.name} matrix is not unitary")
 
@@ -97,8 +88,23 @@ class Gate:
         return cached
 
     def on(self, qubits: Sequence[int]) -> Gate:
-        """The same operation applied to different qubits."""
-        return Gate(self.name, tuple(qubits), self.matrix, self.params)
+        """The same operation applied to different qubits.
+
+        The matrix was validated when this gate was built and is
+        read-only, so only the new qubits are checked; no memo that
+        depends on the qubits (the signature) carries over.
+        """
+        qubits = tuple(int(q) for q in qubits)
+        _check_qubits(self.name, qubits, self.matrix)
+        moved = object.__new__(Gate)
+        object.__setattr__(moved, "name", self.name)
+        object.__setattr__(moved, "qubits", qubits)
+        object.__setattr__(moved, "matrix", self.matrix)
+        object.__setattr__(moved, "params", self.params)
+        diagonal = self.__dict__.get("_is_diagonal")
+        if diagonal is not None:
+            object.__setattr__(moved, "_is_diagonal", diagonal)
+        return moved
 
     def dagger(self) -> Gate:
         """The inverse gate (conjugate-transposed matrix)."""
@@ -115,3 +121,17 @@ class Gate:
             params = "(" + ", ".join(f"{p:.4g}" for p in self.params) + ")"
         qubits = ", ".join(str(q) for q in self.qubits)
         return f"{self.name}{params}[{qubits}]"
+
+
+def _check_qubits(name: str, qubits: tuple[int, ...], matrix: np.ndarray) -> None:
+    """Reject duplicate or negative qubits and a matrix of the wrong arity."""
+    k = len(qubits)
+    if len(set(qubits)) != k:
+        raise GateError(f"duplicate qubits in {name}: {qubits}")
+    if any(q < 0 for q in qubits):
+        raise GateError(f"negative qubit index in {name}: {qubits}")
+    if matrix.shape != (2**k, 2**k):
+        raise GateError(
+            f"{name} on {k} qubits needs a {2**k}x{2**k} matrix, "
+            f"got {matrix.shape}"
+        )

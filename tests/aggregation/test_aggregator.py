@@ -10,10 +10,12 @@ from repro.aggregation.action_space import candidate_actions
 from repro.aggregation.aggregator import aggregate
 from repro.aggregation.diagonal import detect_diagonal_blocks
 from repro.aggregation.instruction import AggregatedInstruction
+from repro.benchmarks.uccsd import uccsd_ansatz_circuit
 from repro.circuit.circuit import Circuit
 from repro.circuit.commutation import CommutationChecker
 from repro.circuit.dag import GateDependenceGraph
 from repro.control.unit import OptimalControlUnit, gates_of
+from repro.gates.decompositions import lower_to_standard_set
 from repro.linalg.embed import embed_operator
 from repro.linalg.predicates import allclose_up_to_global_phase
 
@@ -285,3 +287,46 @@ class TestLatencyMemoLifetime:
         assert alive
         assert all(any(node is live for live in dag.nodes) for node in alive)
         assert len(alive) < len(recording.priced)
+
+
+class TestWorkCounts:
+    """Within one ``aggregate()`` the model prices each ``(earlier,
+    later)`` pair once, scoring and series prepass together, and the
+    graph is sorted once per round plus once for each makespan.  Counted
+    through wrappers: the loop keeps no counters of its own."""
+
+    class _CountingOcu:
+        def __init__(self, ocu):
+            self.ocu = ocu
+            self.probes = []
+
+        def latency(self, node):
+            return self.ocu.latency(node)
+
+        def model_latency(self, node):
+            # A probe's member gates name its pair: nodes only ever
+            # merge, so no two pairs of one run split the same gate run.
+            self.probes.append(tuple(node.gates))
+            return self.ocu.model_latency(node)
+
+    def test_each_pair_probed_once_and_one_sort_per_round(self, ocu, monkeypatch):
+        sorts = []
+        original_sort = GateDependenceGraph.topological_order
+
+        def counting_sort(dag):
+            sorts.append(dag)
+            return original_sort(dag)
+
+        monkeypatch.setattr(
+            GateDependenceGraph, "topological_order", counting_sort
+        )
+        circuit = uccsd_ansatz_circuit(4)
+        nodes = detect_diagonal_blocks(lower_to_standard_set(circuit.gates))
+        dag = GateDependenceGraph(
+            circuit.num_qubits, nodes, CommutationChecker().commute
+        )
+        counting = self._CountingOcu(ocu)
+        report = aggregate(dag, counting)
+        assert report.rounds > 10 and report.merges > 50
+        assert len(counting.probes) == len(set(counting.probes))
+        assert len(sorts) <= report.rounds + 2

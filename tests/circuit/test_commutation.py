@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.aggregation.instruction import AggregatedInstruction
 from repro.circuit.commutation import CommutationChecker, clear_shared_verdicts
 from repro.circuit.dag import GateDependenceGraph
 from repro.gates import library as lib
+from repro.testing.generators import CIRCUIT_FAMILIES, random_circuit
 
 
 @pytest.fixture
@@ -220,3 +222,68 @@ class TestPairMemo:
         del checker
         gc.collect()
         assert ref() is None
+
+
+class TestVerdictsBeforeMatrices:
+    """Within ``exact_qubits`` the checker reads its verdict caches
+    before it decides diagonality or builds a matrix, and an aggregated
+    instruction's matrix is a dense product of its gates."""
+
+    @staticmethod
+    def _blocks(offset):
+        return (
+            AggregatedInstruction(
+                [lib.CNOT(offset, offset + 1), lib.RX(0.4, offset + 1)]
+            ),
+            AggregatedInstruction(
+                [lib.H(offset), lib.CNOT(offset, offset + 1)]
+            ),
+        )
+
+    def test_a_verdict_hit_builds_no_matrix(self):
+        clear_shared_verdicts()
+        checker = CommutationChecker()
+        first = self._blocks(0)
+        verdict = checker.commute(*first)
+        assert checker.exact_checks == 1
+        assert all("matrix" in node.__dict__ for node in first)
+
+        again = self._blocks(5)
+        hits = checker.cache_hits
+        assert checker.commute(*again) == verdict
+        assert checker.cache_hits == hits + 1
+        assert all("matrix" not in node.__dict__ for node in again)
+
+        fresh = CommutationChecker()
+        other = self._blocks(9)
+        assert fresh.commute(*other) == verdict
+        assert fresh.shared_hits == 1
+        assert all("matrix" not in node.__dict__ for node in other)
+
+    def test_warm_verdicts_equal_cold_ones(self):
+        nodes = []
+        for index, family in enumerate(CIRCUIT_FAMILIES):
+            gates = random_circuit(5, 12, 4400 + index, family).gates
+            nodes.extend(gates[:6])
+            nodes.extend(
+                AggregatedInstruction(gates[start : start + 3])
+                for start in range(0, len(gates) - 2, 2)
+            )
+        # Retargeted copies repeat every structure with fresh nodes.
+        nodes += [node.on(tuple(q + 6 for q in node.qubits)) for node in nodes]
+        pairs = [
+            (a, b)
+            for a in nodes
+            for b in nodes
+            if a is not b and set(a.qubits) & set(b.qubits)
+        ]
+        warm = CommutationChecker()
+        warm_verdicts = [warm.commute(a, b) for a, b in pairs]
+        assert warm.cache_hits > 0
+
+        cold_verdicts = []
+        for a, b in pairs:
+            clear_shared_verdicts()
+            cold_verdicts.append(CommutationChecker().commute(a, b))
+        assert warm_verdicts == cold_verdicts
+        assert True in cold_verdicts and False in cold_verdicts

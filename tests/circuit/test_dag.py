@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.aggregation.action_space import candidate_actions
+from repro.aggregation.aggregator import aggregate
 from repro.aggregation.instruction import AggregatedInstruction
 from repro.circuit.circuit import Circuit
 from repro.circuit.commutation import CommutationChecker
 from repro.circuit.dag import GateDependenceGraph
+from repro.control.unit import OptimalControlUnit
 from repro.errors import CircuitError, SchedulingError
 from repro.gates import library as lib
+from repro.gates.decompositions import lower_to_standard_set
+from repro.testing.generators import CIRCUIT_FAMILIES, random_circuit
 
 
 def build_dag(circuit):
@@ -245,6 +250,69 @@ class TestMerge:
         assert dag.predecessors(c) == [a]
         assert set(map(id, dag.predecessors(b))) == {id(a), id(c)}
         dag.topological_order()  # still acyclic and consistent
+
+
+class TestMergeCycleCheckIsExact:
+    """``merge`` searches for a cycle from the merged node only.  On
+    random graphs, before and part-way through aggregation, it must
+    refuse a pair exactly when splicing the pair and sorting the whole
+    graph finds a cycle, and a refusal must leave the graph as it was."""
+
+    @staticmethod
+    def _twin(dag):
+        # Building from a topological order reproduces every qubit
+        # sequence (the chain edges are exactly the per-qubit orders).
+        return GateDependenceGraph(
+            dag.num_qubits, dag.topological_order(), dag.commute_fn
+        )
+
+    @staticmethod
+    def _graph_states():
+        ocu = OptimalControlUnit(backend="model")
+        for family in CIRCUIT_FAMILIES:
+            for index in range(4):
+                circuit = random_circuit(4 + index % 3, 18, 3100 + index, family)
+                gates = lower_to_standard_set(circuit.gates)
+                for rounds in (0, 1):
+                    dag = GateDependenceGraph(
+                        circuit.num_qubits, gates, CommutationChecker().commute
+                    )
+                    if rounds:
+                        aggregate(dag, ocu, max_rounds=rounds, monotonic_only=False)
+                    yield dag
+
+    def test_refuses_exactly_the_pairs_a_full_sort_refuses(self):
+        outcomes = {True: 0, False: 0}
+        for dag in self._graph_states():
+            for a, b in candidate_actions(dag, width_limit=10):
+                merged = AggregatedInstruction.from_nodes(a, b)
+                reference = self._twin(dag)
+                reference._splice_merge(a, b, merged)
+                try:
+                    reference.topological_order()
+                    cyclic = False
+                except SchedulingError:
+                    cyclic = True
+                trial = self._twin(dag)
+                nodes = list(trial.nodes)
+                sequences = [
+                    trial.qubit_sequence(q) for q in range(trial.num_qubits)
+                ]
+                try:
+                    trial.merge(a, b, merged)
+                    refused = False
+                except SchedulingError:
+                    refused = True
+                assert refused == cyclic, (a, b)
+                if refused:
+                    assert len(trial.nodes) == len(nodes)
+                    assert all(x is y for x, y in zip(trial.nodes, nodes))
+                    for q, sequence in enumerate(sequences):
+                        after = trial.qubit_sequence(q)
+                        assert len(after) == len(sequence)
+                        assert all(x is y for x, y in zip(after, sequence))
+                outcomes[refused] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
 
 
 class TestNodeIdentity:

@@ -67,6 +67,31 @@ class TestGateMethods:
         assert moved.qubits == (3, 4)
         assert np.allclose(moved.matrix, lib.CNOT(0, 1).matrix)
 
+    @pytest.mark.parametrize(
+        "qubits", [(2, 2), (-1, 3), (4,), (0, 1, 2)], ids=str
+    )
+    def test_on_checks_the_new_qubits(self, qubits):
+        with pytest.raises(GateError):
+            lib.CNOT(0, 1).on(qubits)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [lib.CNOT(0, 1), lib.RZ(0.3, 2), lib.CZ(1, 0), lib.TOFFOLI(0, 1, 2)],
+        ids=lambda gate: gate.name,
+    )
+    def test_on_matches_a_freshly_built_gate(self, gate):
+        # Memoize both on the source first: a qubit-dependent memo must
+        # not carry over to the retargeted gate.
+        _signature, diagonal = gate.signature, gate.is_diagonal
+        qubits = tuple(reversed(range(5, 5 + gate.num_qubits)))
+        moved = gate.on(qubits)
+        fresh = Gate(gate.name, qubits, gate.matrix, gate.params)
+        assert moved.qubits == fresh.qubits == qubits
+        assert moved.params == fresh.params
+        assert moved.signature == fresh.signature
+        assert moved.is_diagonal == fresh.is_diagonal == diagonal
+        assert np.array_equal(moved.matrix, fresh.matrix)
+
     def test_dagger_inverts(self):
         gate = lib.RX(0.7, 0)
         product = gate.matrix @ gate.dagger().matrix
