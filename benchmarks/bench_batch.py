@@ -16,14 +16,14 @@ Python, numpy and BLAS versions and git sha that produced them:
   defaults (vectorized kernel, warm-started minimal-time search,
   plateau termination) on threads, then with the optimized defaults on
   processes, where the batch pre-warm planner synthesizes each distinct
-  problem once before the jobs ship.  The recorded
-  ``speedup_over_legacy`` (thread runs) is the PR's headline claim and
-  is asserted >= 5x.  The two paths converge to the same fidelity
-  threshold but follow different optimization trajectories (which is
-  why the legacy knobs are namespaced into the cache fingerprint), so
-  parity is asserted *within* the optimized configuration across
-  executors, and solution quality is recorded as total schedule
-  latency on both sides.
+  problem once before the jobs ship.  The engine has no switch for the
+  legacy path: the legacy run patches the reference settings into the
+  unit's ``minimal_pulse_time`` for its own engine and store.  The
+  recorded ``speedup_over_legacy`` (thread runs) is asserted >= 5x.
+  The two paths converge to the same fidelity threshold but follow
+  different optimization trajectories, so parity is asserted *within*
+  the optimized configuration across executors, and solution quality
+  is recorded as total schedule latency on both sides.
 
 * **Shared-cache fleet** — two independent client processes compiling
   the GRAPE sweep against one shared pulse store, in both sharing modes
@@ -39,6 +39,7 @@ to be >= 1.5x on multi-core CI runners (and necessarily ~1x or below on
 a single-core machine, where only serialization overhead remains).
 """
 
+import functools
 import json
 import os
 import platform
@@ -46,10 +47,12 @@ import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import repro.control.unit
 from repro.circuit.circuit import Circuit
 from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.result_cache import ResultCache
 from repro.control.cache import CacheServer, PulseCache, hit_rate, resolve_cache
+from repro.control.time_search import minimal_pulse_time
 from repro.ir import canonical_result_dict
 from repro.service import CompileService, ServiceClient
 
@@ -267,22 +270,27 @@ def test_thread_vs_process_executor_sweep(sweep_jobs, bench_scale, capsys):
         )
 
 
-def test_grape_legacy_vs_optimized_sweep(capsys):
+def test_grape_legacy_vs_optimized_sweep(monkeypatch, capsys):
     """Cold GRAPE-backed batch: legacy optimal-control path vs optimized.
 
     The headline measurement of the vectorized kernel + warm-started
     search + plateau termination, asserted >= 5x on threads; the
     process run adds the batch pre-warm planner.
     """
-    legacy_engine = BatchCompiler(
-        backend="grape",
-        grape_kernel="reference",
-        grape_warm_start=False,
-        grape_plateau_iterations=None,
+    legacy_search = functools.partial(
+        minimal_pulse_time,
+        kernel="reference",
+        warm_start=False,
+        plateau_iterations=None,
     )
-    started = time.perf_counter()
-    legacy = legacy_engine.compile_batch(build_grape_sweep_jobs())
-    legacy_wall = time.perf_counter() - started
+    legacy_engine = BatchCompiler(backend="grape")
+    with monkeypatch.context() as patch:
+        # Raising mode: a renamed import fails here instead of timing
+        # the fast path twice.
+        patch.setattr(repro.control.unit, "minimal_pulse_time", legacy_search)
+        started = time.perf_counter()
+        legacy = legacy_engine.compile_batch(build_grape_sweep_jobs())
+        legacy_wall = time.perf_counter() - started
 
     optimized_engine = BatchCompiler(backend="grape")
     started = time.perf_counter()

@@ -311,9 +311,6 @@ class BatchCompiler:
         pass_callbacks: Sequence[PassCallback] = (),
         executor: str = "thread",
         verify_ir: bool = False,
-        grape_kernel: str = "vectorized",
-        grape_warm_start: bool = True,
-        grape_plateau_iterations: int | None = 60,
         result_cache: ResultCache | str | os.PathLike | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
@@ -345,9 +342,6 @@ class BatchCompiler:
         self.pass_callbacks = list(pass_callbacks)
         self.executor = executor
         self.verify_ir = bool(verify_ir)
-        self.grape_kernel = grape_kernel
-        self.grape_warm_start = grape_warm_start
-        self.grape_plateau_iterations = grape_plateau_iterations
         if isinstance(result_cache, (str, os.PathLike)):
             result_cache = DiskResultCache(result_cache)
         #: Optional content-addressed store of whole compiled results;
@@ -386,9 +380,6 @@ class BatchCompiler:
             "backend": self.backend,
             "grape_qubit_limit": self.grape_qubit_limit,
             "seed": self.seed,
-            "grape_kernel": self.grape_kernel,
-            "grape_warm_start": self.grape_warm_start,
-            "grape_plateau_iterations": self.grape_plateau_iterations,
         }
 
     def make_ocu(
@@ -768,7 +759,7 @@ class BatchCompiler:
         Every job is dry-run against the analytic model through a
         :class:`_PlanningUnit` that records each GRAPE-eligible latency
         query under the unit's cache-signature convention
-        (:meth:`~repro.control.unit.OptimalControlUnit.node_signature`).
+        (:meth:`~repro.control.unit.OptimalControlUnit._node_signature`).
         The dry-runs also warm every ``"model"``-keyed latency entry in
         the shared store, so the real jobs' aggregation searches answer
         their candidate probes from cache.
@@ -1004,7 +995,7 @@ class _PlanningUnit(OptimalControlUnit):
     Prices every query with the analytic model (cheap, deterministic)
     while recording each query a ``backend="grape"`` engine would answer
     with optimal control, keyed by the unit's cache-signature convention
-    (:meth:`OptimalControlUnit.node_signature`).  The planner unions
+    (:meth:`OptimalControlUnit._node_signature`).  The planner unions
     these records across jobs into the batch's distinct worklist.  The
     configuration fingerprint deliberately excludes the backend, so the
     recorded keys are exactly the pulse-cache keys the real jobs probe.

@@ -15,7 +15,7 @@ Keying rules
 ------------
 The envelope alone does not pin a compilation: jobs without an explicit
 ``device`` inherit the engine's default target, and the engine's
-compiler config, pricing backend and GRAPE knobs all shape the result.
+compiler config, pricing backend and GRAPE settings all shape the result.
 :func:`result_key` therefore folds an *engine component* — a canonical
 JSON string of those settings (see :func:`engine_component`) — into the
 digest.  Two engines with different configurations sharing one store can
@@ -92,8 +92,8 @@ def engine_component(
             without changing any pulse).
         backend: Pricing backend (``"model"`` / ``"grape"``).
         fingerprint: The OCU's :func:`~repro.control.cache.store.
-            config_fingerprint` (covers GRAPE knobs, seed, and
-            heterogeneous-coupling targets).
+            config_fingerprint` (covers the GRAPE qubit limit and time
+            step, seed, and heterogeneous-coupling targets).
     """
     from repro.ir.serialize import compiler_config_to_dict
 

@@ -33,7 +33,7 @@ from repro.control.cache.protocol import (
 )
 from repro.control.cache.store import LATENCY, CacheDelta, PulseCache
 
-#: Entries buffered locally before a background ``push_delta`` upload.
+#: Most entries buffered locally before a ``push_delta`` upload.
 DEFAULT_FLUSH_THRESHOLD = 32
 
 #: Lease poll cadence while another client synthesizes our signature.
@@ -87,18 +87,6 @@ class FramedClient:
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
 
-    # -- pickling: sockets and locks cannot cross process boundaries -----
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_sock"] = None
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def request(self, payload: dict) -> dict:
         """One round trip; reconnects once on a dropped connection."""
         with self._lock:
@@ -146,32 +134,20 @@ class FramedClient:
 class RemotePulseCache(PulseCache):
     """A :class:`PulseCache` backed by a shared cache server.
 
+    Writes upload once more than :data:`DEFAULT_FLUSH_THRESHOLD`
+    entries are buffered, or on :meth:`flush`; a synthesis lease lasts
+    the server's ``lock_ttl``.
+
     Args:
         url: Server address, ``host:port`` or ``tcp://host:port``.
         max_bytes: Optional LRU budget for the *local* L1 (the server
             enforces its own budget fleet-wide).
-        flush_threshold: Buffered entries that trigger an upload; 0
-            writes through on every put.
-        timeout: Socket timeout per round trip, seconds.
-        lock_ttl: Optional lease length (seconds) requested with each
-            ``lock`` op; ``None`` accepts the server's default.  Raise
-            it for syntheses that may outlive the server-side default —
-            the server clamps the request to its own ceiling.
     """
 
-    def __init__(
-        self,
-        url: str,
-        max_bytes: int | None = None,
-        flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
-        timeout: float = 30.0,
-        lock_ttl: float | None = None,
-    ) -> None:
+    def __init__(self, url: str, max_bytes: int | None = None) -> None:
         super().__init__(max_bytes=max_bytes)
         self.url = url
-        self._wire = FramedClient(url, timeout)
-        self.flush_threshold = max(0, int(flush_threshold))
-        self.lock_ttl = lock_ttl
+        self._wire = FramedClient(url)
         self.owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
         self._pending = CacheDelta()
         #: Serializes the pending delta across the batch engine's
@@ -185,20 +161,6 @@ class RemotePulseCache(PulseCache):
         self.flushes = 0
         self.flushed_entries = 0
         self.lease_wait_seconds = 0.0
-
-    # -- pickling: sockets cannot cross process boundaries ---------------
-
-    def __getstate__(self):
-        self.flush()
-        state = super().__getstate__()
-        del state["_io_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        super().__setstate__(state)
-        self._io_lock = threading.RLock()
-        # A forked/unpickled copy is a distinct lease holder.
-        self.owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
 
     @property
     def remote_requests(self) -> int:
@@ -260,7 +222,7 @@ class RemotePulseCache(PulseCache):
         return added
 
     def _maybe_flush(self) -> None:
-        if len(self._pending) > self.flush_threshold:
+        if len(self._pending) > DEFAULT_FLUSH_THRESHOLD:
             self.flush()
 
     def flush(self) -> int:
@@ -318,15 +280,9 @@ class RemotePulseCache(PulseCache):
         remotely).  The pending delta is flushed *before* the lease is
         released, so the publish-before-release contract holds across
         the network too.
-
-        When :attr:`lock_ttl` is set it rides the ``lock`` op, so long
-        syntheses can request a lease that outlives the server default
-        (re-sending ``lock`` as the holder would likewise renew it).
         """
         wire = encode_pulse_key(key)
         acquire = {"op": "lock", "key": wire, "owner": self.owner}
-        if self.lock_ttl is not None:
-            acquire["ttl"] = float(self.lock_ttl)
         with super().exclusive(key):
             delay = _LEASE_POLL_SECONDS
             started = time.perf_counter()

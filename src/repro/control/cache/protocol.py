@@ -12,23 +12,22 @@ serialized with :func:`repr` and parsed back with
 Requests are ``{"op": <name>, ...}``; responses are ``{"ok": true, ...}``
 or ``{"ok": false, "error": <message>}``.  Operations:
 
-========== ==================================================== =================
-op          request fields                                       response fields
-========== ==================================================== =================
-ping        —                                                    —
-get_latency ``key`` (wire latency key)                           ``found``, ``value``
-get_pulse   ``key`` (wire pulse key)                             ``found``, ``result``
-push_delta  ``delta`` (``cache_delta`` envelope)                 ``added``
-stats       —                                                    ``stats`` (``cache_stats``)
-lock        ``key`` (wire pulse key), ``owner``, ``ttl`` (opt.)  ``granted``
-unlock      ``key`` (wire pulse key), ``owner``                  ``released``
-========== ==================================================== =================
+========== ==================================== =================
+op          request fields                       response fields
+========== ==================================== =================
+ping        —                                    —
+get_latency ``key`` (wire latency key)           ``found``, ``value``
+get_pulse   ``key`` (wire pulse key)             ``found``, ``result``
+push_delta  ``delta`` (``cache_delta`` envelope) ``added``
+stats       —                                    ``stats`` (``cache_stats``)
+lock        ``key`` (wire pulse key), ``owner``  ``granted``
+unlock      ``key`` (wire pulse key), ``owner``  ``released``
+========== ==================================== =================
 
-``ttl`` on ``lock`` is an optional requested lease length in seconds;
-the server clamps it to its own floor/ceiling (see
-:data:`repro.control.cache.server.MAX_LOCK_TTL_SECONDS`) and falls back
-to its configured default when absent.  A ``lock`` re-sent by the
-current holder renews the lease rather than failing.
+A granted ``lock`` lasts the server's ``lock_ttl`` (``--lock-ttl``);
+a ``lock`` re-sent by the current holder renews the lease rather than
+failing.  Unknown request fields are ignored, so an older client's
+``ttl`` on ``lock`` changes nothing.
 """
 
 from __future__ import annotations

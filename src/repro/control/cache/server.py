@@ -45,11 +45,6 @@ from repro.control.cache.store import PulseCache
 #: any real synthesis time at the paper's instruction widths.
 DEFAULT_LOCK_TTL_SECONDS = 300.0
 
-#: Server-side clamp on a client-requested lease ``ttl``: whatever the
-#: client asks for, a crashed holder's lease still expires within this.
-MIN_LOCK_TTL_SECONDS = 1.0
-MAX_LOCK_TTL_SECONDS = 3600.0
-
 #: Seconds :meth:`FramedServer.stop` waits for handler threads to
 #: finish the request they are in.
 _DRAIN_SECONDS = 5.0
@@ -74,12 +69,9 @@ class _LeaseTable:
         self._lock = threading.Lock()
         self.expired = 0
 
-    def acquire(self, key: tuple, owner: str, ttl: float | None = None) -> bool:
-        """Grant (or renew — same owner re-acquiring) the lease on a key.
-
-        ``ttl`` overrides the table default for this grant; callers are
-        expected to clamp it before it gets here.
-        """
+    def acquire(self, key: tuple, owner: str) -> bool:
+        """Grant (or renew — same owner re-acquiring) the lease on a key
+        for :attr:`ttl` seconds."""
         now = time.monotonic()
         with self._lock:
             held = self._leases.get(key)
@@ -89,7 +81,7 @@ class _LeaseTable:
                     return False
                 if holder != owner:
                     self.expired += 1
-            self._leases[key] = (owner, now + (self.ttl if ttl is None else ttl))
+            self._leases[key] = (owner, now + self.ttl)
             return True
 
     def release(self, key: tuple, owner: str) -> bool:
@@ -348,10 +340,7 @@ class CacheServer(FramedServer):
 
     def _op_lock(self, request: dict) -> dict:
         key = decode_pulse_key(request["key"])
-        ttl = request.get("ttl")
-        if ttl is not None:
-            ttl = max(MIN_LOCK_TTL_SECONDS, min(float(ttl), MAX_LOCK_TTL_SECONDS))
-        granted = self.leases.acquire(key, str(request["owner"]), ttl=ttl)
+        granted = self.leases.acquire(key, str(request["owner"]))
         return {"ok": True, "granted": granted}
 
     def _op_unlock(self, request: dict) -> dict:

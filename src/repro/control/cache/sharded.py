@@ -113,18 +113,6 @@ class ShardedDiskPulseCache(PulseCache):
         self.lock_wait_seconds = 0.0
         self.load()
 
-    # -- pickling: locks cannot cross process boundaries -----------------
-
-    def __getstate__(self):
-        state = super().__getstate__()
-        del state["_refresh_lock"], state["_save_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        super().__setstate__(state)
-        self._refresh_lock = threading.Lock()
-        self._save_lock = threading.Lock()
-
     # -- layout ----------------------------------------------------------
 
     def shard_path(self, index: int) -> str:

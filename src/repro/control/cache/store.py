@@ -49,13 +49,10 @@ _ENTRY_OVERHEAD_BYTES = 64
 def config_fingerprint(
     device: DeviceConfig,
     compiler: CompilerConfig,
+    *,
     grape_qubit_limit: int,
-    grape_dt: float,
     seed: int,
     target=None,
-    grape_kernel: str = "vectorized",
-    grape_warm_start: bool = True,
-    grape_plateau_iterations: int | None = 60,
 ) -> str:
     """Digest of everything that changes cached latencies or pulses.
 
@@ -65,6 +62,8 @@ def config_fingerprint(
 
     Args:
         device: Homogeneous baseline physics.
+        compiler: Compiler settings, the GRAPE time step
+            (``grape_dt_ns``) among them.
         target: Optional full :class:`~repro.device.device.Device`.  Its
             :meth:`~repro.device.device.Device.coupling_signature` —
             topology wiring plus the per-edge coupling overrides — is
@@ -86,21 +85,11 @@ def config_fingerprint(
         "device": dataclasses.asdict(device),
         "compiler": compiler_payload,
         "grape_qubit_limit": int(grape_qubit_limit),
-        "grape_dt": float(grape_dt),
+        "grape_dt": float(compiler.grape_dt_ns),
         "seed": int(seed),
     }
     if target is not None and target.has_heterogeneous_couplings:
         payload["target"] = repr(target.coupling_signature())
-    # Algorithm variants fold in only when they differ from the default
-    # fast path: the default fingerprint is stable across releases, while
-    # pulses from the legacy kernel / cold-restart search (whose Adam
-    # trajectories differ) can never collide with fast-path entries.
-    if grape_kernel != "vectorized":
-        payload["grape_kernel"] = grape_kernel
-    if not grape_warm_start:
-        payload["grape_warm_start"] = False
-    if grape_plateau_iterations != 60:
-        payload["grape_plateau_iterations"] = grape_plateau_iterations
     canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -236,18 +225,6 @@ class PulseCache(ByteBudgetLRU):
         self.misses = 0
         self.stores = 0
         self.lookup_seconds = 0.0
-
-    # -- pickling: locks cannot cross process boundaries -----------------
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"], state["_key_locks"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._key_locks = {}
 
     # -- lookups ---------------------------------------------------------
 

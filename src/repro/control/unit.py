@@ -66,23 +66,13 @@ class OptimalControlUnit:
         grape_qubit_limit: int = 3,
         seed: int = 20190413,
         cache: PulseCache | None = None,
-        grape_kernel: str = "vectorized",
-        grape_warm_start: bool = True,
-        grape_plateau_iterations: int | None = 60,
     ) -> None:
         """``cache`` is the store the unit reads and writes straight
         through (a fresh in-memory one when omitted); share one store
         across units to share their work.  The GRAPE time step is
-        ``compiler.grape_dt_ns``.
-
-        ``grape_kernel`` / ``grape_warm_start`` /
-        ``grape_plateau_iterations`` select the optimal-control fast
-        path (the defaults) or the legacy behavior (``"reference"`` /
-        ``False`` / ``None``) — ``benchmarks/bench_batch.py`` measures
-        the two against each other.  Non-default values are folded into
-        the cache fingerprint: the kernels' gradients agree to ~1e-12
-        but their Adam trajectories (and therefore pulses) diverge, so
-        entries from different algorithm variants must never mix."""
+        ``compiler.grape_dt_ns``, and every synthesis runs
+        :func:`~repro.control.time_search.minimal_pulse_time` with its
+        default (fast-path) search."""
         if backend not in _BACKENDS:
             raise ControlError(f"unknown backend {backend!r}; use {_BACKENDS}")
         if isinstance(device, Device):
@@ -96,9 +86,6 @@ class OptimalControlUnit:
         self.grape_qubit_limit = int(grape_qubit_limit)
         self.grape_dt = compiler.grape_dt_ns
         self.seed = seed
-        self.grape_kernel = grape_kernel
-        self.grape_warm_start = bool(grape_warm_start)
-        self.grape_plateau_iterations = grape_plateau_iterations
         self.model = AnalyticLatencyModel(self.device, target=self.target)
         self.cache = cache if cache is not None else PulseCache()
         self._position_dependent = (
@@ -115,12 +102,8 @@ class OptimalControlUnit:
             device=self.device,
             compiler=compiler,
             grape_qubit_limit=self.grape_qubit_limit,
-            grape_dt=self.grape_dt,
             seed=self.seed,
             target=self.target,
-            grape_kernel=grape_kernel,
-            grape_warm_start=self.grape_warm_start,
-            grape_plateau_iterations=grape_plateau_iterations,
         )
         self.cache_hits = 0
         self.grape_calls = 0
@@ -144,16 +127,6 @@ class OptimalControlUnit:
         if self._position_dependent and positional:
             return signature + (("support",) + support_of(node),)
         return signature
-
-    def node_signature(self, node, positional: bool = True) -> tuple:
-        """Public form of the cache-signature convention.
-
-        The batch engine's pre-warm planner dedups GRAPE work across a
-        whole batch by this signature: two nodes mapping to the same
-        tuple (under the same unit configuration) are the same control
-        problem and share one cache entry.
-        """
-        return self._node_signature(node, positional)
 
     def grape_eligible(self, node) -> bool:
         """Whether this unit would answer ``latency(node)`` with GRAPE."""
@@ -295,9 +268,6 @@ class OptimalControlUnit:
             fidelity_threshold=self.compiler.fidelity_threshold,
             dt=self.grape_dt,
             seed=self.seed,
-            warm_start=self.grape_warm_start,
-            plateau_iterations=self.grape_plateau_iterations,
-            kernel=self.grape_kernel,
         )
         self.grape_wall_seconds += time.perf_counter() - started
         self.grape_evals += search.evaluations

@@ -65,7 +65,7 @@ class TestPlanner:
         unit.latency(one_qubit)
         assert len(recorded) == 1
         (key,) = recorded
-        assert key == (unit.fingerprint, unit.node_signature(one_qubit))
+        assert key == (unit.fingerprint, unit._node_signature(one_qubit))
         assert recorded[key] == (one_qubit, True)
         # The planning unit prices through the model regardless of the
         # recorded worklist.

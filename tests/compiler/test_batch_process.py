@@ -6,6 +6,7 @@ from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.strategies import Strategy, all_strategies
+from repro.control.cache import CacheServer
 from repro.errors import ConfigError
 from repro.ir import canonical_result_dict
 
@@ -97,6 +98,28 @@ class TestDeltaMerging:
         )
         for a, b in zip(warm, cold):
             assert a.latency_ns == b.latency_ns
+
+    def test_worker_deltas_reach_a_cache_server(self):
+        """Over a ``tcp://`` store, worker entries reach the server only
+        through the client's upstream forwarding of each merged delta."""
+        circuit = maxcut_qaoa_circuit(line_graph(4))
+        jobs = [
+            BatchJob(circuit=circuit, strategy=strategy)
+            for strategy in ("isa", "aggregation", "cls+aggregation")
+        ]
+        with CacheServer() as server:
+            url = f"tcp://{server.url}"
+            engine = BatchCompiler(cache=url, executor="process", max_workers=2)
+            cold = engine.compile_batch(jobs)
+            engine.save_cache()
+            assert cold.cache_info["model_evals"] > 0
+            assert engine.cache.latency_count > 0
+            assert server.store.latency_count == engine.cache.latency_count
+            # A second engine on the same URL finds every entry there.
+            warm = BatchCompiler(cache=url).compile_batch(jobs)
+            assert warm.cache_info["model_evals"] == 0
+            for a, b in zip(cold, warm):
+                assert canonical_result_dict(a) == canonical_result_dict(b)
 
 
 class TestProcessModeRejections:

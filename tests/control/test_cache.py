@@ -3,7 +3,6 @@
 import contextlib
 import json
 import os
-import pickle
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +33,6 @@ def _fingerprint(device=None, compiler=None, **overrides):
         "device": device or DeviceConfig(),
         "compiler": compiler or CompilerConfig(),
         "grape_qubit_limit": 3,
-        "grape_dt": 0.5,
         "seed": 20190413,
     }
     kwargs.update(overrides)
@@ -74,9 +72,20 @@ class TestFingerprint:
         )
 
     def test_grape_settings_change_fingerprint(self):
-        assert _fingerprint() != _fingerprint(grape_dt=0.25)
+        assert _fingerprint() != _fingerprint(
+            compiler=CompilerConfig(grape_dt_ns=0.25)
+        )
         assert _fingerprint() != _fingerprint(seed=1)
         assert _fingerprint() != _fingerprint(grape_qubit_limit=4)
+
+    def test_settings_after_the_compiler_are_keyword_only(self):
+        # The GRAPE step is read from the compiler config, so a caller
+        # still passing it positionally fails loudly instead of hashing
+        # the step as the seed.
+        with pytest.raises(TypeError):
+            config_fingerprint(DeviceConfig(), CompilerConfig(), 3, 0.5, 20190413)
+        with pytest.raises(TypeError):
+            _fingerprint(grape_dt=0.5)
 
     def test_aggregation_rounds_do_not_change_fingerprint(self):
         # The round cap shapes which merges execute, never the latency
@@ -124,13 +133,6 @@ class TestPulseCache:
         )
         assert cache.merge_delta(delta) == 2
         assert cache.get_latency(("new",)) == 2.0
-
-    def test_picklable_across_processes(self):
-        cache = PulseCache()
-        cache.put_latency(("k",), 3.5)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.get_latency(("k",)) == 3.5
-        clone.put_latency(("k2",), 4.5)  # lock was reconstructed
 
 
 class TestEviction:

@@ -43,7 +43,6 @@ class TestGoldenFingerprints:
             device=DEFAULT_DEVICE,
             compiler=DEFAULT_COMPILER,
             grape_qubit_limit=3,
-            grape_dt=DEFAULT_COMPILER.grape_dt_ns,
             seed=20190413,
         )
         assert fingerprint == PAPER_GRID_FINGERPRINT, (
@@ -59,7 +58,6 @@ class TestGoldenFingerprints:
             device=device.config,
             compiler=DEFAULT_COMPILER,
             grape_qubit_limit=3,
-            grape_dt=DEFAULT_COMPILER.grape_dt_ns,
             seed=20190413,
             target=device,
         )
@@ -78,44 +76,6 @@ class TestGoldenFingerprints:
             OptimalControlUnit(device=_heterogeneous_device()).fingerprint
             == HETEROGENEOUS_FINGERPRINT
         )
-
-    def test_default_grape_knobs_do_not_change_the_fingerprint(self):
-        # The optimal-control fast path (vectorized kernel, warm starts,
-        # plateau termination) is the *default* and is deliberately left
-        # out of the default fingerprint, so existing caches stay warm;
-        # only opting out folds in.
-        assert (
-            config_fingerprint(
-                device=DEFAULT_DEVICE,
-                compiler=DEFAULT_COMPILER,
-                grape_qubit_limit=3,
-                grape_dt=DEFAULT_COMPILER.grape_dt_ns,
-                seed=20190413,
-                grape_kernel="vectorized",
-                grape_warm_start=True,
-                grape_plateau_iterations=60,
-            )
-            == PAPER_GRID_FINGERPRINT
-        )
-
-    def test_legacy_grape_knobs_namespace_their_own_entries(self):
-        base = dict(
-            device=DEFAULT_DEVICE,
-            compiler=DEFAULT_COMPILER,
-            grape_qubit_limit=3,
-            grape_dt=DEFAULT_COMPILER.grape_dt_ns,
-            seed=20190413,
-        )
-        variants = {
-            config_fingerprint(**base, grape_kernel="reference"),
-            config_fingerprint(**base, grape_warm_start=False),
-            config_fingerprint(**base, grape_plateau_iterations=None),
-        }
-        # Three distinct non-default fingerprints, none colliding with
-        # the frozen default: legacy-mode pulses (whose optimization
-        # trajectories differ) can never answer fast-path queries.
-        assert len(variants) == 3
-        assert PAPER_GRID_FINGERPRINT not in variants
 
     def test_t1_override_alone_does_not_change_the_fingerprint(self):
         # t1/t2 feed the decoherence model, never pulse latencies: a

@@ -226,11 +226,13 @@ class TestReconnect:
         key = ("fp", "model", (1, (("G0", (), (0,)),)))
         late = ("fp", "model", (1, (("G1", (), (0,)),)))
         server = CacheServer(store=ShardedDiskPulseCache(directory)).start()
-        client = RemotePulseCache(server.url, flush_threshold=0)
-        client.put_latency(key, 1.0)  # flushed and acknowledged
+        client = RemotePulseCache(server.url)
+        client.put_latency(key, 1.0)
+        client.flush()  # acknowledged
         assert server.stop() == 1
+        client.put_latency(late, 2.0)
         with pytest.raises(OSError):
-            client.put_latency(late, 2.0)
+            client.flush()
         assert client.flushes == 1
         assert client.stats()["pending_entries"] == 1
         # Nothing reached the stopped server after it saved: an

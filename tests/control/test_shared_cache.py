@@ -33,6 +33,7 @@ from repro.control.cache import (
     parse_cache_url,
     resolve_cache,
 )
+from repro.control.cache.client import DEFAULT_FLUSH_THRESHOLD
 from repro.control.cache.metrics import cache_summary, format_bytes, hit_rate
 from repro.control.cache.protocol import (
     decode_latency_key,
@@ -421,17 +422,19 @@ def server():
 
 class TestCacheServer:
     def test_latency_round_trip_between_clients(self, server):
-        writer = RemotePulseCache(server.url, flush_threshold=0)
+        writer = RemotePulseCache(server.url)
         reader = RemotePulseCache(server.url)
         writer.put_latency(_latency_key(0), 4.5)
+        writer.flush()
         assert reader.get_latency(_latency_key(0)) == 4.5
         assert reader.remote_hits == 1
 
     def test_pulse_round_trip_between_clients(self, server):
-        writer = RemotePulseCache(server.url, flush_threshold=0)
+        writer = RemotePulseCache(server.url)
         reader = RemotePulseCache(server.url)
         original = _result(seed=3)
         writer.put_pulse(_pulse_key(0), original)
+        writer.flush()
         restored = reader.get_pulse(_pulse_key(0))
         np.testing.assert_array_equal(
             restored.pulse.amplitudes, original.pulse.amplitudes
@@ -442,14 +445,15 @@ class TestCacheServer:
         assert reader.remote_requests == requests
 
     def test_write_behind_batches_until_threshold(self, server):
-        client = RemotePulseCache(server.url, flush_threshold=4)
-        for index in range(4):
+        client = RemotePulseCache(server.url)
+        for index in range(DEFAULT_FLUSH_THRESHOLD):
             client.put_latency(_latency_key(index), float(index))
         assert client.flushes == 0  # still buffered
         assert server.store.latency_count == 0
-        client.put_latency(_latency_key(4), 4.0)  # crosses the threshold
+        # One more crosses the threshold.
+        client.put_latency(_latency_key(DEFAULT_FLUSH_THRESHOLD), 1.0)
         assert client.flushes == 1
-        assert server.store.latency_count == 5
+        assert server.store.latency_count == DEFAULT_FLUSH_THRESHOLD + 1
 
     def test_save_flushes_pending(self, server):
         client = RemotePulseCache(server.url)
@@ -458,11 +462,33 @@ class TestCacheServer:
         assert server.store.latency_count == 1
 
     def test_merge_delta_forwards_upstream(self, server):
-        client = RemotePulseCache(server.url, flush_threshold=0)
+        client = RemotePulseCache(server.url)
         client.merge_delta(
             CacheDelta(latencies={_latency_key(i): float(i) for i in range(3)})
         )
+        assert server.store.latency_count == 0  # buffered like puts
+        assert client.flush() == 3
         assert server.store.latency_count == 3
+
+    def test_merge_delta_past_the_threshold_uploads_at_once(self, server):
+        # The process executor's worker deltas reach the server this
+        # way: one merge crossing the write-behind threshold flushes.
+        client = RemotePulseCache(server.url)
+        entries = DEFAULT_FLUSH_THRESHOLD + 1
+        client.merge_delta(
+            CacheDelta(
+                latencies={_latency_key(i): float(i) for i in range(entries)}
+            )
+        )
+        assert client.flushes == 1
+        assert server.store.latency_count == entries
+
+    def test_client_settings_are_the_url_and_the_budget(self, server):
+        # Write-behind size, socket timeout and lease length are fixed
+        # client-side; the lease length is the server's lock_ttl.
+        for keyword in ("flush_threshold", "timeout", "lock_ttl"):
+            with pytest.raises(TypeError):
+                RemotePulseCache(server.url, **{keyword: 1})
 
     def test_exclusive_lease_excludes_other_owners(self, server):
         key = _pulse_key(9)
@@ -478,34 +504,32 @@ class TestCacheServer:
             assert fast.leases.acquire(key, "b")  # a's lease expired
             assert fast.leases.expired == 1
 
-    def test_lock_op_honors_requested_ttl(self, server):
-        key = _pulse_key(6)
-        assert server.leases.acquire(key, "a", ttl=0.0)
-        # a's per-request lease already expired despite the 300 s default.
-        assert server.leases.acquire(key, "b")
+    def test_lock_op_ignores_a_requested_ttl(self):
+        # An older client may still send ``ttl``; the lease lasts the
+        # server's lock_ttl whatever it asks for.
+        with CacheServer(lock_ttl=1234.0) as served:
+            for key, ttl in ((_pulse_key(6), 0.0), (_pulse_key(7), 1e12)):
+                wire = encode_pulse_key(key)
+                assert served.dispatch(
+                    {"op": "lock", "key": wire, "owner": "a", "ttl": ttl}
+                )["granted"]
+                _, deadline = served.leases._leases[key]
+                assert 1200 < deadline - time.monotonic() <= 1234
+                assert not served.leases.acquire(key, "b")
 
-    def test_lock_op_clamps_requested_ttl(self, server):
-        from repro.control.cache.server import MAX_LOCK_TTL_SECONDS
-
-        wire = encode_pulse_key(_pulse_key(7))
-        assert server.dispatch(
-            {"op": "lock", "key": wire, "owner": "a", "ttl": 1e12}
-        )["granted"]
-        _, deadline = server.leases._leases[_pulse_key(7)]
-        assert deadline - time.monotonic() <= MAX_LOCK_TTL_SECONDS + 1
-
-    def test_client_lock_ttl_rides_the_lock_op(self, server):
-        client = RemotePulseCache(server.url, lock_ttl=1234.0)
-        key = _pulse_key(8)
-        with client.exclusive(key):
-            _, deadline = server.leases._leases[key]
-            remaining = deadline - time.monotonic()
-            assert 1200 < remaining <= 1234
+    def test_client_lease_lasts_the_server_lock_ttl(self):
+        with CacheServer(lock_ttl=1234.0) as served:
+            client = RemotePulseCache(served.url)
+            key = _pulse_key(8)
+            with client.exclusive(key):
+                _, deadline = served.leases._leases[key]
+                assert 1200 < deadline - time.monotonic() <= 1234
 
     def test_threads_share_one_client_without_crossing_responses(self, server):
-        seeder = RemotePulseCache(server.url, flush_threshold=0)
+        seeder = RemotePulseCache(server.url)
         for index in range(32):
             seeder.put_latency(_latency_key(index), float(index))
+        seeder.flush()
         # A tiny L1 keeps every lookup a real socket round trip, so
         # interleaved frames would hand threads each other's responses.
         client = RemotePulseCache(server.url, max_bytes=1)
@@ -519,16 +543,18 @@ class TestCacheServer:
         assert values == [float(i % 32) for i in range(256)]
 
     def test_threaded_writers_lose_no_pending_entries(self, server):
-        client = RemotePulseCache(server.url, flush_threshold=2)
+        client = RemotePulseCache(server.url)
+        entries = 8 * DEFAULT_FLUSH_THRESHOLD  # several threshold flushes
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(
                 pool.map(
                     lambda i: client.put_latency(_latency_key(i), float(i)),
-                    range(64),
+                    range(entries),
                 )
             )
+        assert client.flushes >= 1
         client.flush()
-        assert server.store.latency_count == 64
+        assert server.store.latency_count == entries
 
     def test_unknown_op_is_protocol_error(self, server):
         client = RemotePulseCache(server.url)
@@ -538,15 +564,17 @@ class TestCacheServer:
     def test_server_side_eviction_budget(self):
         budget = sum(latency_entry_bytes(_latency_key(i)) for i in range(2))
         with CacheServer(store=PulseCache(max_bytes=budget)) as bounded:
-            client = RemotePulseCache(bounded.url, flush_threshold=0)
+            client = RemotePulseCache(bounded.url)
             for index in range(6):
                 client.put_latency(_latency_key(index), float(index))
+                client.flush()
             assert bounded.store.latency_count == 2
             assert bounded.store.stats()["evictions"] == 4
 
     def test_server_stats_envelope(self, server):
-        client = RemotePulseCache(server.url, flush_threshold=0)
+        client = RemotePulseCache(server.url)
         client.put_latency(_latency_key(0), 1.0)
+        client.flush()
         client.get_latency(_latency_key(1))
         stats = client.server_stats()
         assert stats["backend"] == "memory"
@@ -556,20 +584,12 @@ class TestCacheServer:
     def test_disk_backed_server_persists_on_stop(self, tmp_path):
         directory = tmp_path / "served"
         server = CacheServer(store=ShardedDiskPulseCache(directory)).start()
-        client = RemotePulseCache(server.url, flush_threshold=0)
+        client = RemotePulseCache(server.url)
         client.put_latency(_latency_key(0), 2.5)
+        client.flush()
         assert server.stop() == 1
         restarted = ShardedDiskPulseCache(directory)
         assert restarted.get_latency(_latency_key(0)) == 2.5
-
-    def test_client_pickles_without_socket(self, server):
-        import pickle
-
-        client = RemotePulseCache(server.url)
-        client.get_latency(_latency_key(0))  # open the connection
-        clone = pickle.loads(pickle.dumps(client))
-        assert clone.owner != client.owner
-        assert clone.get_latency(_latency_key(1)) is None  # reconnects
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +704,7 @@ def _sharded_stress_worker(args) -> int:
 
 def _server_stress_worker(args) -> int:
     worker, url = args
-    cache = RemotePulseCache(url, flush_threshold=2)
+    cache = RemotePulseCache(url)
     synthesized = 0
     for index in _stress_keys(worker):
         synthesized += _stub_synthesize(cache, index)

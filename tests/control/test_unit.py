@@ -1,7 +1,11 @@
 """Tests for the OptimalControlUnit facade."""
 
+import functools
+
 import pytest
 
+import repro.control.unit as unit_module
+from repro.control.time_search import minimal_pulse_time
 from repro.control.unit import OptimalControlUnit, _signature_of
 from repro.errors import ControlError
 from repro.gates import library as lib
@@ -75,10 +79,42 @@ class TestGrapeTimeStep:
 
         engine = BatchCompiler(compiler_config=CompilerConfig(grape_dt_ns=0.25))
         assert engine.make_ocu().grape_dt == 0.25
-        with pytest.raises(TypeError):
-            BatchCompiler(grape_dt=0.25)
-        with pytest.raises(TypeError):
-            OptimalControlUnit(grape_dt=0.25)
+        # Neither the step nor the legacy search switches have a
+        # spelling of their own on the engine or the unit.
+        deleted = {
+            "grape_dt": 0.25,
+            "grape_kernel": "reference",
+            "grape_warm_start": False,
+            "grape_plateau_iterations": None,
+        }
+        for keyword, value in deleted.items():
+            with pytest.raises(TypeError):
+                BatchCompiler(**{keyword: value})
+            with pytest.raises(TypeError):
+                OptimalControlUnit(**{keyword: value})
+
+
+class TestLegacySearch:
+    """One quick 1-qubit synthesis per side, so it stays in tier 1."""
+
+    def test_legacy_search_swaps_in_at_the_module_name(self, monkeypatch):
+        # The unit has no switch for the legacy search: a reference run
+        # (benchmarks/bench_batch.py) patches it in at the name the unit
+        # calls, and the unit passes no algorithm setting that would
+        # override the patched-in ones.
+        fast = OptimalControlUnit(backend="grape", seed=11)
+        fast.latency(lib.X(0))
+        legacy_search = functools.partial(
+            minimal_pulse_time,
+            kernel="reference",
+            warm_start=False,
+            plateau_iterations=None,
+        )
+        monkeypatch.setattr(unit_module, "minimal_pulse_time", legacy_search)
+        legacy = OptimalControlUnit(backend="grape", seed=11)
+        legacy.latency(lib.X(0))
+        assert legacy.grape_calls == fast.grape_calls == 1
+        assert legacy.grape_evals > fast.grape_evals
 
 
 class TestSignature:

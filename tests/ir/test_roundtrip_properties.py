@@ -62,14 +62,16 @@ class TestDeviceRoundTrip:
         unit = OptimalControlUnit(device=device)
         rebuilt_unit = OptimalControlUnit(device=rebuilt)
         assert config_fingerprint(
-            device.config, unit.compiler, 3, unit.grape_dt, unit.seed,
+            device.config,
+            unit.compiler,
+            grape_qubit_limit=3,
+            seed=unit.seed,
             target=device,
         ) == config_fingerprint(
             rebuilt.config,
             rebuilt_unit.compiler,
-            3,
-            rebuilt_unit.grape_dt,
-            rebuilt_unit.seed,
+            grape_qubit_limit=3,
+            seed=rebuilt_unit.seed,
             target=rebuilt,
         )
 

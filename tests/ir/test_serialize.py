@@ -185,13 +185,12 @@ class TestTopologyAndDevice:
         rebuilt_device = Device.from_dict(device.to_dict())
         rebuilt_compiler = loads(dumps(compiler))
         assert config_fingerprint(
-            device.config, compiler, 3, 0.5, 1, target=device
+            device.config, compiler, grape_qubit_limit=3, seed=1, target=device
         ) == config_fingerprint(
             rebuilt_device.config,
             rebuilt_compiler,
-            3,
-            0.5,
-            1,
+            grape_qubit_limit=3,
+            seed=1,
             target=rebuilt_device,
         )
 
