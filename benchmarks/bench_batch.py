@@ -3,7 +3,8 @@
 Tracks the batch engine's headline numbers and writes them to a
 machine-readable ``BENCH_batch.json`` (path overridable via the
 ``BENCH_BATCH_JSON`` environment variable), stamped with the CPU count,
-Python, numpy and BLAS versions and git sha that produced them:
+Python, numpy and BLAS versions and git sha that produced them (and
+``git_dirty`` when tracked files differ from that sha):
 
 * **Model sweep** — the standard 20-job Figure 9 strategy sweep under
   the analytic backend, thread vs process executors.  This workload is
@@ -102,16 +103,26 @@ def _provenance() -> dict:
     except (TypeError, KeyError, AttributeError):  # older numpy: no dict mode
         pass
     try:
-        stamp["git_sha"] = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(_BASELINE_PATH),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
+        stamp["git_sha"] = _git("rev-parse", "HEAD").strip()
+        # Numbers from uncommitted edits to tracked files do not belong
+        # to that sha: say so.
+        stamp["git_dirty"] = bool(
+            _git("status", "--porcelain", "--untracked-files=no").strip()
+        )
     except (OSError, subprocess.CalledProcessError):
         stamp["git_sha"] = "unknown"
     return stamp
+
+
+def _git(*args: str) -> str:
+    """Stdout of one git command run in this checkout."""
+    return subprocess.run(
+        ["git", *args],
+        cwd=os.path.dirname(_BASELINE_PATH),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
 
 
 def _write_payload():

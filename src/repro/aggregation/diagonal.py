@@ -13,7 +13,12 @@ i.e. contains a two-qubit gate) into an
 resulting node stream — diagonal blocks plus untouched gates — feeds GDG
 construction, where diagonal blocks sharing qubits now commute and give
 CLS its scheduling freedom (paper Fig. 6(b)).
-"""
+
+The hand-optimization backend
+(:func:`~repro.compiler.hand_opt.hand_optimize`) reruns the same scan on
+the routed stream, where earlier blocks and instructions already sit
+among the gates: any node that is not a plain gate passes through
+unchanged and ends the window in front of it."""
 
 from __future__ import annotations
 
@@ -27,48 +32,53 @@ from repro.linalg.predicates import is_diagonal
 
 
 def detect_diagonal_blocks(
-    gates,
+    nodes,
     config: CompilerConfig = DEFAULT_COMPILER,
 ) -> list:
-    """Contract diagonal 2-qubit blocks in a gate stream.
+    """Contract diagonal 2-qubit blocks in a node stream.
 
     Args:
-        gates: Flattened gate sequence (program order).
-        config: Supplies block width/depth limits.
+        nodes: Program-order nodes: gates, plus any instructions an
+            earlier stage built (those pass through unchanged).
+        config: Supplies the block depth limit.
 
     Returns:
-        A node list mixing untouched gates and diagonal instructions.
+        A node list mixing untouched nodes and diagonal instructions.
     """
-    gates = list(gates)
+    nodes = list(nodes)
     output: list = []
     index = 0
-    while index < len(gates):
-        window, support = _pair_window(
-            gates, index, config.diagonal_block_depth
-        )
-        block_length = _longest_diagonal_prefix(window, support)
+    while index < len(nodes):
+        block_length = 0
+        if isinstance(nodes[index], Gate):
+            window, support = _pair_window(
+                nodes, index, config.diagonal_block_depth
+            )
+            block_length = _longest_diagonal_prefix(window, support)
         if block_length >= 3:
-            block = gates[index : index + block_length]
+            block = nodes[index : index + block_length]
             output.append(AggregatedInstruction(block, name=None))
             index += block_length
         else:
-            output.append(gates[index])
+            output.append(nodes[index])
             index += 1
     return output
 
 
-def _pair_window(gates, start: int, depth_limit: int) -> tuple[list, tuple]:
-    """Maximal run from ``start`` supported on <= 2 qubits.
+def _pair_window(nodes, start: int, depth_limit: int) -> tuple[list, tuple]:
+    """Maximal run of gates from ``start`` supported on <= 2 qubits.
 
-    The window extends while each next gate keeps the joint support
-    within two qubits; it is capped at ``depth_limit`` gates (the paper
-    notes blocks are "typically no longer than 10 gates").
+    The window extends while each next node is a gate keeping the joint
+    support within two qubits; it is capped at ``depth_limit`` gates
+    (the paper notes blocks are "typically no longer than 10 gates").
     """
-    support: set[int] = set(gates[start].qubits)
-    window = [gates[start]]
+    support: set[int] = set(nodes[start].qubits)
+    window = [nodes[start]]
     position = start + 1
-    while position < len(gates) and len(window) < depth_limit:
-        gate = gates[position]
+    while position < len(nodes) and len(window) < depth_limit:
+        gate = nodes[position]
+        if not isinstance(gate, Gate):
+            break
         union = support | set(gate.qubits)
         if len(union) > 2:
             # Gates on other qubits end the consecutive pair run only if

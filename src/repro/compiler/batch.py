@@ -38,20 +38,25 @@ finish, after which units not yet started never run.
   the GIL.
 * ``executor="process"`` — worker *processes*, each seeded at pool
   start with a snapshot of the shared store and a twin engine rebuilt
-  from this engine's settings.  Jobs ship as :mod:`repro.ir` envelopes
-  (pre-warm problems as serialized nodes; nothing process-local crosses
-  the boundary), run through the twin's same unit path, and return
-  serialized results plus the :class:`~repro.control.cache.CacheDelta`
-  of entries their unit computed, which the parent merges into the
-  shared store.  This sidesteps the GIL — the speedup on many-core
-  machines is what ``benchmarks/bench_batch.py`` records — at the cost
-  of per-job serialization and no *cross-worker* cache sharing during
-  one batch (the merged store carries everything forward to the next
-  batch).  So a GRAPE-backed process batch first runs the pre-warm
-  planner (:meth:`BatchCompiler.plan_prewarm`): it dry-runs the jobs
+  from this engine's settings.  Over a ``tcp://`` store the twins mount
+  the cache server itself instead of a snapshot: the parent's client
+  holds only the entries it has seen, not the server's.  Jobs ship as
+  :mod:`repro.ir` envelopes (pre-warm problems as serialized nodes;
+  nothing process-local crosses the boundary), run through the twin's
+  same unit path, and return serialized results plus the
+  :class:`~repro.control.cache.CacheDelta` of entries their unit
+  computed, which the parent merges into the shared store.  This
+  sidesteps the GIL — the speedup on many-core machines is what
+  ``benchmarks/bench_batch.py`` records — at the cost of per-job
+  serialization and no *cross-worker* cache sharing during one batch
+  beyond what workers have flushed to a cache server (the merged store
+  carries everything forward to the next batch).  So a GRAPE-backed
+  process batch first runs the pre-warm planner
+  (:meth:`BatchCompiler.plan_prewarm`): it dry-runs the jobs
   against the analytic model, synthesizes each distinct control
   problem once across the worker pool, and only then seeds the job
-  pool, whose workers find every planned pulse in their snapshot.
+  pool, whose workers find every planned pulse in their snapshot (or
+  on the server).
   Strategies ship by registered key, so jobs with an unregistered
   strategy, like engines with ``pass_callbacks``, cannot cross a process
   boundary and are rejected with a :class:`~repro.errors.ConfigError`.
@@ -86,7 +91,13 @@ from repro.config import (
     DEFAULT_DEVICE,
     DeviceConfig,
 )
-from repro.control.cache import CacheDelta, PulseCache, resolve_cache
+from repro.control.cache import (
+    CacheDelta,
+    PulseCache,
+    RemotePulseCache,
+    parse_cache_url,
+    resolve_cache,
+)
 from repro.compiler.result_cache import (
     DiskResultCache,
     ResultCache,
@@ -577,9 +588,9 @@ class BatchCompiler:
         """Compile one job through :func:`compile_circuit`.
 
         ``extra_callbacks`` are per-job hooks appended after the
-        engine-level ``pass_callbacks`` for this compilation only — the
-        compile service threads its cancellation probe and per-job
-        instrumentation through here without touching engine state.
+        engine-level ``pass_callbacks`` for this compilation only:
+        :meth:`_run_job`'s cancellation probe rides here without
+        touching engine state.
         """
         return compile_circuit(
             job.circuit,
@@ -623,7 +634,6 @@ class BatchCompiler:
         self,
         job: BatchJob,
         cancel: Callable[[], str | None] | None = None,
-        extra_callbacks: Sequence[PassCallback] = (),
     ) -> tuple[CompilationResult, float, dict[str, int]]:
         """Compile one job on its own unit; ``(result, seconds, counters)``.
 
@@ -632,7 +642,7 @@ class BatchCompiler:
         :class:`~repro.errors.JobCancelledError` carrying that reason
         (the entries it computed are already in the store).
         """
-        callbacks = list(extra_callbacks)
+        callbacks = []
         if cancel is not None:
 
             def _abort_if_cancelled(pass_, context, elapsed) -> None:
@@ -654,7 +664,6 @@ class BatchCompiler:
         self,
         job: BatchJob,
         cancel: Callable[[], str | None] | None = None,
-        extra_callbacks: Sequence[PassCallback] = (),
     ) -> tuple[CompilationResult, float, dict[str, int]]:
         """Compile one job now, on the calling thread; the service entry.
 
@@ -680,9 +689,7 @@ class BatchCompiler:
                     time.perf_counter() - lookup_started,
                     dict.fromkeys(COUNTER_KEYS, 0),
                 )
-        result, seconds, used = self._run_job(
-            job, cancel=cancel, extra_callbacks=extra_callbacks
-        )
+        result, seconds, used = self._run_job(job, cancel=cancel)
         if cache_key is not None:
             self.result_cache.put(cache_key, result)
         self._bill(used, result.pass_seconds)
@@ -730,7 +737,9 @@ class BatchCompiler:
         delta merges into the shared store as its outcome arrives.  Even
         one item goes through the pool: the point of the mode is the
         serialized path, and running inline would hide wire-format
-        regressions.
+        regressions.  Over a cache server the workers mount the server
+        itself: the client's snapshot holds only the entries it has
+        seen, so it publishes them and seeds nothing.
         """
         if not items:
             return []
@@ -739,12 +748,19 @@ class BatchCompiler:
             cache_delta_to_dict,
         )
 
-        snapshot = cache_delta_to_dict(self.cache.snapshot_delta())
+        config = self._config_payload()
+        if isinstance(self.cache, RemotePulseCache):
+            self.cache.flush()
+            host, port = parse_cache_url(self.cache.url)
+            config["cache"] = f"tcp://{host}:{port}"
+            snapshot = CacheDelta()
+        else:
+            snapshot = self.cache.snapshot_delta()
         outcomes = []
         with ProcessPoolExecutor(
             max_workers=min(workers, len(items)),
             initializer=_seed_worker,
-            initargs=(self._config_payload(), snapshot),
+            initargs=(config, cache_delta_to_dict(snapshot)),
         ) as pool:
             for value, delta, used in pool.map(function, items):
                 self.cache.merge_delta(cache_delta_from_dict(delta))
@@ -914,9 +930,9 @@ def _thread_map(function: Callable, items: list, workers: int) -> list:
 
 #: This worker process's twin engine: rebuilt once, at pool start, from
 #: the parent's settings payload, over a worker-local store that warms
-#: up across the worker's stream of items.  One store per worker is safe
-#: for mixed targets because every cache key carries its configuration
-#: fingerprint.
+#: up across the worker's stream of items (or over the parent's cache
+#: server).  One store per worker is safe for mixed targets because
+#: every cache key carries its configuration fingerprint.
 _TWIN: BatchCompiler | None = None
 
 
@@ -933,9 +949,11 @@ def _seed_worker(config: dict, snapshot_payload: dict) -> None:
     """Pool initializer: build this worker's twin engine and warm its store.
 
     Runs once per worker process.  ``config`` is the parent's
-    :meth:`BatchCompiler._config_payload`; the snapshot is the parent's
-    shared store serialized as one cache delta, so a warm (disk-loaded)
-    cache reaches process workers instead of every worker starting cold.
+    :meth:`BatchCompiler._config_payload`, plus the server URL when the
+    parent's store is a cache server; the snapshot is the parent's
+    shared store serialized as one cache delta (empty over a server), so
+    a warm (disk-loaded) cache reaches process workers instead of every
+    worker starting cold.
     """
     from repro.ir.serialize import cache_delta_from_dict, compiler_config_from_dict
 

@@ -13,6 +13,15 @@ Neeley et al. 2010) "with our best effort".  The rules implemented here:
 2. **Single-qubit run fusion** — consecutive one-qubit gates on a qubit
    collapse into one rotation pulse.
 
+Neither rule keeps a structural rule of its own.  Rule 1's blocks are
+the commutativity detector's
+(:func:`~repro.aggregation.diagonal.detect_diagonal_blocks`, rerun on
+the routed stream at the same ``CompilerConfig.diagonal_block_depth``),
+and both rules price through the analytic latency model
+(:class:`~repro.control.latency_model.AnalyticLatencyModel`): its pair
+coupling rate and residual-local charge for rule 1, its sequence
+latency for rule 2.
+
 A :class:`HandOptimizedInstruction` carries its explicit
 ``hand_latency_ns`` so the pipeline's latency oracle bypasses the
 optimal-control unit for these nodes.
@@ -20,15 +29,19 @@ optimal-control unit for these nodes.
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
 
+from repro.aggregation.diagonal import detect_diagonal_blocks
 from repro.aggregation.instruction import AggregatedInstruction
-from repro.config import DeviceConfig, DEFAULT_DEVICE
+from repro.config import (
+    CompilerConfig,
+    DEFAULT_COMPILER,
+    DEFAULT_DEVICE,
+    DeviceConfig,
+)
+from repro.control.latency_model import AnalyticLatencyModel
 from repro.gates.gate import Gate
-from repro.linalg.embed import embed_operator
-from repro.linalg.kak import interaction_time, weyl_decomposition
-from repro.linalg.predicates import is_diagonal
-from repro.linalg.su2 import rotation_content
+from repro.linalg.kak import interaction_time
 
 
 class HandOptimizedInstruction(AggregatedInstruction):
@@ -46,7 +59,10 @@ class HandOptimizedInstruction(AggregatedInstruction):
 
 
 def hand_optimize(
-    nodes, device: DeviceConfig = DEFAULT_DEVICE, target=None
+    nodes,
+    device: DeviceConfig = DEFAULT_DEVICE,
+    target=None,
+    config: CompilerConfig = DEFAULT_COMPILER,
 ) -> list:
     """Apply the hand rules to a routed node stream.
 
@@ -54,166 +70,49 @@ def hand_optimize(
     :class:`~repro.device.device.Device`: the nodes here carry physical
     qubit indices, so a diagonal pair block on an edge with a per-edge
     coupling-limit override is priced at that edge's rate — the same
-    policy the optimal-control oracle applies.  Without a target every
-    pair prices at ``device.coupling_rate`` (identical arithmetic, so
-    homogeneous devices stay bit-identical).
+    policy the optimal-control oracle applies.  ``config`` supplies the
+    detector's block depth.
     """
-    with_zz = _replace_diagonal_pair_blocks(list(nodes), device, target)
-    return _fuse_single_qubit_runs(with_zz, device)
+    model = AnalyticLatencyModel(device, target)
+    with_zz = [
+        HandOptimizedInstruction(
+            node.gates, hand_zz_latency(node, model), name=node.name
+        )
+        if isinstance(node, AggregatedInstruction) and node.width == 2
+        else node
+        for node in detect_diagonal_blocks(nodes, config)
+    ]
+    return _fuse_single_qubit_runs(with_zz, model)
 
 
 def hand_zz_latency(
-    block_unitary: np.ndarray,
-    device: DeviceConfig,
-    coupling_rate: float | None = None,
+    block: AggregatedInstruction, model: AnalyticLatencyModel
 ) -> float:
-    """Latency of the two-segment XY realization of a diagonal block.
-
-    ``coupling_rate`` (rad/ns) overrides the homogeneous
-    ``device.coupling_rate`` for blocks sitting on a heterogeneous edge.
-    """
-    if coupling_rate is None:
-        coupling_rate = device.coupling_rate
-    busy = interaction_time(block_unitary, coupling_rate)
-    local = _residual_local(block_unitary, device)
-    return 2.0 * device.setup_time_2q_ns + busy + local
+    """Latency of the two-segment XY realization of a diagonal pair
+    block, at the coupling rate of the block's edge."""
+    busy = interaction_time(block.matrix, model.coupling_rate(block.qubits))
+    local = model.residual_local_time(block.matrix)
+    return 2.0 * model.device.setup_time_2q_ns + busy + local
 
 
-def _pair_coupling_rate(target, support) -> float | None:
-    """The edge rate of a 2-qubit physical support (None: homogeneous)."""
-    if target is None or len(support) != 2:
-        return None
-    return target.coupling_rate_of(support[0], support[1])
-
-
-def _residual_local(block_unitary: np.ndarray, device: DeviceConfig) -> float:
-    try:
-        decomposition = weyl_decomposition(block_unitary)
-    except Exception:
-        return 0.0
-    qubit_a, qubit_b = decomposition.local_rotation_content
-    return max(qubit_a, qubit_b) / device.drive_rate
-
-
-def _replace_diagonal_pair_blocks(
-    nodes: list, device: DeviceConfig, target=None
-) -> list:
-    """Rule 1: contract diagonal pair runs into two-segment hand pulses."""
-    output: list = []
-    index = 0
-    while index < len(nodes):
-        node = nodes[index]
-        if isinstance(node, AggregatedInstruction):
-            # A diagonal block contracted by the frontend detector: give
-            # it the two-segment hand realization.
-            if node.width == 2 and node.matrix is not None:
-                support = tuple(sorted(set(node.qubits)))
-                latency = hand_zz_latency(
-                    node.matrix, device, _pair_coupling_rate(target, support)
-                )
-                output.append(
-                    HandOptimizedInstruction(node.gates, latency, name=node.name)
-                )
-            else:
-                output.append(node)
-            index += 1
-            continue
-        if not isinstance(node, Gate):
-            output.append(node)
-            index += 1
-            continue
-        window, support = _pair_window(nodes, index)
-        best = _longest_diagonal_prefix(window, support)
-        if best >= 3:
-            block = nodes[index : index + best]
-            unitary = AggregatedInstruction(block, name="probe").matrix
-            latency = hand_zz_latency(
-                unitary, device, _pair_coupling_rate(target, support)
-            )
-            output.append(
-                HandOptimizedInstruction(block, latency, name=None)
-            )
-            index += best
-        else:
-            output.append(node)
-            index += 1
-    return output
-
-
-def _fuse_single_qubit_runs(nodes: list, device: DeviceConfig) -> list:
+def _fuse_single_qubit_runs(nodes: list, model: AnalyticLatencyModel) -> list:
     """Rule 2: collapse consecutive 1-qubit gates per qubit."""
     output: list = []
-    index = 0
-    while index < len(nodes):
-        node = nodes[index]
-        if not (isinstance(node, Gate) and node.num_qubits == 1):
-            output.append(node)
-            index += 1
-            continue
-        qubit = node.qubits[0]
-        run = [node]
-        probe = index + 1
-        while probe < len(nodes):
-            candidate = nodes[probe]
-            if (
-                isinstance(candidate, Gate)
-                and candidate.num_qubits == 1
-                and candidate.qubits[0] == qubit
-            ):
-                run.append(candidate)
-                probe += 1
-            elif qubit in candidate.qubits:
-                break
-            else:
-                # Disjoint gate: cannot be reordered past safely in a flat
-                # list scan (it may share qubits with later run members'
-                # context), stop the run here.
-                break
-        if len(run) > 1:
-            total = np.eye(2, dtype=complex)
-            for gate in run:
-                total = gate.matrix @ total
-            latency = (
-                device.setup_time_1q_ns
-                + rotation_content(total) / device.drive_rate
-            )
-            output.append(HandOptimizedInstruction(run, latency, name=None))
-            index += len(run)
+    for qubit, members in itertools.groupby(nodes, key=_single_qubit):
+        run = list(members)
+        if qubit is None or len(run) == 1:
+            output.extend(run)
         else:
-            output.append(node)
-            index += 1
+            output.append(
+                HandOptimizedInstruction(
+                    run, model.sequence_latency(run), name=None
+                )
+            )
     return output
 
 
-def _pair_window(nodes: list, start: int, depth_limit: int = 10):
-    support: set[int] = set(nodes[start].qubits)
-    window = [nodes[start]]
-    position = start + 1
-    while position < len(nodes) and len(window) < depth_limit:
-        node = nodes[position]
-        if not isinstance(node, Gate):
-            break
-        union = support | set(node.qubits)
-        if len(union) > 2:
-            break
-        support = union
-        window.append(node)
-        position += 1
-    return window, tuple(sorted(support))
-
-
-def _longest_diagonal_prefix(window: list, support: tuple) -> int:
-    if len(support) > 2 or len(window) < 3:
-        return 0
-    width = len(support)
-    index = {qubit: position for position, qubit in enumerate(support)}
-    total = np.eye(2**width, dtype=complex)
-    best = 0
-    has_pair_gate = False
-    for length, gate in enumerate(window, start=1):
-        positions = [index[q] for q in gate.qubits]
-        total = embed_operator(gate.matrix, positions, width) @ total
-        has_pair_gate = has_pair_gate or gate.num_qubits == 2
-        if length >= 3 and has_pair_gate and is_diagonal(total):
-            best = length
-    return best
+def _single_qubit(node) -> int | None:
+    """The qubit of a one-qubit gate; None for every other node."""
+    if isinstance(node, Gate) and node.num_qubits == 1:
+        return node.qubits[0]
+    return None

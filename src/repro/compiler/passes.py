@@ -183,7 +183,10 @@ class HandOptimizePass(Pass):
         )
         before = len(nodes)
         context.physical_nodes = hand_optimize(
-            nodes, context.device_config, target=context.device
+            nodes,
+            context.device_config,
+            target=context.device,
+            config=context.compiler_config,
         )
         context.invalidate_physical_dag()
         context.record_metrics(

@@ -33,7 +33,7 @@ from repro.config import DeviceConfig, DEFAULT_DEVICE
 from repro.errors import ControlError
 from repro.gates.gate import Gate
 from repro.linalg.embed import embed_operator
-from repro.linalg.kak import interaction_time
+from repro.linalg.kak import interaction_time, weyl_decomposition
 from repro.linalg.su2 import rotation_content
 
 
@@ -56,10 +56,22 @@ class AnalyticLatencyModel:
         self.device = device
         self.target = target
 
-    def _coupling_rate(self, support) -> float:
+    def coupling_rate(self, support) -> float:
+        """Coupling rate (rad/ns) of a physical support: its edge's rate
+        when it is a pair on the target, else the homogeneous rate."""
         if self.target is not None and len(support) == 2:
             return self.target.coupling_rate_of(support[0], support[1])
         return self.device.coupling_rate
+
+    def residual_local_time(self, matrix: np.ndarray) -> float:
+        """Drive time of a two-qubit unitary's residual local rotations:
+        the larger per-qubit rotation content over the drive rate."""
+        try:
+            decomposition = weyl_decomposition(matrix)
+        except Exception:
+            return 0.0
+        qubit_a, qubit_b = decomposition.local_rotation_content
+        return max(qubit_a, qubit_b) / self.device.drive_rate
 
     def gate_latency(self, gate: Gate) -> float:
         """Latency of a standalone gate pulse (ISA compilation cost)."""
@@ -98,12 +110,11 @@ class AnalyticLatencyModel:
         if len(run.support) == 1:
             content = rotation_content(run.matrix)
             return content / self.device.drive_rate, False
-        busy = interaction_time(run.matrix, self._coupling_rate(run.support))
+        busy = interaction_time(run.matrix, self.coupling_rate(run.support))
         if busy < 1e-9:
             # Locally-equivalent-to-identity run (e.g. cancelled CNOTs):
             # only residual local rotations remain, charged at drive rate.
-            content = _residual_local_content(run.matrix)
-            return content / self.device.drive_rate, False
+            return self.residual_local_time(run.matrix), False
         return busy, True
 
 
@@ -153,15 +164,3 @@ def _collapse_runs(gates) -> list[_Run]:
         open_runs.append(_Run(gate))
     closed.extend(open_runs)
     return closed
-
-
-def _residual_local_content(matrix: np.ndarray) -> float:
-    """Max per-qubit local rotation content of a non-entangling 2q unitary."""
-    from repro.linalg.kak import weyl_decomposition
-
-    try:
-        decomposition = weyl_decomposition(matrix)
-    except Exception:
-        return 0.0
-    qubit_a, qubit_b = decomposition.local_rotation_content
-    return max(qubit_a, qubit_b)

@@ -359,17 +359,12 @@ def support_of(node) -> tuple[int, ...]:
 
 
 def _signature_of(node) -> tuple:
-    """Structural identity: gate signatures + relative qubit geometry."""
-    gates = gates_of(node)
-    support = support_of(node)
-    index = {qubit: position for position, qubit in enumerate(support)}
-    parts = []
-    for gate in gates:
-        parts.append(
-            (
-                gate.name,
-                tuple(round(p, 10) for p in gate.params),
-                tuple(index[q] for q in gate.qubits),
-            )
-        )
-    return (len(support), tuple(parts))
+    """Structural identity: gate signatures + relative qubit geometry.
+
+    Read off the node's memoized ``signature``: a gate's is its one part
+    (name, rounded params, qubit ranks), and an instruction's is
+    ``("AGG", width, parts)`` with the same parts over its sorted support.
+    """
+    if isinstance(node, Gate):
+        return (node.num_qubits, (node.signature,))
+    return node.signature[1:]

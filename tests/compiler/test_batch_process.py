@@ -6,7 +6,7 @@ from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.strategies import Strategy, all_strategies
-from repro.control.cache import CacheServer
+from repro.control.cache import CacheServer, resolve_cache
 from repro.errors import ConfigError
 from repro.ir import canonical_result_dict
 
@@ -100,8 +100,9 @@ class TestDeltaMerging:
             assert a.latency_ns == b.latency_ns
 
     def test_worker_deltas_reach_a_cache_server(self):
-        """Over a ``tcp://`` store, worker entries reach the server only
-        through the client's upstream forwarding of each merged delta."""
+        """Over a ``tcp://`` store, every worker entry reaches the server,
+        if not from the worker's own client then through the parent
+        client's upstream forwarding of each merged delta."""
         circuit = maxcut_qaoa_circuit(line_graph(4))
         jobs = [
             BatchJob(circuit=circuit, strategy=strategy)
@@ -117,6 +118,31 @@ class TestDeltaMerging:
             assert server.store.latency_count == engine.cache.latency_count
             # A second engine on the same URL finds every entry there.
             warm = BatchCompiler(cache=url).compile_batch(jobs)
+            assert warm.cache_info["model_evals"] == 0
+            for a, b in zip(cold, warm):
+                assert canonical_result_dict(a) == canonical_result_dict(b)
+
+    def test_workers_over_a_warm_cache_server_start_warm(self):
+        """Process workers mount the server itself: the parent client's
+        own entries are only those it has seen, so seeding the workers
+        with them would leave them cold over a warm server."""
+        circuit = maxcut_qaoa_circuit(line_graph(4))
+        jobs = [
+            BatchJob(circuit=circuit, strategy=strategy)
+            for strategy in ("isa", "aggregation", "cls+aggregation")
+        ]
+        with CacheServer() as server:
+            first = BatchCompiler(cache=f"tcp://{server.url}", max_workers=2)
+            cold = first.compile_batch(jobs)
+            first.save_cache()
+            assert server.store.latency_count > 0
+            # The runner's --cache-url form: no scheme.
+            engine = BatchCompiler(
+                cache=resolve_cache(url=server.url),
+                executor="process",
+                max_workers=2,
+            )
+            warm = engine.compile_batch(jobs)
             assert warm.cache_info["model_evals"] == 0
             for a, b in zip(cold, warm):
                 assert canonical_result_dict(a) == canonical_result_dict(b)

@@ -5,21 +5,17 @@ import functools
 import pytest
 
 import repro.control.unit as unit_module
+from repro.aggregation.diagonal import detect_diagonal_blocks
+from repro.aggregation.instruction import AggregatedInstruction
+from repro.benchmarks.registry import table3_suite
+from repro.compiler.batch import BatchCompiler, BatchJob
+from repro.compiler.strategies import all_strategies
 from repro.control.time_search import minimal_pulse_time
 from repro.control.unit import OptimalControlUnit, _signature_of
 from repro.errors import ControlError
 from repro.gates import library as lib
-
-
-class _FakeInstruction:
-    """Minimal aggregated-instruction stand-in."""
-
-    def __init__(self, gates):
-        self.gates = list(gates)
-        qubits: set[int] = set()
-        for gate in gates:
-            qubits.update(gate.qubits)
-        self.qubits = tuple(sorted(qubits))
+from repro.gates.decompositions import lower_to_standard_set
+from repro.gates.gate import Gate
 
 
 class TestModelBackend:
@@ -30,7 +26,7 @@ class TestModelBackend:
     def test_instruction_latency_less_than_serial(self):
         ocu = OptimalControlUnit()
         gates = [lib.CNOT(0, 1), lib.RZ(0.7, 1), lib.CNOT(0, 1)]
-        instruction = _FakeInstruction(gates)
+        instruction = AggregatedInstruction(gates)
         serial = sum(ocu.latency(g) for g in gates)
         assert ocu.latency(instruction) < serial
 
@@ -130,9 +126,69 @@ class TestSignature:
         assert _signature_of(lib.RZ(0.5, 0)) != _signature_of(lib.RZ(0.6, 0))
 
     def test_instruction_signature_includes_layout(self):
-        chain = _FakeInstruction([lib.CNOT(0, 1), lib.CNOT(1, 2)])
-        fan = _FakeInstruction([lib.CNOT(0, 1), lib.CNOT(0, 2)])
+        chain = AggregatedInstruction([lib.CNOT(0, 1), lib.CNOT(1, 2)])
+        fan = AggregatedInstruction([lib.CNOT(0, 1), lib.CNOT(0, 2)])
         assert _signature_of(chain) != _signature_of(fan)
+
+
+def _reference_signature(node) -> tuple:
+    """Frozen copy of the cache signature as the unit built it before it
+    read the nodes' memoized ``signature``: rebuilt from the members."""
+    gates = [node] if isinstance(node, Gate) else list(node.gates)
+    support = tuple(sorted(set(node.qubits)))
+    index = {qubit: position for position, qubit in enumerate(support)}
+    parts = tuple(
+        (
+            gate.name,
+            tuple(round(p, 10) for p in gate.params),
+            tuple(index[q] for q in gate.qubits),
+        )
+        for gate in gates
+    )
+    return (len(support), parts)
+
+
+class TestSignatureMatchesFrozenFormula:
+    """Every node a small sweep prices keys the cache as before."""
+
+    def test_every_node_of_a_small_sweep(self, monkeypatch):
+        # Checked as the unit asks, so the sweep's probes are not kept.
+        kinds = set()
+
+        def checked(node):
+            signature = _signature_of(node)
+            assert signature == _reference_signature(node), node
+            kinds.add((isinstance(node, Gate), len(node.qubits) > 2))
+            return signature
+
+        monkeypatch.setattr(unit_module, "_signature_of", checked)
+        circuits = [
+            spec.build()
+            for spec in table3_suite("small")
+            if spec.key in ("maxcut-line-6", "ising-6", "sqrt-9", "uccsd-4")
+        ]
+        report = BatchCompiler(max_workers=1).compile_batch(
+            BatchJob(circuit=circuit, strategy=strategy)
+            for circuit in circuits
+            for strategy in all_strategies()
+        )
+        # Gates, and instructions of pair and wider supports, were priced.
+        assert kinds == {(True, False), (False, False), (False, True)}
+        blocks = [
+            node
+            for circuit in circuits
+            for node in detect_diagonal_blocks(
+                lower_to_standard_set(circuit.gates)
+            )
+            if isinstance(node, AggregatedInstruction)
+        ]
+        assert blocks
+        for node in blocks + [
+            operation.node
+            for result in report.results
+            for operation in result.schedule.operations
+        ]:
+            checked(node)
 
 
 @pytest.mark.slow
@@ -154,7 +210,7 @@ class TestGrapeBackend:
 
     def test_wide_instruction_falls_back_to_model(self):
         ocu = OptimalControlUnit(backend="grape", grape_qubit_limit=2)
-        wide = _FakeInstruction(
+        wide = AggregatedInstruction(
             [lib.CNOT(0, 1), lib.CNOT(1, 2), lib.CNOT(2, 3)]
         )
         latency = ocu.latency(wide)
@@ -163,6 +219,6 @@ class TestGrapeBackend:
 
     def test_synthesize_pulse_width_check(self):
         ocu = OptimalControlUnit(backend="grape", grape_qubit_limit=2)
-        wide = _FakeInstruction([lib.CNOT(0, 1), lib.CNOT(1, 2)])
+        wide = AggregatedInstruction([lib.CNOT(0, 1), lib.CNOT(1, 2)])
         with pytest.raises(ControlError):
             ocu.synthesize_pulse(wide)
