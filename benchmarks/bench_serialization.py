@@ -4,15 +4,18 @@ Serialization sits on the batch engine's process-executor hot path —
 every job ships its circuit (and optionally device) out and its whole
 result plus a cache delta back — so its cost must stay a small fraction
 of compile time.  This module times the two round trips that dominate:
-circuit ``to_json``/``from_json`` and full-result ``to_dict``/
-``from_dict``, over the shared strategy-sweep workload, and prints
-per-artifact microseconds plus payload sizes.
+circuit text (``dumps``/``loads``) and full-result payloads
+(``result_to_dict``/``result_from_dict``), over the shared
+strategy-sweep workload, and prints per-artifact microseconds plus
+payload sizes.
 """
 
 import json
 
 from repro.ir import (
     canonical_result_dict,
+    dumps,
+    loads,
     result_from_dict,
     result_to_dict,
 )
@@ -22,19 +25,14 @@ def test_circuit_round_trip_throughput(benchmark, sweep_jobs, capsys):
     circuits = {job.circuit.name: job.circuit for job in sweep_jobs}
 
     def round_trip():
-        return [
-            type(circuit).from_json(circuit.to_json())
-            for circuit in circuits.values()
-        ]
+        return [loads(dumps(circuit)) for circuit in circuits.values()]
 
     rebuilt = benchmark(round_trip)
     assert len(rebuilt) == len(circuits)
     for original, copy in zip(circuits.values(), rebuilt):
         assert copy.name == original.name
         assert len(copy.gates) == len(original.gates)
-    payload_bytes = sum(
-        len(circuit.to_json()) for circuit in circuits.values()
-    )
+    payload_bytes = sum(len(dumps(circuit)) for circuit in circuits.values())
     with capsys.disabled():
         print()
         print(

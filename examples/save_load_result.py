@@ -15,13 +15,12 @@ as a smoke check.
 Run:  python examples/save_load_result.py
 """
 
-import json
 import os
 import subprocess
 import sys
 import tempfile
 
-from repro import CLS_AGGREGATION, CompilationResult, compile_circuit
+from repro import CLS_AGGREGATION, CompilationResult, compile_circuit, dumps
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 
 _CHILD_CODE = """
@@ -55,7 +54,7 @@ def main() -> int:
         if loaded.final_mapping != result.final_mapping:
             print("FAIL: routing mapping changed across the round trip")
             return 1
-        if json.dumps(loaded.to_dict()) != json.dumps(result.to_dict()):
+        if dumps(loaded) != dumps(result):
             print("FAIL: wire payload is not a fixed point of the round trip")
             return 1
         print(f"reloaded:  {loaded.summary()}")

@@ -126,20 +126,6 @@ class AggregatedInstruction:
         ]
         return AggregatedInstruction(moved, name=self.name)
 
-    def to_dict(self) -> dict:
-        """Versioned wire form (see :mod:`repro.ir.serialize`)."""
-        from repro.ir.serialize import instruction_to_dict
-
-        return instruction_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> AggregatedInstruction:
-        """Rebuild an instruction (or hand-optimized subtype) from its
-        wire form."""
-        from repro.ir.serialize import instruction_from_dict
-
-        return instruction_from_dict(payload)
-
     def gate_counts(self) -> dict[str, int]:
         """Histogram of member gate names."""
         counts: dict[str, int] = {}

@@ -11,23 +11,24 @@ snapshots, not a single artifact.
 from __future__ import annotations
 
 from repro.analysis.core import Severity, rule
+from repro.gates.gate import Gate
 from repro.linalg.predicates import is_diagonal as _matrix_is_diagonal
 
 
 def _claimed_diagonal(node) -> bool | None:
     """The node's *cached* diagonality claim, or None when unclaimed.
 
-    Both :class:`~repro.gates.gate.Gate` (manual ``_is_diagonal``
-    memo) and aggregated instructions (``functools.cached_property``)
-    memoize into ``__dict__``; an absent memo means any later query
-    would recompute honestly, so there is nothing to cross-check.
+    A :class:`~repro.gates.gate.Gate` memoizes into its ``_is_diagonal``
+    attribute (None until queried); an aggregated instruction's
+    ``functools.cached_property`` memoizes into ``__dict__``.  An absent
+    memo means any later query would recompute honestly, so there is
+    nothing to cross-check.
     """
-    cache = getattr(node, "__dict__", {})
-    if "is_diagonal" in cache:
-        return bool(cache["is_diagonal"])
-    if "_is_diagonal" in cache:
-        return bool(cache["_is_diagonal"])
-    return None
+    if isinstance(node, Gate):
+        claim = node._is_diagonal
+    else:
+        claim = getattr(node, "__dict__", {}).get("is_diagonal")
+    return None if claim is None else bool(claim)
 
 
 @rule("REP131", "aggregation", Severity.ERROR, "block width within width_limit")

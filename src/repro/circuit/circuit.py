@@ -170,36 +170,6 @@ class Circuit:
         return pairs
 
     # ------------------------------------------------------------------
-    # Serialization (wire format: repro.ir.serialize)
-
-    def to_dict(self) -> dict:
-        """Versioned wire form (named gates by mnemonic, custom gates
-        with explicit matrices)."""
-        from repro.ir.serialize import circuit_to_dict
-
-        return circuit_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> Circuit:
-        """Rebuild a circuit from its wire form."""
-        from repro.ir.serialize import circuit_from_dict
-
-        return circuit_from_dict(payload)
-
-    def to_json(self, indent: int | None = None) -> str:
-        """JSON text of :meth:`to_dict` (exact float round trip)."""
-        import json
-
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> Circuit:
-        """Rebuild a circuit from :meth:`to_json` output."""
-        import json
-
-        return cls.from_dict(json.loads(text))
-
-    # ------------------------------------------------------------------
     # Semantics
 
     def unitary(self) -> np.ndarray:

@@ -45,18 +45,19 @@ finish, after which units not yet started never run.
   nothing process-local crosses the boundary), run through the twin's
   same unit path, and return serialized results plus the
   :class:`~repro.control.cache.CacheDelta` of entries their unit
-  computed, which the parent merges into the shared store.  This
-  sidesteps the GIL — the speedup on many-core machines is what
-  ``benchmarks/bench_batch.py`` records — at the cost of per-job
-  serialization and no *cross-worker* cache sharing during one batch
-  beyond what workers have flushed to a cache server (the merged store
-  carries everything forward to the next batch).  So a GRAPE-backed
-  process batch first runs the pre-warm planner
-  (:meth:`BatchCompiler.plan_prewarm`): it dry-runs the jobs
-  against the analytic model, synthesizes each distinct control
-  problem once across the worker pool, and only then seeds the job
-  pool, whose workers find every planned pulse in their snapshot (or
-  on the server).
+  computed, which the parent merges into the shared store (over a
+  cache server, into the client's local copy only: each worker uploads
+  its own entries after every job).  This sidesteps the GIL — the
+  speedup on many-core machines is what ``benchmarks/bench_batch.py``
+  records — at the cost of per-job serialization and no *cross-worker*
+  cache sharing during one batch beyond what workers have uploaded to
+  a cache server (the merged store carries everything forward to the
+  next batch).  So a GRAPE-backed process batch first runs the
+  pre-warm planner (:meth:`BatchCompiler.plan_prewarm`): it dry-runs
+  the jobs against the analytic model, synthesizes each distinct
+  control problem once across the worker pool, and only then seeds the
+  job pool, whose workers find every planned pulse in their snapshot
+  (or on the server).
   Strategies ship by registered key, so jobs with an unregistered
   strategy, like engines with ``pass_callbacks``, cannot cross a process
   boundary and are rejected with a :class:`~repro.errors.ConfigError`.
@@ -204,9 +205,9 @@ class BatchReport:
     """OCU counters summed across all jobs (and the pre-warm planner's
     dry-runs and syntheses), plus final store entry counts.  Under the
     process executor the work counters are summed over per-worker
-    stores that do not see each other's entries during the batch, so
-    ``model_evals`` grows with the worker count; ``latency_entries``
-    and the results do not."""
+    stores that see each other's entries during the batch only through
+    a cache server, after each job, so ``model_evals`` grows with the
+    worker count; ``latency_entries`` and the results do not."""
     executor: str = "thread"
     """Which worker pool ran the batch (``"thread"`` or ``"process"``)."""
     prewarm: dict | None = None
@@ -739,7 +740,9 @@ class BatchCompiler:
         serialized path, and running inline would hide wire-format
         regressions.  Over a cache server the workers mount the server
         itself: the client's snapshot holds only the entries it has
-        seen, so it publishes them and seeds nothing.
+        seen, so it publishes them and seeds nothing, and each worker
+        uploads its own entries after every item, so the merged deltas
+        fill only the client's local copy.
         """
         if not items:
             return []
@@ -971,7 +974,8 @@ def _compile_in_worker(envelope: dict) -> tuple:
     """Worker-process entry: compile one job envelope on the twin engine.
 
     Returns ``((result_payload, seconds), delta_payload, counters)`` —
-    wire payloads again, so nothing process-local leaks back.
+    wire payloads again, so nothing process-local leaks back.  Over a
+    cache server the twin first uploads the job's entries itself.
     """
     from repro.ir.serialize import (
         batch_job_from_dict,
@@ -984,6 +988,7 @@ def _compile_in_worker(envelope: dict) -> tuple:
     result, delta, used = _TWIN._with_unit(
         _TWIN._job_target(job), lambda unit: _TWIN._compile_job(job, unit)
     )
+    _TWIN.save_cache()
     payload = result_to_dict(result)
     return (
         (payload, time.perf_counter() - started),
@@ -996,7 +1001,8 @@ def _synthesize_in_worker(problem: dict) -> tuple:
     """Worker-process entry: price one serialized pre-warm problem
     through the twin engine's backend; returns ``(None, delta_payload,
     counters)`` so the parent merges the synthesized entries *before*
-    the job pool (whose seed snapshot must include them) starts."""
+    the job pool (whose seed snapshot must include them) starts.  Over
+    a cache server the twin uploads them itself first."""
     from repro.ir.serialize import cache_delta_to_dict, node_from_dict
 
     node = node_from_dict(problem["node"])
@@ -1004,6 +1010,7 @@ def _synthesize_in_worker(problem: dict) -> tuple:
         _target_from_payload(problem["device"]),
         lambda unit: unit.latency(node, problem["positional"]),
     )
+    _TWIN.save_cache()
     return None, cache_delta_to_dict(delta), used
 
 

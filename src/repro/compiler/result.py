@@ -98,24 +98,6 @@ class CompilationResult:
     # ------------------------------------------------------------------
     # Serialization (wire format: repro.ir.serialize)
 
-    def to_dict(self, include_source: bool = True) -> dict:
-        """Versioned wire form of the whole result.
-
-        ``include_source=False`` drops the source circuit for a smaller
-        payload; the loaded result then needs an explicit circuit to
-        :meth:`verify_equivalence`.
-        """
-        from repro.ir.serialize import result_to_dict
-
-        return result_to_dict(self, include_source=include_source)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> CompilationResult:
-        """Rebuild a result from its wire form."""
-        from repro.ir.serialize import result_from_dict
-
-        return result_from_dict(payload)
-
     def save(self, path, include_source: bool = True) -> str:
         """Write the result as a JSON artifact; returns the path written.
 
@@ -131,12 +113,13 @@ class CompilationResult:
         import os
 
         from repro.control.cache.disk import replace_into
+        from repro.ir.serialize import result_to_dict
 
         path = os.fspath(path)
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        payload = json.dumps(self.to_dict(include_source=include_source))
+        payload = json.dumps(result_to_dict(self, include_source=include_source))
         replace_into(
             lambda handle: handle.write(payload.encode("utf-8")), path, ".tmp"
         )
@@ -147,8 +130,10 @@ class CompilationResult:
         """Read a result previously written by :meth:`save`."""
         import json
 
+        from repro.ir.serialize import result_from_dict
+
         with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            return result_from_dict(json.load(handle))
 
     def speedup_over(self, baseline: CompilationResult) -> float:
         """Latency ratio ``baseline / self`` (the Figure 9 metric)."""

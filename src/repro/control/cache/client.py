@@ -136,7 +136,9 @@ class RemotePulseCache(PulseCache):
 
     Writes upload once more than :data:`DEFAULT_FLUSH_THRESHOLD`
     entries are buffered, or on :meth:`flush`; a synthesis lease lasts
-    the server's ``lock_ttl``.
+    the server's ``lock_ttl``.  A merged delta (the process executor's
+    worker entries, which each worker uploads itself) fills only the
+    local L1.
 
     Args:
         url: Server address, ``host:port`` or ``tcp://host:port``.
@@ -205,21 +207,6 @@ class RemotePulseCache(PulseCache):
             pending = self._pending
             (pending.latencies if kind == LATENCY else pending.pulses)[key] = value
             self._maybe_flush()
-
-    def merge_delta(self, delta: CacheDelta) -> int:
-        """Merge locally and forward the whole delta upstream.
-
-        Only the process executor merges deltas (each worker's computed
-        entries); forwarding the whole delta rather than its locally-new
-        slice is safe — the server's own ``merge_delta`` is idempotent —
-        and keeps the server warm even for entries this client learned
-        remotely.
-        """
-        added = super().merge_delta(delta)
-        with self._io_lock:
-            self._pending.extend(delta)
-            self._maybe_flush()
-        return added
 
     def _maybe_flush(self) -> None:
         if len(self._pending) > DEFAULT_FLUSH_THRESHOLD:

@@ -69,19 +69,6 @@ class Pulse:
             return 0.0
         return float(np.max(np.abs(self.amplitudes)))
 
-    def to_dict(self) -> dict:
-        """Versioned wire form (see :mod:`repro.ir.serialize`)."""
-        from repro.ir.serialize import pulse_to_dict
-
-        return pulse_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> Pulse:
-        """Rebuild a pulse from its wire form."""
-        from repro.ir.serialize import pulse_from_dict
-
-        return pulse_from_dict(payload)
-
 
 @dataclasses.dataclass
 class PulseSequence:

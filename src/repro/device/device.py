@@ -175,19 +175,6 @@ class Device:
             tuple(sorted(self.coupling_limits_ghz.items())),
         )
 
-    def to_dict(self) -> dict:
-        """Versioned wire form (see :mod:`repro.ir.serialize`)."""
-        from repro.ir.serialize import device_to_dict
-
-        return device_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> Device:
-        """Rebuild a device from its wire form."""
-        from repro.ir.serialize import device_from_dict
-
-        return device_from_dict(payload)
-
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         tags = []

@@ -46,12 +46,6 @@ class Figure9Row:
         return {key: result.latency_ns for key, result in self.results.items()}
 
     @property
-    def swap_counts(self) -> dict[str, int]:
-        """Routed SWAPs per strategy (device-sensitive: sparser coupling
-        graphs route more)."""
-        return {key: result.swap_count for key, result in self.results.items()}
-
-    @property
     def baseline_key(self) -> str:
         """Normalization baseline: ISA when present, else the first
         strategy in the sweep (custom sweeps may omit ISA)."""

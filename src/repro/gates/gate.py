@@ -45,6 +45,9 @@ class Gate:
         _check_qubits(self.name, self.qubits, matrix)
         if not is_unitary(matrix, atol=1e-7):
             raise GateError(f"{self.name} matrix is not unitary")
+        # The memos of is_diagonal and signature (None until first read).
+        object.__setattr__(self, "_is_diagonal", None)
+        object.__setattr__(self, "_signature", None)
 
     @property
     def num_qubits(self) -> int:
@@ -58,7 +61,7 @@ class Gate:
         Memoized: the schedulers and commutation checker query this on
         every group-membership test.
         """
-        cached = self.__dict__.get("_is_diagonal")
+        cached = self._is_diagonal
         if cached is None:
             cached = is_diagonal(self.matrix)
             object.__setattr__(self, "_is_diagonal", cached)
@@ -73,7 +76,7 @@ class Gate:
         commutation verdicts transfer between them.  Computed once and
         memoized (gates are immutable).
         """
-        cached = self.__dict__.get("_signature")
+        cached = self._signature
         if cached is None:
             order = sorted(range(len(self.qubits)), key=self.qubits.__getitem__)
             ranks = [0] * len(self.qubits)
@@ -101,9 +104,8 @@ class Gate:
         object.__setattr__(moved, "qubits", qubits)
         object.__setattr__(moved, "matrix", self.matrix)
         object.__setattr__(moved, "params", self.params)
-        diagonal = self.__dict__.get("_is_diagonal")
-        if diagonal is not None:
-            object.__setattr__(moved, "_is_diagonal", diagonal)
+        object.__setattr__(moved, "_is_diagonal", self._is_diagonal)
+        object.__setattr__(moved, "_signature", None)
         return moved
 
     def dagger(self) -> Gate:

@@ -17,7 +17,9 @@ Two layers:
   and the two named scheduling tolerances.
 * :mod:`repro.ir.serialize` — ``<thing>_to_dict`` / ``<thing>_from_dict``
   pairs for every artifact, plus the generic :func:`dumps` /
-  :func:`loads` envelope that dispatches on each payload's ``kind`` tag.
+  :func:`loads` envelope that dispatches on each payload's ``kind`` tag:
+  the only way an artifact converts (the classes define no conversion
+  methods of their own).
 
 Round-trip guarantees (enforced by ``tests/ir/``): gate and instruction
 ``signature``\\ s, device ``signature()``\\ s and pulse-cache

@@ -726,46 +726,43 @@ _LOADERS = {
     "service_stats": service_stats_from_dict,
 }
 
-_DUMPERS = (
-    ("circuit", Circuit, circuit_to_dict),
-    ("gate", Gate, gate_to_dict),
-    ("topology", Topology, topology_to_dict),
-    ("device", Device, device_to_dict),
-    ("device_config", DeviceConfig, device_config_to_dict),
-    ("compiler_config", CompilerConfig, compiler_config_to_dict),
-    ("pulse", Pulse, pulse_to_dict),
-    ("grape_result", GrapeResult, grape_result_to_dict),
-)
-
 
 def dumps(artifact, indent: int | None = None) -> str:
     """JSON text of any supported artifact (dispatch on its type)."""
-    payload = _payload_of(artifact)
-    return json.dumps(payload, indent=indent)
+    return json.dumps(_payload_of(artifact), indent=indent)
 
 
 def _payload_of(artifact) -> dict:
+    """The wire payload of ``artifact``: a payload dict passes through,
+    anything else goes to the dumper of the nearest class in its MRO."""
+    if isinstance(artifact, dict):
+        return artifact
+    # These modules import this one.  The table is built per call, so a
+    # dumper replaced on this module after import is the one that runs.
     from repro.aggregation.instruction import AggregatedInstruction
     from repro.compiler.batch import BatchJob
     from repro.compiler.result import CompilationResult
     from repro.control.cache import CacheDelta
     from repro.scheduling.schedule import Schedule
 
-    if isinstance(artifact, dict):
-        return artifact
-    if isinstance(artifact, CompilationResult):
-        return result_to_dict(artifact)
-    if isinstance(artifact, BatchJob):
-        return batch_job_to_dict(artifact)
-    if isinstance(artifact, Schedule):
-        return schedule_to_dict(artifact)
-    if isinstance(artifact, AggregatedInstruction):
-        return instruction_to_dict(artifact)
-    if isinstance(artifact, CacheDelta):
-        return cache_delta_to_dict(artifact)
-    for _, cls, dumper in _DUMPERS:
-        if isinstance(artifact, cls):
-            return dumper(artifact)
+    dumpers = {
+        Gate: gate_to_dict,
+        AggregatedInstruction: instruction_to_dict,
+        Circuit: circuit_to_dict,
+        Topology: topology_to_dict,
+        DeviceConfig: device_config_to_dict,
+        CompilerConfig: compiler_config_to_dict,
+        Device: device_to_dict,
+        Schedule: schedule_to_dict,
+        Pulse: pulse_to_dict,
+        GrapeResult: grape_result_to_dict,
+        CacheDelta: cache_delta_to_dict,
+        CompilationResult: result_to_dict,
+        BatchJob: batch_job_to_dict,
+    }
+    for cls in type(artifact).__mro__:
+        if cls in dumpers:
+            return dumpers[cls](artifact)
     raise SerializationError(
         f"no wire format for {type(artifact).__name__} objects"
     )

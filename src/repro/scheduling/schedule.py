@@ -149,16 +149,3 @@ class Schedule:
             self.operations, key=lambda op: (op.start, op.node_id)
         )
         return [operation.node for operation in ordered]
-
-    def to_dict(self) -> dict:
-        """Versioned wire form (see :mod:`repro.ir.serialize`)."""
-        from repro.ir.serialize import schedule_to_dict
-
-        return schedule_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> Schedule:
-        """Rebuild a schedule from its wire form."""
-        from repro.ir.serialize import schedule_from_dict
-
-        return schedule_from_dict(payload)

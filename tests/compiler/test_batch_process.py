@@ -100,9 +100,9 @@ class TestDeltaMerging:
             assert a.latency_ns == b.latency_ns
 
     def test_worker_deltas_reach_a_cache_server(self):
-        """Over a ``tcp://`` store, every worker entry reaches the server,
-        if not from the worker's own client then through the parent
-        client's upstream forwarding of each merged delta."""
+        """Over a ``tcp://`` store, every worker entry reaches the server
+        from the worker's own client, which uploads at the end of each
+        job; the parent client holds the merged entries locally."""
         circuit = maxcut_qaoa_circuit(line_graph(4))
         jobs = [
             BatchJob(circuit=circuit, strategy=strategy)
@@ -121,6 +121,23 @@ class TestDeltaMerging:
             assert warm.cache_info["model_evals"] == 0
             for a, b in zip(cold, warm):
                 assert canonical_result_dict(a) == canonical_result_dict(b)
+
+    def test_workers_upload_each_entry_once(self, sweep_jobs):
+        """Over a cache server the server's writes are the workers'
+        evaluations: each worker uploads its own entries, and the parent
+        client keeps the returned deltas local instead of forwarding
+        them again.  The sweep's entries cross the client's write-behind
+        threshold, and one worker keeps the count deterministic."""
+        with CacheServer() as server:
+            engine = BatchCompiler(
+                cache=f"tcp://{server.url}", executor="process", max_workers=1
+            )
+            report = engine.compile_batch(sweep_jobs)
+            engine.save_cache()
+            evaluations = report.cache_info["model_evals"]
+            assert evaluations > 33
+            assert server.store.stats()["store_writes"] == evaluations
+            assert server.store.latency_count == engine.cache.latency_count
 
     def test_workers_over_a_warm_cache_server_start_warm(self):
         """Process workers mount the server itself: the parent client's

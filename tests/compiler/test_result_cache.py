@@ -173,7 +173,7 @@ class TestStore:
         result = compile_circuit(_circuit(), CLS)
         cache.put("forged", result)
         # Forge: swap the embedded source for a different program.
-        tampered = result.to_dict(include_source=True)
+        tampered = result_to_dict(result, include_source=True)
         tampered["source_circuit"] = circuit_to_dict(
             ising_model_circuit(result.logical_qubits)
         )

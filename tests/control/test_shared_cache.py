@@ -461,18 +461,9 @@ class TestCacheServer:
         assert client.save() == 1
         assert server.store.latency_count == 1
 
-    def test_merge_delta_forwards_upstream(self, server):
-        client = RemotePulseCache(server.url)
-        client.merge_delta(
-            CacheDelta(latencies={_latency_key(i): float(i) for i in range(3)})
-        )
-        assert server.store.latency_count == 0  # buffered like puts
-        assert client.flush() == 3
-        assert server.store.latency_count == 3
-
-    def test_merge_delta_past_the_threshold_uploads_at_once(self, server):
-        # The process executor's worker deltas reach the server this
-        # way: one merge crossing the write-behind threshold flushes.
+    def test_merge_delta_stays_in_the_local_store(self, server):
+        # The process executor merges the deltas its workers return; each
+        # worker has already uploaded its own, so the client keeps them.
         client = RemotePulseCache(server.url)
         entries = DEFAULT_FLUSH_THRESHOLD + 1
         client.merge_delta(
@@ -480,8 +471,11 @@ class TestCacheServer:
                 latencies={_latency_key(i): float(i) for i in range(entries)}
             )
         )
-        assert client.flushes == 1
-        assert server.store.latency_count == entries
+        assert client.latency_count == entries
+        assert client.get_latency(_latency_key(0)) == 0.0
+        assert client.flush() == 0
+        assert client.flushes == 0
+        assert server.store.latency_count == 0
 
     def test_client_settings_are_the_url_and_the_budget(self, server):
         # Write-behind size, socket timeout and lease length are fixed

@@ -1,11 +1,39 @@
 """Tests for the Gate object."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import GateError
 from repro.gates import library as lib
 from repro.gates.gate import Gate
+
+#: Prints the bytes allocated in ``gate.py`` per gate while both memos
+#: are read on 2,000 library CNOTs, built (``built``) and retargeted
+#: with ``Gate.on`` (``on``).
+_MEMO_ALLOCATION_CODE = """
+import tracemalloc
+import repro.gates.gate as gate_module
+from repro.gates import library as lib
+
+sources = [lib.CNOT(2 * i % 7, 2 * i % 7 + 1) for i in range(2000)]
+retargeted = [gate.on(gate.qubits[::-1]) for gate in sources]
+for label, gates in (("built", sources), ("on", retargeted)):
+    tracemalloc.start()
+    for gate in gates:
+        gate.signature, gate.is_diagonal
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    traces = snapshot.filter_traces(
+        [tracemalloc.Filter(True, gate_module.__file__)]
+    )
+    allocated = sum(stat.size for stat in traces.statistics("filename"))
+    print(label, allocated / len(gates))
+"""
 
 
 class TestGateConstruction:
@@ -107,6 +135,29 @@ class TestGateMethods:
         assert lib.RZZ(0.3, 0, 1).is_diagonal
         assert not lib.CNOT(0, 1).is_diagonal
         assert not lib.H(0).is_diagonal
+
+    def test_memos_allocate_no_instance_dict(self):
+        """Reading both memos allocates the signature tuples (120 B for a
+        CNOT) and nothing else in ``gate.py``; a memo kept in a
+        materialized instance ``__dict__`` costs about 270 B more.
+
+        Measured in a fresh interpreter: whether an instance dict already
+        exists depends on what the process did with gates before.
+        """
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _MEMO_ALLOCATION_CODE],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": source_root},
+        )
+        per_gate = {
+            label: float(value)
+            for label, value in map(str.split, child.stdout.splitlines())
+        }
+        assert set(per_gate) == {"built", "on"}
+        assert all(value < 200 for value in per_gate.values()), per_gate
 
     def test_repr_contains_name_and_qubits(self):
         text = repr(lib.RZ(0.5, 3))

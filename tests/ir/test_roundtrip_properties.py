@@ -1,9 +1,10 @@
 """Hypothesis round-trip properties over the repro.testing strategies.
 
 The acceptance contract of the wire format: for every generator family
-and device preset, ``from_json(to_json(x))`` preserves fingerprints and
-signatures, and a deserialized :class:`CompilationResult` still passes
-``verify_equivalence()`` against its deserialized source circuit.
+and device preset, ``loads(dumps(x))`` and the ``x_from_dict(x_to_dict(x))``
+pairs preserve fingerprints and signatures, and a deserialized
+:class:`CompilationResult` still passes ``verify_equivalence()`` against
+its deserialized source circuit.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from repro.ir import (
     canonical_result_dict,
     device_from_dict,
     device_to_dict,
+    dumps,
+    loads,
     result_from_dict,
     result_to_dict,
 )
@@ -42,7 +45,7 @@ class TestCircuitRoundTrip:
     def test_json_round_trip_preserves_signatures_and_matrices(
         self, circuit: Circuit
     ):
-        rebuilt = Circuit.from_json(circuit.to_json())
+        rebuilt = loads(dumps(circuit))
         assert rebuilt.name == circuit.name
         assert rebuilt.num_qubits == circuit.num_qubits
         assert [g.signature for g in rebuilt.gates] == [

@@ -1,12 +1,16 @@
 """Unit tests for the repro.ir wire format (repro-ir-v1)."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.aggregation.instruction import AggregatedInstruction
 from repro.circuit.circuit import Circuit
+from repro.compiler.batch import BatchJob
 from repro.compiler.hand_opt import HandOptimizedInstruction
 from repro.compiler.pipeline import compile_circuit
 from repro.config import CompilerConfig, DeviceConfig
@@ -15,10 +19,18 @@ from repro.control.grape import GrapeResult
 from repro.control.pulse import Pulse
 from repro.device.device import Device
 from repro.device.presets import device_by_key
-from repro.device.topology import GridTopology, Topology
+from repro.device.topology import (
+    FullyConnectedTopology,
+    GridTopology,
+    HeavyHexTopology,
+    LineTopology,
+    RingTopology,
+    Topology,
+)
 from repro.errors import SerializationError
 from repro.gates import library as lib
 from repro.gates.gate import Gate
+from repro.ir import serialize
 from repro.ir import (
     IR_FORMAT,
     cache_delta_from_dict,
@@ -26,18 +38,74 @@ from repro.ir import (
     canonical_result_dict,
     circuit_from_dict,
     circuit_to_dict,
+    device_from_dict,
+    device_to_dict,
     dumps,
     gate_from_dict,
     gate_to_dict,
     instruction_from_dict,
     instruction_to_dict,
     loads,
+    pulse_from_dict,
+    pulse_to_dict,
+    result_from_dict,
+    result_to_dict,
     schedule_from_dict,
     schedule_to_dict,
     topology_from_dict,
     topology_to_dict,
 )
 from repro.scheduling.schedule import Schedule
+
+
+def _grape_result():
+    pulse = Pulse(
+        control_names=["xy"],
+        amplitudes=np.array([[0.1], [0.2], [0.15]]),
+        dt=0.5,
+    )
+    return GrapeResult(
+        fidelity=0.9991,
+        converged=True,
+        iterations=17,
+        pulse=pulse,
+        final_unitary=np.eye(2, dtype=complex),
+        loss_history=[0.5, 0.1, 0.0009],
+    )
+
+
+def _schedule():
+    schedule = Schedule(3)
+    schedule.add(lib.H(0), 0.0, 2.1)
+    schedule.add(
+        AggregatedInstruction([lib.CNOT(0, 1), lib.RZ(0.5, 1)], name="G9"),
+        2.1,
+        40.0,
+    )
+    schedule.add(lib.X(2), 0.0, 1.0)
+    return schedule
+
+
+def _cache_delta():
+    delta = CacheDelta()
+    delta.latencies[("fp", "model", ("CNOT", (), (0, 1)))] = 47.1
+    delta.pulses[("fp", ("AGG", 2, ()))] = _grape_result()
+    return delta
+
+
+def _small_circuit():
+    return Circuit(3, name="artifact").h(0).cnot(0, 1).rz(0.3, 1).cnot(1, 2)
+
+
+def _lab_device():
+    return Device(
+        topology=GridTopology(2, 2),
+        config=DeviceConfig(coupling_limit_ghz=0.025),
+        name="lab-chip",
+        t1_us={0: 40.0, 3: 55.5},
+        t2_us={1: 21.25},
+        coupling_limits_ghz={(0, 1): 0.015, (2, 3): 0.03},
+    )
 
 
 class TestGateRoundTrip:
@@ -94,7 +162,7 @@ class TestInstructionRoundTrip:
         instr = HandOptimizedInstruction(
             [lib.CNOT(0, 1), lib.RZ(0.7, 1), lib.CNOT(0, 1)], 123.5
         )
-        rebuilt = AggregatedInstruction.from_dict(instr.to_dict())
+        rebuilt = loads(dumps(instr))
         assert isinstance(rebuilt, HandOptimizedInstruction)
         assert rebuilt.hand_latency_ns == 123.5
         assert rebuilt.signature == instr.signature
@@ -105,7 +173,7 @@ class TestCircuitRoundTrip:
         circuit = (
             Circuit(3, name="rt").h(0).cnot(0, 1).rz(0.25, 1).toffoli(0, 1, 2)
         )
-        rebuilt = Circuit.from_json(circuit.to_json())
+        rebuilt = loads(dumps(circuit))
         assert rebuilt.name == circuit.name
         assert rebuilt.num_qubits == circuit.num_qubits
         assert [g.signature for g in rebuilt.gates] == [
@@ -117,10 +185,10 @@ class TestCircuitRoundTrip:
     def test_repeated_instance_loads_as_separate_gates(self):
         layer = [lib.H(0), lib.CNOT(0, 1), lib.RZ(0.3, 1)]
         circuit = Circuit(2, name="repeat").extend(layer).extend(layer)
-        text = circuit.to_json()
-        rebuilt = Circuit.from_json(text)
+        text = dumps(circuit)
+        rebuilt = loads(text)
         assert len(set(rebuilt.gates)) == len(rebuilt.gates) == 6
-        assert rebuilt.to_json() == text
+        assert dumps(rebuilt) == text
 
     def test_circuit_dict_rejects_wrong_kind(self):
         with pytest.raises(SerializationError, match="kind"):
@@ -158,17 +226,8 @@ class TestTopologyAndDevice:
             topology_to_dict(Oddball(2, [(0, 1)]))
 
     def test_heterogeneous_device_round_trip(self):
-        device = Device(
-            topology=GridTopology(2, 2),
-            config=DeviceConfig(coupling_limit_ghz=0.025),
-            name="lab-chip",
-            t1_us={0: 40.0, 3: 55.5},
-            t2_us={1: 21.25},
-            coupling_limits_ghz={(0, 1): 0.015, (2, 3): 0.03},
-        )
-        rebuilt = Device.from_dict(
-            json.loads(json.dumps(device.to_dict()))
-        )
+        device = _lab_device()
+        rebuilt = device_from_dict(json.loads(json.dumps(device_to_dict(device))))
         assert rebuilt.name == "lab-chip"
         assert rebuilt.signature() == device.signature()
         assert rebuilt.coupling_signature() == device.coupling_signature()
@@ -182,7 +241,7 @@ class TestTopologyAndDevice:
             coupling_limits_ghz={(0, 1): 0.011},
         )
         compiler = CompilerConfig(max_instruction_width=6)
-        rebuilt_device = Device.from_dict(device.to_dict())
+        rebuilt_device = device_from_dict(device_to_dict(device))
         rebuilt_compiler = loads(dumps(compiler))
         assert config_fingerprint(
             device.config, compiler, grape_qubit_limit=3, seed=1, target=device
@@ -197,14 +256,7 @@ class TestTopologyAndDevice:
 
 class TestScheduleRoundTrip:
     def test_schedule_round_trip(self):
-        schedule = Schedule(3)
-        schedule.add(lib.H(0), 0.0, 2.1)
-        schedule.add(
-            AggregatedInstruction([lib.CNOT(0, 1), lib.RZ(0.5, 1)], name="G9"),
-            2.1,
-            40.0,
-        )
-        schedule.add(lib.X(2), 0.0, 1.0)
+        schedule = _schedule()
         rebuilt = schedule_from_dict(
             json.loads(json.dumps(schedule_to_dict(schedule)))
         )
@@ -225,32 +277,15 @@ class TestScheduleRoundTrip:
 
 
 class TestPulseAndDelta:
-    def _grape_result(self):
-        pulse = Pulse(
-            control_names=["xy"],
-            amplitudes=np.array([[0.1], [0.2], [0.15]]),
-            dt=0.5,
-        )
-        return GrapeResult(
-            fidelity=0.9991,
-            converged=True,
-            iterations=17,
-            pulse=pulse,
-            final_unitary=np.eye(2, dtype=complex),
-            loss_history=[0.5, 0.1, 0.0009],
-        )
-
     def test_pulse_round_trip(self):
-        pulse = self._grape_result().pulse
-        rebuilt = Pulse.from_dict(json.loads(json.dumps(pulse.to_dict())))
+        pulse = _grape_result().pulse
+        rebuilt = pulse_from_dict(json.loads(json.dumps(pulse_to_dict(pulse))))
         assert rebuilt.control_names == pulse.control_names
         assert rebuilt.dt == pulse.dt
         assert np.array_equal(rebuilt.amplitudes, pulse.amplitudes)
 
     def test_cache_delta_round_trip(self):
-        delta = CacheDelta()
-        delta.latencies[("fp", "model", ("CNOT", (), (0, 1)))] = 47.1
-        delta.pulses[("fp", ("AGG", 2, ()))] = self._grape_result()
+        delta = _cache_delta()
         rebuilt = cache_delta_from_dict(
             json.loads(json.dumps(cache_delta_to_dict(delta)))
         )
@@ -271,10 +306,7 @@ class TestPulseAndDelta:
 class TestResultArtifacts:
     @pytest.fixture(scope="class")
     def result(self):
-        circuit = (
-            Circuit(3, name="artifact").h(0).cnot(0, 1).rz(0.3, 1).cnot(1, 2)
-        )
-        return compile_circuit(circuit, "cls+aggregation")
+        return compile_circuit(_small_circuit(), "cls+aggregation")
 
     def test_save_load_preserves_metrics_and_verifies(self, tmp_path, result):
         path = result.save(tmp_path / "artifact.json")
@@ -324,9 +356,9 @@ class TestResultArtifacts:
     def test_payload_with_per_stage_timings_still_loads(self, result):
         # Results once also carried a per-stage timing map; artifacts
         # and result-cache entries written then load as the same result.
-        payload = result.to_dict()
+        payload = result_to_dict(result)
         payload["stage_seconds"] = {"lowering": 0.01, "backend": 0.02}
-        loaded = type(result).from_dict(payload)
+        loaded = result_from_dict(payload)
         assert not hasattr(loaded, "stage_seconds")
         assert loaded.pass_seconds == result.pass_seconds
         assert canonical_result_dict(loaded) == canonical_result_dict(result)
@@ -362,3 +394,102 @@ class TestEnvelope:
         payload["added_in_a_future_minor_version"] = {"whatever": 1}
         rebuilt = circuit_from_dict(payload)
         assert rebuilt.name == "fw"
+
+
+#: ``id -> (kind, factory)``: one artifact per type ``dumps`` dispatches
+#: on, and one per topology family.
+_ARTIFACTS = {
+    "library-gate": ("gate", lambda: lib.RZ(0.1 + 0.2, 3)),
+    "custom-gate": (
+        "gate",
+        lambda: Gate("MYGATE", (2,), np.diag([1, np.exp(1j * 0.123456789)])),
+    ),
+    "circuit": ("circuit", _small_circuit),
+    "aggregated-instruction": (
+        "instruction",
+        lambda: AggregatedInstruction(
+            [lib.CNOT(0, 1), lib.RZ(0.7, 1), lib.CNOT(0, 1)], name="blk"
+        ),
+    ),
+    "hand-optimized-instruction": (
+        "instruction",
+        lambda: HandOptimizedInstruction(
+            [lib.CNOT(0, 1), lib.RZ(0.7, 1), lib.CNOT(0, 1)], 123.5
+        ),
+    ),
+    "schedule": ("schedule", _schedule),
+    "grid": ("topology", lambda: GridTopology(2, 3)),
+    "line": ("topology", lambda: LineTopology(4)),
+    "ring": ("topology", lambda: RingTopology(5)),
+    "heavy-hex": ("topology", lambda: HeavyHexTopology(1)),
+    "all-to-all": ("topology", lambda: FullyConnectedTopology(4)),
+    "graph": ("topology", lambda: Topology(4, [(0, 1), (1, 2), (2, 3), (3, 0)])),
+    "device": ("device", _lab_device),
+    "device-config": ("device_config", lambda: DeviceConfig(t1_us=80.0)),
+    "compiler-config": (
+        "compiler_config",
+        lambda: CompilerConfig(max_instruction_width=6),
+    ),
+    "pulse": ("pulse", lambda: _grape_result().pulse),
+    "grape-result": ("grape_result", _grape_result),
+    "cache-delta": ("cache_delta", _cache_delta),
+    "result": (
+        "result",
+        lambda: compile_circuit(_small_circuit(), "cls+aggregation"),
+    ),
+    "job": (
+        "job",
+        lambda: BatchJob(
+            circuit=_small_circuit(),
+            strategy="cls",
+            width_limit=2,
+            label="artifact/cls",
+            device="ring-6",
+        ),
+    ),
+}
+
+#: Kinds whose payload is a plain stats or status dict: ``dumps`` passes
+#: a dict through, so no artifact type dispatches to them.
+_DICT_KINDS = {"cache_stats", "job_status", "service_stats"}
+
+
+class TestDumpsEveryKind:
+    @pytest.mark.parametrize("name", sorted(_ARTIFACTS))
+    def test_loads_rebuilds_the_type_and_the_text(self, name):
+        kind, factory = _ARTIFACTS[name]
+        artifact = factory()
+        text = dumps(artifact)
+        assert json.loads(text)["kind"] == kind
+        rebuilt = loads(text)
+        assert type(rebuilt) is type(artifact)
+        assert dumps(rebuilt) == text
+
+    def test_every_artifact_kind_is_covered(self):
+        covered = {kind for kind, _ in _ARTIFACTS.values()}
+        assert covered == set(serialize._LOADERS) - _DICT_KINDS
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(SerializationError, match="no wire format"):
+            dumps(object())
+
+
+class TestOneSpelling:
+    def test_no_class_defines_a_conversion_method(self):
+        """Artifacts convert only through :mod:`repro.ir.serialize`: no
+        class carries its own ``to_dict``/``from_dict``/``to_json``/
+        ``from_json`` spelling."""
+        root = Path(repro.__file__).parent
+        spellings = {"to_dict", "from_dict", "to_json", "from_json"}
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                found.extend(
+                    f"{path.relative_to(root)}::{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name in spellings
+                )
+        assert found == []
