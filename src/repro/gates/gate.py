@@ -4,6 +4,17 @@ Gates compare by *identity*, not value: a circuit containing the same
 operation twice holds two distinct :class:`Gate` instances, which is what
 the gate-dependence graph needs to track each occurrence separately.
 Value-level comparisons go through :attr:`Gate.signature`.
+
+Unitarity is checked where a matrix enters from outside the gate
+library: ``Gate(...)`` runs :func:`~repro.linalg.predicates.is_unitary`
+in ``__post_init__``, so a caller's custom gate, a decoded gate that
+ships its own matrix and :meth:`Gate.dagger` all pay it.  The library's
+factories build through :func:`_trusted_gate` instead: their matrices are
+unitary by construction for every finite angle (the library tests check
+each mnemonic over a range of angles), and re-proving it with
+``np.allclose`` would be most of the cost of rebuilding a decoded
+program.  :meth:`Gate.on` shares that constructor, because its matrix
+is its source gate's.
 """
 
 from __future__ import annotations
@@ -93,20 +104,13 @@ class Gate:
     def on(self, qubits: Sequence[int]) -> Gate:
         """The same operation applied to different qubits.
 
-        The matrix was validated when this gate was built and is
-        read-only, so only the new qubits are checked; no memo that
-        depends on the qubits (the signature) carries over.
+        The matrix is this gate's own, already unitary and read-only,
+        so only the new qubits are checked; no memo that depends on the
+        qubits (the signature) carries over.
         """
-        qubits = tuple(int(q) for q in qubits)
-        _check_qubits(self.name, qubits, self.matrix)
-        moved = object.__new__(Gate)
-        object.__setattr__(moved, "name", self.name)
-        object.__setattr__(moved, "qubits", qubits)
-        object.__setattr__(moved, "matrix", self.matrix)
-        object.__setattr__(moved, "params", self.params)
-        object.__setattr__(moved, "_is_diagonal", self._is_diagonal)
-        object.__setattr__(moved, "_signature", None)
-        return moved
+        return _trusted_gate(
+            self.name, qubits, self.matrix, self.params, self._is_diagonal
+        )
 
     def dagger(self) -> Gate:
         """The inverse gate (conjugate-transposed matrix)."""
@@ -123,6 +127,35 @@ class Gate:
             params = "(" + ", ".join(f"{p:.4g}" for p in self.params) + ")"
         qubits = ", ".join(str(q) for q in self.qubits)
         return f"{self.name}{params}[{qubits}]"
+
+
+def _trusted_gate(
+    name: str,
+    qubits: Sequence[int],
+    matrix: np.ndarray,
+    params: tuple[float, ...] = (),
+    is_diagonal: bool | None = None,
+) -> Gate:
+    """A gate over a matrix known to be unitary, built without re-proving it.
+
+    The construction path of the library factories and :meth:`Gate.on`:
+    the qubits are checked as ``Gate(...)`` checks them, but the matrix
+    is not, so callers pass only matrices the library built (whose
+    angles they checked finite) or a validated gate's own.
+    ``is_diagonal`` seeds that memo; the signature memo starts empty.
+    """
+    qubits = tuple(int(q) for q in qubits)
+    matrix = np.asarray(matrix, dtype=complex)
+    matrix.setflags(write=False)
+    _check_qubits(name, qubits, matrix)
+    gate = object.__new__(Gate)
+    object.__setattr__(gate, "name", name)
+    object.__setattr__(gate, "qubits", qubits)
+    object.__setattr__(gate, "matrix", matrix)
+    object.__setattr__(gate, "params", params)
+    object.__setattr__(gate, "_is_diagonal", is_diagonal)
+    object.__setattr__(gate, "_signature", None)
+    return gate
 
 
 def _check_qubits(name: str, qubits: tuple[int, ...], matrix: np.ndarray) -> None:

@@ -118,13 +118,14 @@ def _library_matrix(
 
     Library matrices do not depend on the concrete qubit labels (those
     only say where the matrix applies), so one memoized build per
-    ``(name, arity, params)`` serves every occurrence — serialization
-    sits on the process executor's per-job hot path and must not re-run
-    ``Gate.__post_init__``'s unitarity check per scheduled gate.
+    ``(name, arity, params)`` serves every occurrence.  Without it,
+    encoding would build one library matrix per gate just to compare it
+    with the gate's own, and ``result_to_dict`` would take more than
+    twice as long.
     """
     try:
         return gate_from_name(name, tuple(range(arity)), params).matrix
-    except (GateError, TypeError):
+    except GateError:
         return None
 
 

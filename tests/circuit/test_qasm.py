@@ -1,5 +1,7 @@
 """Tests for the QASM dialect parser and emitter."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,21 @@ class TestParse:
     def test_bad_parameter(self):
         with pytest.raises(QasmError):
             parse_qasm("qubits 1\nrz(abc) q0\n")
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("rz q1, q2", "RZ takes 1 qubit(s) and 1 angle(s), got 2 and 0"),
+            ("cphase q0, q1, q2", "CPHASE takes 2 qubit(s) and 1 angle(s)"),
+            ("cx q0, q1, q2", "CX takes 2 qubit(s) and 0 angle(s)"),
+            ("rz(nan) q0", "RZ needs a finite angle"),
+            ("rzz(-inf) q0, q1", "RZZ needs a finite angle"),
+        ],
+    )
+    def test_gate_the_library_cannot_build_as_written(self, line, expected):
+        """No qubit is read as an angle, and no angle may be non-finite."""
+        with pytest.raises(QasmError, match=re.escape(f"line 2: {expected}")):
+            parse_qasm(f"qubits 3\n{line}\n")
 
     def test_bad_qubit_token(self):
         with pytest.raises(QasmError):

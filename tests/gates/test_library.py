@@ -4,10 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GateError
 from repro.gates import library as lib
 from repro.linalg.predicates import allclose_up_to_global_phase, is_unitary
+
+#: What each mnemonic takes: (qubits, angles).
+ARITY = {
+    "I": (1, 0), "X": (1, 0), "Y": (1, 0), "Z": (1, 0), "H": (1, 0),
+    "S": (1, 0), "SDG": (1, 0), "T": (1, 0), "TDG": (1, 0),
+    "RX": (1, 1), "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1),
+    "CNOT": (2, 0), "CX": (2, 0), "CZ": (2, 0), "CPHASE": (2, 1),
+    "SWAP": (2, 0), "ISWAP": (2, 0), "SQRT_ISWAP": (2, 0), "RZZ": (2, 1),
+    "TOFFOLI": (3, 0), "CCX": (3, 0), "CCZ": (3, 0),
+    "FREDKIN": (3, 0), "CSWAP": (3, 0),
+}
+
+ANGLED_FACTORIES = [lib.RX, lib.RY, lib.RZ, lib.PHASE, lib.CPHASE, lib.RZZ]
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestMatrices:
@@ -20,6 +37,19 @@ class TestMatrices:
         ]
         for gate in gates:
             assert is_unitary(gate.matrix), gate.name
+
+    @pytest.mark.parametrize("name", sorted(ARITY))
+    @settings(max_examples=40, deadline=None)
+    @given(angle=st.floats(min_value=-1e6, max_value=1e6))
+    def test_every_library_matrix_is_unitary(self, name, angle):
+        """Library gates skip the run-time unitarity check, so every
+        mnemonic's matrix is checked here, over finite angles."""
+        num_qubits, num_angles = ARITY[name]
+        gate = lib.gate_from_name(name, range(num_qubits), [angle] * num_angles)
+        assert is_unitary(gate.matrix, atol=1e-7), gate
+
+    def test_arity_table_covers_every_mnemonic(self):
+        assert set(ARITY) == lib.known_gate_names()
 
     def test_cnot_truth_table(self):
         cnot = lib.CNOT(0, 1).matrix
@@ -103,6 +133,45 @@ class TestGateFromName:
         with pytest.raises(GateError):
             lib.gate_from_name("H", [0], [0.5])
 
+    @pytest.mark.parametrize(
+        "name, qubits, params",
+        [
+            ("RZ", [3, 4], []),  # was RZ(3)[4]
+            ("rz", [1, 2], []),  # was RZ(1)[2]
+            ("cphase", [0, 1, 2], []),  # was CPHASE(0)[1, 2]
+            ("cx", [0, 1, 2], []),  # was a TypeError from CNOT()
+            ("rz", [0], [0.1, 0.2]),
+            ("rzz", [0], [0.1]),
+        ],
+    )
+    def test_wrong_counts_rejected_by_name(self, name, qubits, params):
+        with pytest.raises(GateError, match=name.upper()):
+            lib.gate_from_name(name, qubits, params)
+
+    @pytest.mark.parametrize("name", sorted(ARITY))
+    def test_one_qubit_too_many_or_too_few_rejected(self, name):
+        num_qubits, num_angles = ARITY[name]
+        angles = [0.5] * num_angles
+        for count in (num_qubits - 1, num_qubits + 1):
+            with pytest.raises(GateError, match="takes"):
+                lib.gate_from_name(name, range(count), angles)
+
     def test_known_gate_names_nonempty(self):
         names = lib.known_gate_names()
         assert "CNOT" in names and "RZ" in names
+
+
+class TestNonFiniteAngles:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize(
+        "factory", ANGLED_FACTORIES, ids=lambda factory: factory.__name__
+    )
+    def test_factory_rejects(self, factory, value):
+        qubits = range(ARITY[factory.__name__][0])
+        with pytest.raises(GateError, match=f"{factory.__name__} needs a finite"):
+            factory(value, *qubits)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_gate_from_name_rejects(self, value):
+        with pytest.raises(GateError, match="RZ needs a finite"):
+            lib.gate_from_name("rz", [0], [value])

@@ -27,12 +27,14 @@ from repro.device.topology import (
     RingTopology,
     Topology,
 )
-from repro.errors import SerializationError
+from repro.errors import GateError, SerializationError
 from repro.gates import library as lib
 from repro.gates.gate import Gate
 from repro.ir import serialize
 from repro.ir import (
     IR_FORMAT,
+    batch_job_from_dict,
+    batch_job_to_dict,
     cache_delta_from_dict,
     cache_delta_to_dict,
     canonical_result_dict,
@@ -144,6 +146,95 @@ class TestGateRoundTrip:
         payload = gate_to_dict(weird)
         assert "matrix" in payload
         assert np.array_equal(gate_from_dict(payload).matrix, odd.matrix)
+
+
+def _gate_payload(name, qubits, params, **extra):
+    return {
+        "format": IR_FORMAT,
+        "kind": "gate",
+        "name": name,
+        "qubits": qubits,
+        "params": params,
+        **extra,
+    }
+
+
+class TestGateDecodingRefuses:
+    """A decoded gate is input from outside the program: what the library
+    cannot build exactly as named, and a matrix that is not unitary, are
+    refused rather than read as some other gate."""
+
+    @pytest.mark.parametrize(
+        "name, qubits, params",
+        [
+            ("RZ", [3, 4], []),  # was RZ(3)[4]
+            ("CPHASE", [0, 1, 2], []),  # was CPHASE(0)[1, 2]
+            ("CNOT", [0, 1, 2], []),  # was a TypeError from CNOT()
+            ("RZ", [0], [0.1, 0.2]),
+        ],
+    )
+    def test_wrong_counts(self, name, qubits, params):
+        payload = _gate_payload(name, qubits, params)
+        with pytest.raises(GateError, match="takes"):
+            gate_from_dict(payload)
+        with pytest.raises(GateError, match="takes"):
+            loads(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_angle(self, value):
+        # json writes these as NaN / Infinity / -Infinity and reads them back.
+        text = json.dumps(_gate_payload("RZ", [0], [float(value)]))
+        with pytest.raises(GateError, match="RZ needs a finite angle"):
+            loads(text)
+
+    def test_non_unitary_custom_matrix(self):
+        payload = _gate_payload(
+            "BAD", [0], [], matrix=[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        )
+        with pytest.raises(GateError, match="not unitary"):
+            gate_from_dict(payload)
+
+
+class TestUnitarityChecksOnDecode:
+    """Decoding checks unitarity only for matrices that did not come
+    from the gate library."""
+
+    @pytest.fixture
+    def unitarity_checks(self, monkeypatch):
+        import repro.gates.gate as gate_module
+
+        calls = []
+        check = gate_module.is_unitary
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return check(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(gate_module, "is_unitary", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        result = compile_circuit(_small_circuit(), "cls+aggregation")
+        return json.loads(json.dumps(result_to_dict(result)))
+
+    def test_library_only_result(self, payload, unitarity_checks):
+        result_from_dict(payload)
+        assert unitarity_checks == []
+
+    def test_library_only_job(self, unitarity_checks):
+        job = BatchJob(circuit=_small_circuit(), strategy="cls")
+        batch_job_from_dict(json.loads(json.dumps(batch_job_to_dict(job))))
+        assert unitarity_checks == []
+
+    def test_one_custom_gate_checked_once(self, payload, unitarity_checks):
+        custom = Gate("MYH", (0,), lib.H(0).matrix)
+        payload = json.loads(json.dumps(payload))
+        payload["source_circuit"]["gates"][0] = gate_to_dict(custom)
+        unitarity_checks.clear()
+        rebuilt = result_from_dict(payload)
+        assert rebuilt.source_circuit.gates[0].name == "MYH"
+        assert unitarity_checks == [(2, 2)]
 
 
 class TestInstructionRoundTrip:

@@ -161,6 +161,32 @@ class TestEagerValidation:
                 assert client.jobs() == []
         assert stats["failed"] == 0
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"name": "RZ", "qubits": [3, 4], "params": []},  # was RZ(3)[4]
+            {"name": "CPHASE", "qubits": [0, 1, 2], "params": []},
+            {"name": "CNOT", "qubits": [0, 1, 2], "params": []},
+        ],
+        ids=lambda gate: gate["name"],
+    )
+    def test_gate_with_wrong_counts_refused_at_submit(self, gate):
+        from repro.ir.serialize import batch_job_to_dict
+
+        envelope = batch_job_to_dict(BatchJob(circuit=_circuit(nodes=5)))
+        envelope["circuit"]["gates"][0].update(gate)
+        with CompileService(workers=1) as service:
+            with ServiceClient(service.url) as client:
+                # The client raises ServiceError on an ``ok: false`` reply.
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit_job(envelope)
+                message = str(excinfo.value)
+                assert f"GateError: {gate['name']} takes" in message
+                stats = client.stats()
+                assert client.jobs() == []
+        assert stats["failed"] == 0
+        assert stats["queue"]["depth"] == 0
+
 
 class TestBackpressure:
     def test_full_queue_rejects_with_retry_after(self):
