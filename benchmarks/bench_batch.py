@@ -463,8 +463,8 @@ def _fleet_client(args) -> dict:
 
     ``mode`` selects the store the client compiles against — its own
     in-memory cache (``isolated``, the no-sharing baseline), a sharded
-    cache directory, or a cache server URL.  Runs at module level so the
-    process pool can pickle it.
+    cache directory, or a cache server at ``host:port``.  Runs at module
+    level so the process pool can pickle it.
     """
     mode, target = args
     if mode == "isolated":
@@ -472,7 +472,7 @@ def _fleet_client(args) -> dict:
     elif mode == "sharded":
         cache = resolve_cache(path=target, shards=4)
     else:
-        cache = resolve_cache(url=target)
+        cache = resolve_cache(f"tcp://{target}")
     engine = BatchCompiler(backend="grape", cache=cache)
     started = time.perf_counter()
     report = engine.compile_batch(build_grape_sweep_jobs())

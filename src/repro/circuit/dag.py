@@ -132,15 +132,6 @@ class GateDependenceGraph:
                 result.append(successor)
         return result
 
-    def source_nodes(self) -> list:
-        """Nodes with no timing predecessor."""
-        prev_maps = self._prev
-        return [
-            node
-            for node in self.nodes
-            if not any(node in prev_maps[q] for q in node.qubits)
-        ]
-
     def group_lookup(self, qubit: int) -> dict:
         """Read-only map node -> commutation-group index on
         ``qubit`` — the no-copy bulk form of :meth:`group_index`.  Stale
@@ -242,27 +233,6 @@ class GateDependenceGraph:
             return 0.0
         starts = self.asap_times(latency_fn)
         return max(starts[node] + latency_fn(node) for node in self.nodes)
-
-    def critical_path(self, latency_fn: Callable[[object], float]) -> list:
-        """One longest path (as a node list) through the chain DAG."""
-        if not self.nodes:
-            return []
-        starts = self.asap_times(latency_fn)
-        finish = {node: starts[node] + latency_fn(node) for node in self.nodes}
-        node = max(self.nodes, key=finish.__getitem__)
-        path = [node]
-        while True:
-            candidates = [
-                p
-                for p in self.predecessors(node)
-                if abs(finish[p] - starts[node]) < 1e-9
-            ]
-            if not candidates:
-                break
-            node = candidates[0]
-            path.append(node)
-        path.reverse()
-        return path
 
     # ------------------------------------------------------------------
     # Reordering (used by CLS)

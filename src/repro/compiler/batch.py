@@ -96,7 +96,6 @@ from repro.control.cache import (
     CacheDelta,
     PulseCache,
     RemotePulseCache,
-    parse_cache_url,
     resolve_cache,
 )
 from repro.compiler.result_cache import (
@@ -271,18 +270,17 @@ class BatchCompiler:
             :class:`~repro.device.device.Device`, a preset key, or a
             bare :class:`DeviceConfig` (paper physics, auto-sized grid).
         compiler_config: Width limits, detection depth, etc.
-        cache: Shared store; a fresh in-memory one when omitted.  Pass
-            any :class:`~repro.control.cache.PulseCache` backend (the
-            :class:`~repro.control.cache.ShardedDiskPulseCache`
-            directory for persistence across processes, the remote
-            client), or a spec — the string ``"tcp://host:port"`` mounts
-            a cache server, any other string or :class:`os.PathLike` is a
-            cache directory.
+        cache: Shared store: any :class:`~repro.control.cache.PulseCache`
+            backend, or a setting
+            :func:`~repro.control.cache.resolve_cache` builds one from
+            (``"tcp://host:port"`` mounts a cache server, any other
+            string or :class:`os.PathLike` is a cache directory, and
+            ``None`` a fresh in-memory store).
         backend: OCU backend, ``"model"`` or ``"grape"``.
         max_workers: Worker-thread count; ``None`` picks
             ``min(cpu_count, job count)``.
-        grape_qubit_limit / seed: Forwarded to every OCU, and part of
-            the cache fingerprint (as is the GRAPE time step,
+        grape_qubit_limit: Forwarded to every OCU, and part of the cache
+            fingerprint (as is the GRAPE time step,
             ``compiler_config.grape_dt_ns``).
         pass_callbacks: Per-pass instrumentation hooks forwarded to every
             job's :class:`~repro.compiler.manager.PassManager`; invoked
@@ -319,7 +317,6 @@ class BatchCompiler:
         backend: str = "model",
         max_workers: int | None = None,
         grape_qubit_limit: int = 3,
-        seed: int = 20190413,
         pass_callbacks: Sequence[PassCallback] = (),
         executor: str = "thread",
         verify_ir: bool = False,
@@ -340,17 +337,12 @@ class BatchCompiler:
             device = device_by_key(device)
         self.device = device
         self.compiler_config = compiler_config
-        # A string selects a shared backend: "tcp://host:port" mounts the
-        # cache server, any other string or path is a cache directory.
-        if isinstance(cache, str) and cache.startswith("tcp://"):
-            cache = resolve_cache(url=cache)
-        elif isinstance(cache, (str, os.PathLike)):
-            cache = resolve_cache(path=os.fspath(cache))
-        self.cache = cache if cache is not None else PulseCache()
+        self.cache = (
+            cache if isinstance(cache, PulseCache) else resolve_cache(cache)
+        )
         self.backend = backend
         self.max_workers = max_workers
         self.grape_qubit_limit = grape_qubit_limit
-        self.seed = seed
         self.pass_callbacks = list(pass_callbacks)
         self.executor = executor
         self.verify_ir = bool(verify_ir)
@@ -391,7 +383,6 @@ class BatchCompiler:
             "compiler": self.compiler_config,
             "backend": self.backend,
             "grape_qubit_limit": self.grape_qubit_limit,
-            "seed": self.seed,
         }
 
     def make_ocu(
@@ -754,8 +745,7 @@ class BatchCompiler:
         config = self._config_payload()
         if isinstance(self.cache, RemotePulseCache):
             self.cache.flush()
-            host, port = parse_cache_url(self.cache.url)
-            config["cache"] = f"tcp://{host}:{port}"
+            config["cache"] = self.cache.url
             snapshot = CacheDelta()
         else:
             snapshot = self.cache.snapshot_delta()

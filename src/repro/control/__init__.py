@@ -9,7 +9,7 @@ from repro.control.cache import (
 from repro.control.grape import GrapeOptimizer, GrapeResult
 from repro.control.hamiltonian import ControlHamiltonian, ControlTerm, xy_hamiltonian
 from repro.control.latency_model import AnalyticLatencyModel
-from repro.control.pulse import Pulse, PulseSequence
+from repro.control.pulse import Pulse
 from repro.control.time_search import minimal_pulse_time
 from repro.control.unit import OptimalControlUnit
 
@@ -23,7 +23,6 @@ __all__ = [
     "OptimalControlUnit",
     "Pulse",
     "PulseCache",
-    "PulseSequence",
     "ShardedDiskPulseCache",
     "config_fingerprint",
     "minimal_pulse_time",

@@ -23,10 +23,16 @@ Layering (each module builds on the previous):
 * :mod:`.metrics` — hit-rate helpers and the exit-bill summary line.
 
 The memory, directory and remote stores are drop-in :class:`PulseCache`
-backends; use :func:`resolve_cache` to build one from CLI-style flags.
+backends.  :func:`resolve_cache` is the one way to build one from a
+setting, and :func:`add_cache_arguments` the one definition of the flags
+(``--cache``, ``--shards``, ``--max-bytes``) that every command line
+passes to it.
 """
 
 from __future__ import annotations
+
+import os
+from typing import TYPE_CHECKING
 
 from repro.control.cache.client import RemotePulseCache, parse_cache_url
 from repro.control.cache.locking import HAVE_FILE_LOCKS, FileLock
@@ -40,6 +46,9 @@ from repro.control.cache.store import (
     config_fingerprint,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 __all__ = [
     "DEFAULT_SHARDS",
     "HAVE_FILE_LOCKS",
@@ -51,6 +60,7 @@ __all__ = [
     "PulseCache",
     "RemotePulseCache",
     "ShardedDiskPulseCache",
+    "add_cache_arguments",
     "cache_summary",
     "config_fingerprint",
     "hit_rate",
@@ -60,21 +70,52 @@ __all__ = [
 
 
 def resolve_cache(
-    path: str | None = None,
-    url: str | None = None,
+    path: str | os.PathLike | None = None,
     shards: int | None = None,
     max_bytes: int | None = None,
-) -> PulseCache | None:
-    """Build the right cache backend from CLI-style flags.
+) -> PulseCache:
+    """Build the pulse store a setting names.
 
-    Precedence: ``url`` mounts a :class:`RemotePulseCache`; ``path``
-    mounts the :class:`ShardedDiskPulseCache` directory there
-    (``shards`` sizes a new one); nothing returns ``None`` (fully
-    in-memory compilation, the historical default).  ``max_bytes``
-    bounds the local store.
+    ``tcp://HOST:PORT`` mounts a :class:`RemotePulseCache` on that cache
+    server; any other ``path`` mounts the :class:`ShardedDiskPulseCache`
+    directory there (``shards`` sizes a new one); ``None`` is an
+    in-memory :class:`PulseCache`.  ``max_bytes`` bounds whichever store
+    is built (a remote client's local copy; the server keeps its own).
     """
-    if url:
-        return RemotePulseCache(url, max_bytes=max_bytes)
     if path is None:
-        return None
+        return PulseCache(max_bytes=max_bytes)
+    path = os.fspath(path)
+    if path.startswith("tcp://"):
+        return RemotePulseCache(path, max_bytes=max_bytes)
     return ShardedDiskPulseCache(path, shards=shards, max_bytes=max_bytes)
+
+
+def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the pulse-store flags, whose values go to :func:`resolve_cache`."""
+    parser.add_argument(
+        "--cache",
+        default=None,
+        metavar="DIR|tcp://HOST:PORT",
+        help="pulse store: a cache directory, created on first use, that "
+        "many processes can share (loaded at start, saved on exit), or a "
+        "cache server (python -m repro.control.cache_server); a server "
+        "needs the tcp:// scheme, because a bare HOST:PORT names a "
+        "directory; default: in memory",
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        metavar="N",
+        help=f"shard count when --cache creates a new directory (default "
+        f"{DEFAULT_SHARDS}; an existing directory keeps its pinned count)",
+    )
+    parser.add_argument(
+        "--max-bytes",
+        type=int,
+        default=None,
+        metavar="N",
+        help="LRU eviction budget of the pulse store, in bytes: its memory, "
+        "and the disk of a --cache directory (for a cache server, the "
+        "local copy)",
+    )

@@ -141,15 +141,18 @@ class RemotePulseCache(PulseCache):
     local L1.
 
     Args:
-        url: Server address, ``host:port`` or ``tcp://host:port``.
+        url: Server address, ``tcp://host:port`` or ``host:port``;
+            :attr:`url` keeps the ``tcp://`` form, the one
+            :func:`~repro.control.cache.resolve_cache` reads as a server
+            (a bare ``host:port`` there names a directory).
         max_bytes: Optional LRU budget for the *local* L1 (the server
             enforces its own budget fleet-wide).
     """
 
     def __init__(self, url: str, max_bytes: int | None = None) -> None:
         super().__init__(max_bytes=max_bytes)
-        self.url = url
         self._wire = FramedClient(url)
+        self.url = f"tcp://{self._wire.host}:{self._wire.port}"
         self.owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
         self._pending = CacheDelta()
         #: Serializes the pending delta across the batch engine's

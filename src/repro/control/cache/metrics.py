@@ -41,7 +41,7 @@ def cache_summary(stats: dict) -> str:
 
         cache[memory]: 42 latencies + 6 pulses | hits 120/126 (95%)
         cache[sharded-disk]: ... | 8 shards, 3 flushes | evicted 2 (1.2 KiB)
-        cache[remote 127.0.0.1:7777]: ... | remote 5/9 (56%) in 14 round trips
+        cache[remote tcp://127.0.0.1:7777]: ... | remote 5/9 (56%) in 14 round trips
     """
     backend = stats.get("backend", "memory")
     label = backend

@@ -5,12 +5,15 @@ length-prefixed JSON protocol (see :mod:`repro.control.cache.protocol`).
 Typical fleet setup::
 
     python -m repro.control.cache_server --port 7777 --cache fleet_cache &
-    python -m repro.experiments.runner --cache-url 127.0.0.1:7777 ...
+    python -m repro.experiments.runner --cache tcp://127.0.0.1:7777 ...
 
-The store is persisted (the ``--cache`` directory) on clean shutdown
-(SIGINT/SIGTERM), after every client connection has closed, so no write
-is acknowledged that the saved store lacks; ``--max-bytes`` (positive)
-bounds it, in memory and on disk, with fleet-wide LRU eviction.
+The served store comes from the same ``--cache``/``--shards``/
+``--max-bytes`` flags as the runner's and the compile service's: a
+``--cache`` directory is persisted on clean shutdown (SIGINT/SIGTERM),
+after every client connection has closed, so no write is acknowledged
+that the saved store lacks; without one the store lives in memory.
+``--max-bytes`` (positive) bounds it, in memory and on disk, with
+fleet-wide LRU eviction.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import argparse
 import signal
 import sys
 
-from repro.control.cache import CacheServer, PulseCache, resolve_cache
+from repro.control.cache import CacheServer, add_cache_arguments, resolve_cache
 from repro.control.cache.server import DEFAULT_LOCK_TTL_SECONDS
 
 
@@ -32,26 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--port", type=int, default=7777, help="bind port (0 picks a free one)"
     )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="persistent store: a cache directory, created on first use "
-        "(loaded at start, saved on shutdown)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count when --cache creates a new directory",
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="LRU eviction budget for the served store and its --cache "
-        "directory, in bytes",
-    )
+    add_cache_arguments(parser)
     parser.add_argument(
         "--lock-ttl",
         type=float,
@@ -63,11 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    store = resolve_cache(
-        path=args.cache, shards=args.shards, max_bytes=args.max_bytes
-    )
-    if store is None:
-        store = PulseCache(max_bytes=args.max_bytes)
+    store = resolve_cache(args.cache, args.shards, args.max_bytes)
     server = CacheServer(
         store=store, host=args.host, port=args.port, lock_ttl=args.lock_ttl
     )

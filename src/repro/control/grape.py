@@ -22,8 +22,10 @@ Two gradient kernels compute the identical quantity:
 
 Both kernels evaluate the same floating-point contractions in slightly
 different association orders, so their gradients agree to ~1e-12 but
-long Adam trajectories can still diverge; the kernel choice is part of
-the pulse-cache fingerprint whenever it is not the default.
+long Adam trajectories can still diverge.  The optimal-control unit
+always runs the default kernel, so the choice is not part of the
+pulse-cache fingerprint; ``"reference"`` serves the parity tests and the
+benchmark that patches the legacy settings into the unit's time search.
 """
 
 from __future__ import annotations

@@ -51,10 +51,6 @@ class Pulse:
         """Amplitudes converted from rad/ns to GHz (``u / 2*pi``)."""
         return self.amplitudes / TWO_PI
 
-    def time_axis(self) -> np.ndarray:
-        """Step start times in ns."""
-        return np.arange(self.num_steps) * self.dt
-
     def channel(self, name: str) -> np.ndarray:
         """Amplitude series of one named control."""
         try:
@@ -62,30 +58,3 @@ class Pulse:
         except ValueError:
             raise ControlError(f"unknown control channel {name!r}") from None
         return self.amplitudes[:, index].copy()
-
-    def max_amplitude(self) -> float:
-        """Largest absolute amplitude across all channels (rad/ns)."""
-        if self.amplitudes.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.amplitudes)))
-
-
-@dataclasses.dataclass
-class PulseSequence:
-    """A labeled, ordered collection of pulses (one per instruction)."""
-
-    entries: list[tuple[str, Pulse]] = dataclasses.field(default_factory=list)
-
-    def add(self, label: str, pulse: Pulse) -> None:
-        self.entries.append((label, pulse))
-
-    @property
-    def total_duration(self) -> float:
-        """Serial duration of all pulses (ns)."""
-        return sum(pulse.duration for _, pulse in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)

@@ -2,15 +2,15 @@
 
 All compilations go through the batch engine, which fans independent
 (circuit, strategy) jobs across worker threads and shares one pulse/latency
-cache.  Pass ``--cache PATH`` to persist that cache on disk: the first run
+cache.  Pass ``--cache DIR`` to persist that cache on disk: the first run
 pays for every optimal-control query, subsequent runs answer them from the
 cache and the whole sweep completes dramatically faster.  The cache can
 also be *shared across processes and machines*: the ``--cache DIR``
 directory is a lock-protected sharded store many concurrent runners warm
-together, and ``--cache-url HOST:PORT`` connects to a ``python -m
-repro.control.cache_server`` fleet cache; either way
-every distinct pulse is synthesized once fleet-wide and the exit bill
-prints a one-line cache summary.
+together, and ``--cache tcp://HOST:PORT`` connects to a ``python -m
+repro.control.cache_server`` fleet cache; either way every distinct
+pulse is synthesized once fleet-wide.  ``--max-bytes N`` bounds the
+store, in memory too, and the exit bill prints a one-line cache summary.
 
 The Figure 9 sweep also regenerates on any registered device: pass
 ``--device`` (repeatable) with a preset key — ``paper-grid-NxM``,
@@ -35,6 +35,7 @@ Usage::
     python -m repro.experiments.runner --scale small
     python -m repro.experiments.runner --experiment figure9 --scale paper
     python -m repro.experiments.runner --cache results/pulse_cache --workers 4
+    python -m repro.experiments.runner --cache tcp://127.0.0.1:7777 --max-bytes 50000000
     python -m repro.experiments.runner --experiment figure9 --scale small \\
         --device ring-6 --device heavy-hex-1 --benchmarks maxcut-line-6
     python -m repro.experiments.runner --experiment figure9 --scale small \\
@@ -55,7 +56,11 @@ from collections import defaultdict
 
 from repro.compiler.batch import BatchCompiler, format_pass_table
 from repro.compiler.result import CompilationResult
-from repro.control.cache import cache_summary, resolve_cache
+from repro.control.cache import (
+    add_cache_arguments,
+    cache_summary,
+    resolve_cache,
+)
 from repro.experiments.figure4 import format_figure4, run_figure4
 from repro.experiments.figure9 import Figure9Row, format_figure9, run_figure9
 from repro.experiments.figure10 import format_figure10, run_figure10
@@ -339,8 +344,10 @@ def submit_report(
     return "\n".join(lines), ok
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.runner", description=__doc__
+    )
     parser.add_argument(
         "--experiment",
         choices=_EXPERIMENTS + ("all",),
@@ -353,37 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         default="paper",
         help="benchmark sizes: the paper's or fast reduced instances",
     )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="persistent pulse cache: a directory, created on first use, "
-        "that many processes can share; warm runs skip recomputing "
-        "cached latencies and pulses",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count when --cache PATH creates a new directory "
-        "(default 8; an existing directory keeps its pinned count)",
-    )
-    parser.add_argument(
-        "--cache-url",
-        default=None,
-        metavar="HOST:PORT",
-        help="share the pulse cache fleet-wide through a cache server "
-        "(python -m repro.control.cache_server); overrides --cache",
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LRU eviction budget for the local cache store and its "
-        "--cache directory, in bytes",
-    )
+    add_cache_arguments(parser)
     parser.add_argument(
         "--workers",
         type=int,
@@ -468,7 +445,11 @@ def main(argv: list[str] | None = None) -> int:
         "the table from the returned results; exits nonzero on any "
         "failed job or verification",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.load_artifacts:
         report, ok = load_artifacts_report(args.load_artifacts)
         print(report)
@@ -492,12 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(report)
         return 0 if ok else 1
-    cache = resolve_cache(
-        path=args.cache,
-        url=args.cache_url,
-        shards=args.shards,
-        max_bytes=args.max_bytes,
-    )
+    cache = resolve_cache(args.cache, args.shards, args.max_bytes)
     engine = BatchCompiler(
         cache=cache,
         backend=args.backend,
@@ -505,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         executor=args.executor,
         verify_ir=args.verify_ir,
     )
-    if cache is not None and getattr(cache, "loaded_entries", 0):
+    if getattr(cache, "loaded_entries", 0):
         print(f"[warm cache: {cache.loaded_entries} entries from {args.cache}]")
     names = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     try:
@@ -541,11 +517,10 @@ def main(argv: list[str] | None = None) -> int:
             )
         # Persist even when a sweep dies halfway: hours of paper-scale
         # optimal-control work must survive for the next warm run.
-        if cache is not None:
+        if args.cache is not None:
             written = engine.save_cache()
-            destination = args.cache_url or args.cache
-            print(f"[cache saved: {written} entries -> {destination}]")
-            print(f"[{cache_summary(engine.cache_stats())}]")
+            print(f"[cache saved: {written} entries -> {args.cache}]")
+        print(f"[{cache_summary(engine.cache_stats())}]")
     return 0
 
 

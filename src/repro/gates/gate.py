@@ -48,12 +48,13 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         matrix = np.asarray(self.matrix, dtype=complex)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        _check_qubits(self.name, self.qubits, matrix)
+        object.__setattr__(
+            self, "qubits", _checked_qubits(self.name, self.qubits, matrix)
+        )
         if not is_unitary(matrix, atol=1e-7):
             raise GateError(f"{self.name} matrix is not unitary")
         # The memos of is_diagonal and signature (None until first read).
@@ -144,10 +145,9 @@ def _trusted_gate(
     angles they checked finite) or a validated gate's own.
     ``is_diagonal`` seeds that memo; the signature memo starts empty.
     """
-    qubits = tuple(int(q) for q in qubits)
     matrix = np.asarray(matrix, dtype=complex)
     matrix.setflags(write=False)
-    _check_qubits(name, qubits, matrix)
+    qubits = _checked_qubits(name, qubits, matrix)
     gate = object.__new__(Gate)
     object.__setattr__(gate, "name", name)
     object.__setattr__(gate, "qubits", qubits)
@@ -158,15 +158,32 @@ def _trusted_gate(
     return gate
 
 
-def _check_qubits(name: str, qubits: tuple[int, ...], matrix: np.ndarray) -> None:
-    """Reject duplicate or negative qubits and a matrix of the wrong arity."""
-    k = len(qubits)
-    if len(set(qubits)) != k:
-        raise GateError(f"duplicate qubits in {name}: {qubits}")
-    if any(q < 0 for q in qubits):
-        raise GateError(f"negative qubit index in {name}: {qubits}")
+def _checked_qubits(
+    name: str, qubits: Sequence[int], matrix: np.ndarray
+) -> tuple[int, ...]:
+    """The qubits as a tuple of ints, each checked, and the matrix's arity.
+
+    An integer passes, numpy's included; a bool, float or string is
+    refused rather than converted, so a malformed index cannot truncate
+    into a different qubit.  Duplicate or negative qubits and a matrix
+    of the wrong arity are refused too.
+    """
+    checked = []
+    for q in qubits:
+        if type(q) is not int:
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+                raise GateError(f"{name} qubit index {q!r} is not an integer")
+            q = int(q)
+        checked.append(q)
+    result = tuple(checked)
+    k = len(result)
+    if len(set(result)) != k:
+        raise GateError(f"duplicate qubits in {name}: {result}")
+    if any(q < 0 for q in result):
+        raise GateError(f"negative qubit index in {name}: {result}")
     if matrix.shape != (2**k, 2**k):
         raise GateError(
             f"{name} on {k} qubits needs a {2**k}x{2**k} matrix, "
             f"got {matrix.shape}"
         )
+    return result

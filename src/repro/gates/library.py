@@ -249,17 +249,17 @@ def gate_from_name(name: str, qubits, params=()) -> Gate:
         params: Rotation angles for parameterized gates.
 
     Raises:
-        GateError: for an unknown mnemonic, or a count of qubits or of
-            angles the mnemonic does not take (checked before the
-            factory runs, so an angle is never read as a qubit or the
-            reverse).
+        GateError: for an unknown mnemonic, a qubit that is not an
+            integer, or a count of qubits or of angles the mnemonic does
+            not take (checked before the factory runs, so an angle is
+            never read as a qubit or the reverse).
     """
     key = name.upper()
     entry = _BY_NAME.get(key)
     if entry is None:
         raise GateError(f"unknown gate name {name!r}")
     factory, num_qubits, num_angles = entry
-    qubits = tuple(int(q) for q in qubits)
+    qubits = tuple(qubits)
     params = tuple(float(p) for p in params)
     if len(qubits) != num_qubits or len(params) != num_angles:
         raise GateError(

@@ -150,10 +150,22 @@ def gate_to_dict(gate: Gate) -> dict:
 
 
 def gate_from_dict(payload: dict) -> Gate:
+    """The gate a payload encodes.
+
+    Qubits pass to the gate unconverted, so one that is not an integer
+    is refused (:class:`~repro.errors.GateError`) instead of truncated
+    into a different qubit, and a parameter that is not a real number
+    (a bool or a string included) is refused here.
+    """
     payload = _check(payload, "gate")
     name = payload["name"]
-    qubits = tuple(int(q) for q in payload["qubits"])
-    params = tuple(float(p) for p in payload["params"])
+    qubits = payload["qubits"]
+    params = payload["params"]
+    for param in params:
+        if isinstance(param, bool) or not isinstance(param, (int, float)):
+            raise SerializationError(
+                f"gate {name!r} parameter {param!r} is not a real number"
+            )
     if "matrix" in payload:
         return Gate(name, qubits, _matrix_from_wire(payload["matrix"]), params)
     return gate_from_name(name, qubits, params)
@@ -224,7 +236,12 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 def circuit_from_dict(payload: dict) -> Circuit:
     payload = _check(payload, "circuit")
-    circuit = Circuit(int(payload["num_qubits"]), name=payload["name"])
+    num_qubits = payload["num_qubits"]
+    if isinstance(num_qubits, bool) or not isinstance(num_qubits, int):
+        raise SerializationError(
+            f"circuit num_qubits {num_qubits!r} is not an integer"
+        )
+    circuit = Circuit(num_qubits, name=payload["name"])
     circuit.extend(gate_from_dict(entry) for entry in payload["gates"])
     return circuit
 

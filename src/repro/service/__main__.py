@@ -6,9 +6,11 @@ clients.  Typical deployment::
     python -m repro.service --port 7788 --cache fleet_cache --journal jobs &
     python -m repro.experiments.runner --submit-url 127.0.0.1:7788 ...
 
-The cache flag family matches the runner and the cache server: ``--cache``
-mounts a cache directory, ``--cache-url`` mounts a
-``python -m repro.control.cache_server`` fleet cache instead.  With
+The pulse-store flags are the runner's and the cache server's:
+``--cache DIR`` mounts a cache directory, ``--cache tcp://HOST:PORT`` a
+``python -m repro.control.cache_server`` fleet cache, and ``--max-bytes``
+bounds whichever store the service compiles over, the default in-memory
+one included.  With
 ``--journal DIR`` the server restarts without losing accepted work:
 completed results are re-served from the result cache (``--result-cache
 DIR``, else one kept inside the journal directory), interrupted jobs
@@ -23,7 +25,7 @@ import signal
 import sys
 
 from repro.compiler.batch import BatchCompiler
-from repro.control.cache import resolve_cache
+from repro.control.cache import add_cache_arguments, resolve_cache
 from repro.service.breaker import (
     DEFAULT_BREAKER_COOLDOWN,
     DEFAULT_BREAKER_THRESHOLD,
@@ -40,33 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--port", type=int, default=7788, help="bind port (0 picks a free one)"
     )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="persistent pulse cache: a directory, created on first use "
-        "(loaded at start, saved on shutdown)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count when --cache creates a new directory",
-    )
-    parser.add_argument(
-        "--cache-url",
-        default=None,
-        metavar="HOST:PORT",
-        help="mount a shared cache server instead of a local store "
-        "(python -m repro.control.cache_server); overrides --cache",
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="LRU eviction budget for the local cache store and its "
-        "--cache directory, in bytes",
-    )
+    add_cache_arguments(parser)
     parser.add_argument(
         "--backend",
         choices=("model", "grape"),
@@ -122,12 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cache = resolve_cache(
-        path=args.cache,
-        url=args.cache_url,
-        shards=args.shards,
-        max_bytes=args.max_bytes,
-    )
+    cache = resolve_cache(args.cache, args.shards, args.max_bytes)
     engine = BatchCompiler(
         cache=cache, backend=args.backend, result_cache=args.result_cache
     )

@@ -91,12 +91,6 @@ class TestTiming:
         assert dag.predecessors(rz) == [cnot]
         assert dag.successors(h) == [cnot]
 
-    def test_source_nodes(self):
-        circuit = Circuit(3).h(0).h(1).cnot(0, 1).h(2)
-        dag = build_dag(circuit)
-        sources = dag.source_nodes()
-        assert len(sources) == 3
-
     def test_topological_order_is_consistent(self):
         circuit = Circuit(3).h(0).cnot(0, 1).cnot(1, 2).h(2)
         dag = build_dag(circuit)
@@ -131,13 +125,6 @@ class TestTiming:
     def test_empty_dag_makespan(self):
         dag = build_dag(Circuit(2))
         assert dag.makespan(unit_latency) == 0.0
-
-    def test_critical_path_identifies_long_chain(self):
-        circuit = Circuit(3).h(0).t(0).h(0).h(1)
-        dag = build_dag(circuit)
-        path = dag.critical_path(unit_latency)
-        assert len(path) == 3
-        assert all(node.qubits == (0,) for node in path)
 
 
 class TestReorder:

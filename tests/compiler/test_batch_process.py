@@ -6,7 +6,7 @@ from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.strategies import Strategy, all_strategies
-from repro.control.cache import CacheServer, resolve_cache
+from repro.control.cache import CacheServer, RemotePulseCache
 from repro.errors import ConfigError
 from repro.ir import canonical_result_dict
 
@@ -153,9 +153,10 @@ class TestDeltaMerging:
             cold = first.compile_batch(jobs)
             first.save_cache()
             assert server.store.latency_count > 0
-            # The runner's --cache-url form: no scheme.
+            # A client built on the scheme-less address: the workers
+            # still mount the server, not a directory of that name.
             engine = BatchCompiler(
-                cache=resolve_cache(url=server.url),
+                cache=RemotePulseCache(server.url),
                 executor="process",
                 max_workers=2,
             )

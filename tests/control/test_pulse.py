@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.control.pulse import Pulse, PulseSequence
+from repro.control.pulse import Pulse
 from repro.errors import ControlError
 
 
@@ -33,32 +33,8 @@ class TestPulse:
         pulse = _pulse()
         assert np.allclose(pulse.amplitudes_ghz(), 1.0 / (2 * np.pi))
 
-    def test_time_axis(self):
-        pulse = _pulse(steps=3, dt=2.0)
-        assert np.allclose(pulse.time_axis(), [0.0, 2.0, 4.0])
-
     def test_channel_lookup(self):
         pulse = _pulse()
         assert np.allclose(pulse.channel("c1"), 1.0)
         with pytest.raises(ControlError):
             pulse.channel("missing")
-
-    def test_max_amplitude(self):
-        pulse = Pulse(["a"], np.array([[0.5], [-2.0], [1.0]]), 0.5)
-        assert pulse.max_amplitude() == pytest.approx(2.0)
-
-
-class TestPulseSequence:
-    def test_total_duration(self):
-        sequence = PulseSequence()
-        sequence.add("G1", _pulse(steps=4, dt=0.5))
-        sequence.add("G2", _pulse(steps=2, dt=0.5))
-        assert sequence.total_duration == pytest.approx(3.0)
-        assert len(sequence) == 2
-
-    def test_iteration_preserves_order(self):
-        sequence = PulseSequence()
-        sequence.add("first", _pulse())
-        sequence.add("second", _pulse())
-        labels = [label for label, _ in sequence]
-        assert labels == ["first", "second"]

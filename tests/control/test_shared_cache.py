@@ -591,8 +591,20 @@ class TestCacheServer:
 
 
 class TestResolveCache:
-    def test_none_when_nothing_requested(self):
-        assert resolve_cache() is None
+    @pytest.mark.parametrize("max_bytes", [None, 4096])
+    def test_no_path_is_a_memory_store(self, max_bytes):
+        # resolve_cache() is unbounded; a budget bounds it even so.
+        cache = resolve_cache(max_bytes=max_bytes)
+        assert type(cache) is PulseCache
+        assert cache.max_bytes == max_bytes
+
+    def test_directory_path_mounts_sharded_store(self, tmp_path):
+        cache = resolve_cache(tmp_path / "cache", max_bytes=4096)
+        assert type(cache) is ShardedDiskPulseCache
+        assert cache.max_bytes == 4096
+        # A bare HOST:PORT is a directory name, not a server.
+        bare = resolve_cache(str(tmp_path / "127.0.0.1:7777"))
+        assert type(bare) is ShardedDiskPulseCache
 
     def test_bare_path_mounts_directory_store(self, tmp_path):
         cache = resolve_cache(path=str(tmp_path / "cache"))
@@ -618,9 +630,13 @@ class TestResolveCache:
         assert cache.shards == 2
 
     def test_url_mounts_remote_client(self):
-        cache = resolve_cache(url="127.0.0.1:1", max_bytes=512)
+        cache = resolve_cache("tcp://127.0.0.1:1", max_bytes=512)
         assert isinstance(cache, RemotePulseCache)
         assert cache.max_bytes == 512
+        assert cache.url == "tcp://127.0.0.1:1"
+        # A client built on a scheme-less address reports the url that
+        # resolve_cache reads back as a server.
+        assert RemotePulseCache("127.0.0.1:1").url == "tcp://127.0.0.1:1"
 
 
 # ----------------------------------------------------------------------

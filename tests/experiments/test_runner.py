@@ -1,5 +1,7 @@
 """Tests for the experiment runner CLI."""
 
+import argparse
+import importlib
 import json
 import os
 import re
@@ -8,6 +10,7 @@ import pytest
 
 from repro.compiler.result import CompilationResult
 from repro.compiler.batch import BatchCompiler
+from repro.control.cache import add_cache_arguments
 from repro.experiments.runner import (
     artifact_filename,
     load_artifacts_report,
@@ -16,6 +19,14 @@ from repro.experiments.runner import (
     submit_report,
 )
 from repro.service.server import CompileService
+
+
+def _store_flags(parser: argparse.ArgumentParser) -> list[tuple]:
+    return [
+        (action.option_strings, action.default, action.type, action.help)
+        for action in parser._actions
+        if action.dest in ("cache", "shards", "max_bytes")
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +95,44 @@ class TestCli:
         for old_flag in ("--cache-shards", "--cache-max-bytes"):
             with pytest.raises(SystemExit):
                 main(["--experiment", "table1", old_flag, "3"])
+
+    def test_budget_bounds_the_store_without_a_cache_flag(self, capsys):
+        exit_code = main([
+            "--experiment", "figure9", "--scale", "small",
+            "--benchmarks", "maxcut-line-6", "--strategies", "isa,aggregation",
+            "--workers", "1", "--max-bytes", "4096",
+        ])
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        bill = re.search(r"^\[cache\[memory\]: (.*)\]$", out, re.MULTILINE)
+        assert bill, out
+        assert re.search(r"\| evicted [1-9][0-9]* ", bill.group(1))
+        assert bill.group(1).endswith("KiB/4.0 KiB")
+        assert "cache saved" not in out
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.experiments.runner",
+            "repro.service.__main__",
+            "repro.control.cache_server",
+        ],
+    )
+    def test_every_cli_takes_the_one_set_of_store_flags(self, module):
+        parser = importlib.import_module(module).build_parser()
+        args = parser.parse_args([
+            "--cache", "tcp://127.0.0.1:7777", "--shards", "3",
+            "--max-bytes", "4096",
+        ])
+        assert (args.cache, args.shards, args.max_bytes) == (
+            "tcp://127.0.0.1:7777", 3, 4096,
+        )
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--cache-url", "127.0.0.1:7777"])
+        # One definition: the same flags, defaults and help everywhere.
+        reference = argparse.ArgumentParser()
+        add_cache_arguments(reference)
+        assert _store_flags(parser) == _store_flags(reference)
 
 
 class TestArtifacts:

@@ -65,6 +65,24 @@ class TestGateConstruction:
         with pytest.raises(GateError):
             Gate("BAD", (0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("qubit", [0.7, True, "0", np.bool_(True)], ids=repr)
+    def test_non_integer_qubit_rejected(self, qubit):
+        # Gate("X", (0.7,), X) was X[0].
+        with pytest.raises(GateError, match="is not an integer"):
+            Gate("X", (qubit,), lib.X(0).matrix)
+        with pytest.raises(GateError, match="is not an integer"):
+            lib.X(qubit)
+        with pytest.raises(GateError, match="is not an integer"):
+            lib.X(0).on((qubit,))
+
+    def test_numpy_integer_qubits_become_ints(self):
+        for gate in (
+            Gate("CNOT", (np.int64(3), np.int32(1)), lib.CNOT(0, 1).matrix),
+            lib.CNOT(np.int64(3), np.int32(1)),
+        ):
+            assert gate.qubits == (3, 1)
+            assert all(type(q) is int for q in gate.qubits)
+
 
 class TestGateIdentity:
     def test_instances_compare_by_identity(self):

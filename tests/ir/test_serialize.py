@@ -194,6 +194,49 @@ class TestGateDecodingRefuses:
         with pytest.raises(GateError, match="not unitary"):
             gate_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "qubits",
+        [
+            [0.9, 2.5],  # was CNOT[0, 2]
+            [True, 2],  # was CNOT[1, 2]
+            ["1", "2"],  # was CNOT[1, 2]
+        ],
+        ids=str,
+    )
+    def test_non_integer_qubits(self, qubits):
+        payload = _gate_payload("CNOT", qubits, [])
+        with pytest.raises(GateError, match="is not an integer"):
+            gate_from_dict(payload)
+        with pytest.raises(GateError, match="is not an integer"):
+            loads(json.dumps(payload))
+        # A gate that ships its matrix is refused the same way.
+        shipped = gate_to_dict(Gate("MINE", (0, 1), lib.CNOT(0, 1).matrix))
+        shipped["qubits"] = qubits
+        with pytest.raises(GateError, match="is not an integer"):
+            gate_from_dict(shipped)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["0.5"],  # was RZ(0.5)
+            [True],  # was RZ(1)
+        ],
+        ids=str,
+    )
+    def test_non_real_params(self, params):
+        payload = _gate_payload("RZ", [0], params)
+        with pytest.raises(SerializationError, match="not a real number"):
+            gate_from_dict(payload)
+        with pytest.raises(SerializationError, match="not a real number"):
+            loads(json.dumps(payload))
+
+    def test_integer_params_still_decode(self):
+        # JSON writes an integral float like 1.0 back as 1.0, but a
+        # hand-written payload may say 1: still a real number.
+        gate = gate_from_dict(_gate_payload("RZ", [0], [1]))
+        assert gate.params == (1.0,)
+        assert np.array_equal(gate.matrix, lib.RZ(1.0, 0).matrix)
+
 
 class TestUnitarityChecksOnDecode:
     """Decoding checks unitarity only for matrices that did not come
@@ -284,6 +327,16 @@ class TestCircuitRoundTrip:
     def test_circuit_dict_rejects_wrong_kind(self):
         with pytest.raises(SerializationError, match="kind"):
             circuit_from_dict(gate_to_dict(lib.H(0)))
+
+    @pytest.mark.parametrize("num_qubits", [3.9, "3", True], ids=repr)
+    def test_non_integer_width_refused(self, num_qubits):
+        # Both 3.9 and "3" were read as a 3-qubit register.
+        payload = circuit_to_dict(Circuit(3).h(0))
+        payload["num_qubits"] = num_qubits
+        with pytest.raises(SerializationError, match="is not an integer"):
+            circuit_from_dict(payload)
+        with pytest.raises(SerializationError, match="is not an integer"):
+            loads(json.dumps(payload))
 
 
 class TestTopologyAndDevice:

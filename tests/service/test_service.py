@@ -21,7 +21,7 @@ from repro.benchmarks.ising import ising_model_circuit
 from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler.batch import COUNTER_KEYS, BatchCompiler, BatchJob
 from repro.compiler.result_cache import ResultCache
-from repro.control.cache import ShardedDiskPulseCache
+from repro.control.cache import PulseCache, ShardedDiskPulseCache
 from repro.errors import ServiceBusyError, ServiceError
 from repro.service import CompileService, ServiceClient
 from repro.service.protocol import (
@@ -186,6 +186,57 @@ class TestEagerValidation:
                 assert client.jobs() == []
         assert stats["failed"] == 0
         assert stats["queue"]["depth"] == 0
+
+    @pytest.mark.parametrize(
+        "gate, circuit_width, error",
+        [
+            ({"name": "CNOT", "qubits": [0.9, 2.5]}, None, "GateError"),
+            ({"name": "RZ", "qubits": [0], "params": ["0.5"]}, None,
+             "SerializationError"),
+            ({}, 3.9, "SerializationError"),
+        ],
+        ids=["float-qubits", "string-param", "float-width"],
+    )
+    def test_malformed_number_refused_at_submit(
+        self, gate, circuit_width, error
+    ):
+        from repro.ir.serialize import batch_job_to_dict
+
+        envelope = batch_job_to_dict(BatchJob(circuit=_circuit(nodes=5)))
+        envelope["circuit"]["gates"][0].update({"params": [], **gate})
+        if circuit_width is not None:
+            envelope["circuit"]["num_qubits"] = circuit_width
+        with CompileService(workers=1) as service:
+            with ServiceClient(service.url) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit_job(envelope)
+                message = str(excinfo.value)
+                assert f"{error}: " in message
+                assert "is not" in message
+                stats = client.stats()
+                assert client.jobs() == []
+        assert stats["failed"] == 0
+        assert stats["queue"]["depth"] == 0
+
+
+class TestCommandLine:
+    def test_max_bytes_alone_bounds_the_service_store(self, monkeypatch):
+        from repro.service import __main__ as service_main
+
+        served = {}
+
+        def serve_once(service):
+            served["store"] = service.engine.cache
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            service_main.CompileService, "serve_forever", serve_once
+        )
+        monkeypatch.setattr(service_main.signal, "signal", lambda *args: None)
+        argv = ["--port", "0", "--workers", "0", "--max-bytes", "4096"]
+        assert service_main.main(argv) == 0
+        assert type(served["store"]) is PulseCache
+        assert served["store"].max_bytes == 4096
 
 
 class TestBackpressure:
